@@ -42,14 +42,21 @@ class CodeSpans:
     phi56: np.ndarray  # n x Z
 
 
-def check_code_shapes(code: ButterflyCode, instance: ProblemInstance):
-    n, a, b, z = instance.n, instance.a, instance.b, instance.z
-    expected = {
+_MATRIX_FIELDS = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
+
+
+def _field_shapes(n: int, a: int, b: int, z: int) -> dict[str, tuple[int, int]]:
+    """Shape of each ButterflyCode matrix, in _MATRIX_FIELDS order."""
+    return {
         "e13": (z, a), "e15": (z, a),
         "e24": (z, b), "e25": (z, b),
         "e56": (z, 2 * z),
         "d3": (n, 2 * z), "d4": (n, 2 * z),
     }
+
+
+def check_code_shapes(code: ButterflyCode, instance: ProblemInstance):
+    expected = _field_shapes(instance.n, instance.a, instance.b, instance.z)
     for name, shape in expected.items():
         got = getattr(code, name).shape
         if got != shape:
@@ -58,21 +65,26 @@ def check_code_shapes(code: ButterflyCode, instance: ProblemInstance):
             raise BadDimensions(f"{name} contains non-finite entries")
 
 
-def _encoder_maps(code: ButterflyCode, instance: ProblemInstance):
-    """Aggregated per-sink encoder maps acting on the full vector x.
+def _encoder_maps(code: ButterflyCode, n: int, a: int, b: int, z: int, out=None):
+    """Relay input map and aggregated per-sink encoder maps acting on x.
 
-    Returns (A3, A4), each 2Z x n: the direct block stacked on the relay block.
+    Returns (into5, A3, A4), each (..., 2Z, n): into5 stacks the two links
+    into node 5, and A_i stacks sink i's direct block on the relay block.
+    Leading axes of the code's matrices are batch axes. `out` takes three
+    such arrays to fill in place; their entries outside the link blocks must
+    be zero, and stay so.
     """
-    n, a, b, z = instance.n, instance.a, instance.b, instance.z
-    direct3 = np.zeros((z, n))
-    direct3[:, :a] = code.e13
-    direct4 = np.zeros((z, n))
-    direct4[:, n - b :] = code.e24
-    into5 = np.zeros((2 * z, n))
-    into5[:z, :a] = code.e15
-    into5[z:, n - b :] = code.e25
-    relay = code.e56 @ into5
-    return np.vstack([direct3, relay]), np.vstack([direct4, relay])
+    if out is None:
+        shape = np.shape(code.e56)[:-2] + (2 * z, n)
+        out = (np.zeros(shape), np.zeros(shape), np.zeros(shape))
+    into5, a3, a4 = out
+    into5[..., :z, :a] = code.e15
+    into5[..., z:, n - b :] = code.e25
+    a3[..., :z, :a] = code.e13
+    a4[..., :z, n - b :] = code.e24
+    np.matmul(code.e56, into5, out=a3[..., z:, :])
+    a4[..., z:, :] = a3[..., z:, :]
+    return into5, a3, a4
 
 
 def exact_loss(code: ButterflyCode, instance: ProblemInstance):
@@ -81,7 +93,7 @@ def exact_loss(code: ButterflyCode, instance: ProblemInstance):
     L_i = Tr(K_i (I - D_i A_i) psi (I - D_i A_i)^T K_i^T), which only needs the
     covariance, so singular psi is fine.
     """
-    a3, a4 = _encoder_maps(code, instance)
+    _, a3, a4 = _encoder_maps(code, instance.n, instance.a, instance.b, instance.z)
     eye = np.eye(instance.n)
     m3 = instance.k3 @ (eye - code.d3 @ a3)
     m4 = instance.k4 @ (eye - code.d4 @ a4)
@@ -97,7 +109,7 @@ def optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
     D = psi A^T pinv(A psi A^T) zeroes the loss gradient for every task matrix
     simultaneously; the pseudo-inverse handles rank-deficient encoders.
     """
-    a3, a4 = _encoder_maps(code, instance)
+    _, a3, a4 = _encoder_maps(code, instance.n, instance.a, instance.b, instance.z)
     out = []
     for am in (a3, a4):
         gram = am @ instance.psi @ am.T
@@ -232,9 +244,6 @@ def lift_code(whitened: WhitenedInstance, code: ButterflyCode,
         d3=whitened.backward_map @ code.d3,
         d4=whitened.backward_map @ code.d4,
     )
-
-
-_MATRIX_FIELDS = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
 
 
 def code_to_json(code: ButterflyCode) -> str:

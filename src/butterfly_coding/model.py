@@ -58,9 +58,17 @@ class ProblemInstance:
 def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> ProblemInstance:
     """Check invariants and return the instance with a symmetrized covariance."""
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
+    for name, value in (("n", n), ("a", a), ("b", b), ("z", z)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise BadDimensions(f"{name} must be an integer, got {value!r}")
     psi = np.asarray(instance.psi, dtype=float)
     k3 = np.atleast_2d(np.asarray(instance.k3, dtype=float))
     k4 = np.atleast_2d(np.asarray(instance.k4, dtype=float))
+    for name, k in (("k3", k3), ("k4", k4)):
+        if not np.all(np.isfinite(k)):
+            raise BadDimensions(f"{name} contains non-finite entries")
+    if not np.all(np.isfinite(psi)):
+        raise NotPSD("covariance contains non-finite entries")
     if n < 1 or z < 1:
         raise BadDimensions(f"need n >= 1 and z >= 1, got n={n}, z={z}")
     if psi.shape != (n, n):

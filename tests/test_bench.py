@@ -1,14 +1,17 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from butterfly_coding import (
     ConfigError,
+    DivergenceDetected,
     InfeasibleSpec,
     ResultRecord,
     SyntheticSpec,
+    TrainConfig,
     flat_tail_profile,
     gen_synthetic,
     instance_to_json,
@@ -21,9 +24,16 @@ from butterfly_coding import (
     spectrum,
     sufficient_report,
     task_pca,
+    train,
     write_csv,
 )
-from butterfly_coding.bench import _FIELD_NAMES
+import butterfly_coding.bench as bench_module
+from butterfly_coding.bench import (
+    _FIELD_NAMES,
+    FLAT_TAIL_MAX_SHARED,
+    _format_cell,
+    _lockstep_batches,
+)
 from butterfly_coding import code_from_json
 
 from conftest import achievable_dichotomy_instance, unachievable_dichotomy_instance
@@ -39,6 +49,11 @@ class TestFlatTailProfile:
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
             flat_tail_profile(4, 5)
+
+    def test_shared_shelf_limit(self):
+        assert flat_tail_profile(128, FLAT_TAIL_MAX_SHARED)[-1] > 0
+        with pytest.raises(InfeasibleSpec, match=str(FLAT_TAIL_MAX_SHARED)):
+            flat_tail_profile(128, FLAT_TAIL_MAX_SHARED + 1)
 
 
 class TestGenSynthetic:
@@ -188,6 +203,30 @@ class TestRunSweep:
         records = run_sweep(config)
         assert all(r.status == "ok" for r in records)
 
+    def test_flat_tail_past_its_limit_fails_cells(self):
+        # m = 128 and r_plus = 160 ask for 96 shared directions; the profile
+        # error becomes failed records instead of aborting the sweep
+        config = {
+            "sweep": {"param": "r_plus", "values": [160, 208],
+                      "approaches": ["analytic_construction"],
+                      "n": 256, "z": 64, "a": 192, "b": 192,
+                      "eig_profile": "flat_tail"},
+            "seeds": [0],
+        }
+        records = run_sweep(config)
+        assert [r.sweep_param_value for r in records] == [160.0, 208.0]
+        bad = records[0]
+        assert bad.status.startswith("failed: InfeasibleSpec: ")
+        assert f"at most {FLAT_TAIL_MAX_SHARED} shared" in bad.status
+        assert "descending and positive" not in bad.status
+        assert "InfeasibleSpec" not in records[1].status
+
+    def test_bad_profile_list_rejected(self):
+        config = small_sweep_config()
+        config["sweep"]["eig_profile"] = ["x", "y"]
+        with pytest.raises(ConfigError, match="eig_profile"):
+            run_sweep(config)
+
     def test_bad_param_rejected(self):
         config = small_sweep_config()
         config["sweep"]["param"] = "capacity"
@@ -223,6 +262,63 @@ class TestRunSweep:
                               if i != col) for row in rows]
 
         assert strip_wall(p1) == strip_wall(p2)
+
+
+def non_timing(record):
+    return tuple(_format_cell(getattr(record, name))
+                 for name in _FIELD_NAMES if name != "wall_ms")
+
+
+ALL_TRAINED = ["task_aware_coding", "task_aware_no_coding",
+               "task_agnostic_coding", "coding_benchmark"]
+
+
+class TestLockstepSweep:
+    def test_member_independent_of_batch(self):
+        config = small_sweep_config(seeds=[0])
+        config["sweep"]["approaches"] = ALL_TRAINED
+        alone = [non_timing(r) for r in run_sweep(config)]
+        config["seeds"] = [0, 1]
+        batched = [non_timing(r) for r in run_sweep(config) if r.seed == 0]
+        assert len(alone) == 2 * 5
+        assert batched == alone
+
+    def test_split_batches_change_no_result(self, monkeypatch):
+        config = small_sweep_config(seeds=[0, 1])
+        config["sweep"]["approaches"] = ALL_TRAINED
+        together = [non_timing(r) for r in run_sweep(config)]
+        monkeypatch.setattr(bench_module, "_LOCKSTEP_BYTES", 1)
+        assert [non_timing(r) for r in run_sweep(config)] == together
+
+    def test_batches_shrink_as_n_grows(self):
+        def sizes(n, cells):
+            cell = SimpleNamespace(instance=SimpleNamespace(n=n, a=n, b=n, z=1))
+            return [len(batch) for batch in _lockstep_batches([cell] * cells)]
+
+        assert sizes(32, 30) == [24, 6]
+        assert sizes(64, 7) == [6, 1]
+        assert sizes(128, 3) == [1, 1, 1]
+
+    def test_diverging_member_fails_alone(self):
+        # steep eigenvalues make the task-aware objective diverge at this
+        # rate while the identity objective of the agnostic mode stays calm
+        config = small_sweep_config(seeds=[0])
+        config["sweep"].update({
+            "values": [4], "eig_profile": [40.0, 30.0, 20.0, 10.0],
+            "approaches": ["task_aware_coding", "task_agnostic_coding"]})
+        records = {r.approach: r for r in run_sweep(config)}
+        inst = gen_synthetic(SyntheticSpec(n=8, z=2, a=6, b=6, r_plus_target=4,
+                                           eig_profile=(40.0, 30.0, 20.0, 10.0),
+                                           seed=0))
+        with pytest.raises(DivergenceDetected) as alone:
+            train(inst, TrainConfig(epochs=60, learning_rate=0.02, seed=0))
+        assert records["task_aware_coding"].status == (
+            f"failed: DivergenceDetected: {alone.value}")
+        assert records["task_agnostic_coding"].status == "ok"
+        assert records["analytic_construction"].status == "ok"
+        config["sweep"]["approaches"] = ["task_agnostic_coding"]
+        calm, = [r for r in run_sweep(config) if r.approach == "task_agnostic_coding"]
+        assert non_timing(calm) == non_timing(records["task_agnostic_coding"])
 
 
 class TestCsvRoundTrip:

@@ -68,6 +68,29 @@ class TestValidate:
         with pytest.raises(BadDimensions):
             validate(simple_instance(z=0))
 
+    @pytest.mark.parametrize("field", ["k3", "k4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_task_matrix_rejected(self, field, bad):
+        k = np.eye(3)
+        k[1, 2] = bad
+        with pytest.raises(BadDimensions, match=field):
+            validate(simple_instance(**{field: k}))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        psi = np.eye(3)
+        psi[0, 0] = bad
+        with pytest.raises(NotPSD, match="non-finite"):
+            validate(simple_instance(psi=psi))
+
+    def test_non_integer_capacity_rejected(self):
+        with pytest.raises(BadDimensions, match="z must be an integer"):
+            validate(simple_instance(z=1.5))
+
+    def test_numpy_integer_dimensions_accepted(self):
+        inst = validate(simple_instance(n=np.int64(3), z=np.int32(1)))
+        assert inst.n == 3 and inst.z == 1
+
 
 class TestWhiten:
     def test_identity_covariance_passthrough(self):

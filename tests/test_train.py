@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from butterfly_coding import (
+    BadDimensions,
     DivergenceDetected,
     ProblemInstance,
     SyntheticSpec,
     TrainConfig,
+    TrainJob,
     construct_lb_code,
     exact_loss,
     export_trace_csv,
@@ -17,6 +21,7 @@ from butterfly_coding import (
     lower_bound_of,
     spectrum,
     train,
+    train_lockstep,
     utilities,
     validate,
 )
@@ -87,6 +92,28 @@ class TestInitCode:
         code = init_code(inst, 5, init_scale=0.25)
         for name in ("e13", "e15", "e24", "e25", "e56", "d3", "d4"):
             assert np.abs(getattr(code, name)).max() <= 0.25
+
+    def test_small_seeds_keep_their_streams(self):
+        # the uint64 key leaves every seed that fitted the old list key
+        # [seed, idx] on the same stream
+        inst = random_pd_instance(np.random.default_rng(19), n_max=6)
+        names = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
+        for seed in range(64):
+            code = init_code(inst, seed)
+            for idx, name in enumerate(names):
+                rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
+                want = rng.uniform(-0.1, 0.1, getattr(code, name).shape)
+                assert np.array_equal(getattr(code, name), want), (seed, name)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 + 3])
+    def test_negative_and_huge_seeds_raise_no_warning(self, seed):
+        inst = tiny_instance()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            init_code(inst, seed)
+            train(inst, TrainConfig(epochs=2, seed=seed, gradient="empirical_batch"))
+        wrapped = init_code(inst, seed % 2**64)
+        assert np.array_equal(init_code(inst, seed).d3, wrapped.d3)
 
 
 class TestTrainBasics:
@@ -256,6 +283,98 @@ class TestGradients:
                     fd[i, j] = (total_loss(up) - total_loss(dn)) / (2 * h)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(g - fd).max() <= 1e-5 * scale, name
+
+
+def same_dims_instances(rng, count, n=5, a=4, b=3, z=2):
+    """Random instances sharing (n, a, b, z) but not psi or the number of
+    task rows, so one lockstep batch can hold them all."""
+    out = []
+    for _ in range(count):
+        f = rng.normal(size=(n, n))
+        k3 = rng.normal(size=(int(rng.integers(1, n + 2)), n))
+        k4 = rng.normal(size=(int(rng.integers(1, n + 2)), n))
+        scale = np.sqrt(np.trace(k3 @ k3.T) + np.trace(k4 @ k4.T))
+        out.append(validate(ProblemInstance(
+            n=n, psi=f @ f.T / n + 0.5 * np.eye(n), a=a, b=b, z=z,
+            k3=k3 / scale, k4=k4 / scale)))
+    return out
+
+
+MODES = ("task_aware_coding", "task_aware_no_coding",
+         "task_agnostic_coding", "coding_benchmark")
+
+
+def assert_same_run(got, want):
+    code, trace = got
+    want_code, want_trace = want
+    assert np.array_equal(trace, want_trace)
+    for name in ("e13", "e15", "e24", "e25", "e56", "d3", "d4"):
+        assert np.array_equal(getattr(code, name), getattr(want_code, name)), name
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
+    def test_member_equals_training_alone(self, gradient):
+        insts = same_dims_instances(np.random.default_rng(20), 3)
+        jobs = [TrainJob(inst, TrainConfig(epochs=40, learning_rate=0.02 + 0.01 * s,
+                                           seed=s, mode=mode, gradient=gradient,
+                                           batch_size=16))
+                for s, inst in enumerate(insts) for mode in MODES]
+        results = train_lockstep(jobs)
+        assert len(results) == len(jobs)
+        for job, got in zip(jobs, results):
+            assert_same_run(got, train(job.instance, job.config))
+
+    def test_identity_covariances_match_alone(self):
+        m = 4
+        insts = [gen_synthetic(SyntheticSpec(
+            n=8, z=2, a=6, b=6, r_plus_target=r, seed=s,
+            eig_profile=flat_tail_profile(m, 2 * m - r))) for r, s in ((4, 0), (6, 1))]
+        jobs = [TrainJob(inst, TrainConfig(epochs=30, seed=3, mode=mode))
+                for inst in insts for mode in MODES]
+        for job, got in zip(jobs, train_lockstep(jobs)):
+            assert_same_run(got, train(job.instance, job.config))
+        # next to a general covariance the identity ones take the matmul by
+        # psi that a batch of identities skips; R @ I == R keeps them exact
+        other, = same_dims_instances(np.random.default_rng(25), 1, n=8, a=6, b=6)
+        mixed = jobs + [TrainJob(other, TrainConfig(epochs=30, seed=3))]
+        for job, got in zip(mixed, train_lockstep(mixed)):
+            assert_same_run(got, train(job.instance, job.config))
+
+    def test_diverging_member_fails_alone(self):
+        insts = same_dims_instances(np.random.default_rng(21), 2)
+        calm = TrainConfig(epochs=60, learning_rate=0.02, seed=1)
+        wild = TrainConfig(epochs=60, learning_rate=50.0, seed=1)
+        jobs = [TrainJob(insts[0], calm), TrainJob(insts[1], wild),
+                TrainJob(insts[1], calm)]
+        results = train_lockstep(jobs)
+        with pytest.raises(DivergenceDetected) as alone:
+            train(insts[1], wild)
+        assert isinstance(results[1], DivergenceDetected)
+        assert str(results[1]) == str(alone.value)
+        assert_same_run(results[0], train(insts[0], calm))
+        assert_same_run(results[2], train(insts[1], calm))
+
+    def test_bad_start_fails_only_that_member(self):
+        insts = same_dims_instances(np.random.default_rng(22), 2)
+        cfg = TrainConfig(epochs=20, learning_rate=0.02)
+        wrong = init_code(simple_instance(n=3, a=2, b=2, z=1), 0)
+        results = train_lockstep([TrainJob(insts[0], cfg, wrong), TrainJob(insts[1], cfg)])
+        assert isinstance(results[0], BadDimensions)
+        assert_same_run(results[1], train(insts[1], cfg))
+
+    def test_mixed_shapes_or_schedules_rejected(self):
+        small, = same_dims_instances(np.random.default_rng(23), 1)
+        big, = same_dims_instances(np.random.default_rng(24), 1, n=6, a=4, b=4)
+        cfg = TrainConfig(epochs=5)
+        with pytest.raises(ValueError, match="share"):
+            train_lockstep([TrainJob(small, cfg), TrainJob(big, cfg)])
+        with pytest.raises(ValueError, match="share"):
+            train_lockstep([TrainJob(small, cfg),
+                            TrainJob(small, TrainConfig(epochs=6))])
+
+    def test_empty_batch(self):
+        assert train_lockstep([]) == []
 
 
 class TestTraceExport:
