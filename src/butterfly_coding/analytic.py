@@ -1,9 +1,10 @@
 """Achievability analysis and lower-bound-achieving constructions.
 
-necessary_report checks the rank conditions that any bound-achieving code must
-satisfy (given positive eigen-gaps); sufficient_report additionally checks the
-span-coverage conditions under which construct_lb_code emits a code whose exact
-loss equals the lower bound.
+sufficient_report (alias necessary_report) reports both the rank conditions
+that any bound-achieving code must satisfy (given positive eigen-gaps) and the
+span-coverage conditions under which construct_lb_code emits a code whose
+exact loss equals the lower bound. The report and the construction are decided
+on one set of bases, built once per instance by _analyze.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class ConditionReport:
 
 
 def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
-             tol: ToleranceConfig) -> ConditionReport:
+             tol: ToleranceConfig) -> tuple[ConditionReport, tuple[Basis, ...]]:
+    """The condition report and the bases it was decided on:
+    (b1, b2, b3, b4, i13, i24, i34)."""
     n, z = instance.n, instance.z
     b1, b2 = observation_bases(spec, tol)
     b3, b4 = task_bases(spec)
@@ -72,7 +75,7 @@ def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
     i12 = intersect(b1, b2, tol)
     nc_free = is_subspace_of(i34, i12, tol)
     gap_scale = tol.rank_tol * max(1.0, float(spec.mu3[0]), float(spec.mu4[0]))
-    return ConditionReport(
+    report = ConditionReport(
         eigengap_ok3=spec.eigengap3 > gap_scale,
         eigengap_ok4=spec.eigengap4 > gap_scale,
         r_plus_34=r_plus,
@@ -86,22 +89,21 @@ def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
         corollary_dim=n <= z + min(instance.a, instance.b),
         sufficient_ok=necessary_ok and sf1 and sf2,
     )
-
-
-def necessary_report(spec: TaskSpectrum, instance: ProblemInstance,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> ConditionReport:
-    """Rank conditions for achievability. necessary_ok is advisory when an
-    eigen-gap flag is false (the underlying assumption fails)."""
-    return _analyze(spec, instance, tol)
+    return report, (b1, b2, b3, b4, i13, i24, i34)
 
 
 def sufficient_report(spec: TaskSpectrum, instance: ProblemInstance,
                       tol: ToleranceConfig = DEFAULT_TOL) -> ConditionReport:
-    """Span-coverage conditions; sufficient_ok guarantees construct_lb_code
-    succeeds. Covers 2Z > n uniformly: there both task spans fill R^n, so the
-    coverage conditions hold trivially and the rank conditions reduce to
-    a >= n - Z and b >= n - Z."""
-    return _analyze(spec, instance, tol)
+    """Rank and span-coverage conditions for achievability. necessary_ok is
+    advisory when an eigen-gap flag is false (the underlying assumption
+    fails); sufficient_ok guarantees construct_lb_code succeeds. Covers
+    2Z > n uniformly: there both task spans fill R^n, so the coverage
+    conditions hold trivially and the rank conditions reduce to a >= n - Z
+    and b >= n - Z."""
+    return _analyze(spec, instance, tol)[0]
+
+
+necessary_report = sufficient_report
 
 
 def _stack(vectors: list[np.ndarray], n: int) -> np.ndarray:
@@ -110,7 +112,7 @@ def _stack(vectors: list[np.ndarray], n: int) -> np.ndarray:
     return np.column_stack(vectors)
 
 
-def _construct_small_capacity(spec: TaskSpectrum, instance: ProblemInstance,
+def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstance,
                               tol: ToleranceConfig) -> CodeSpans:
     """Span construction for 2Z <= n.
 
@@ -119,14 +121,10 @@ def _construct_small_capacity(spec: TaskSpectrum, instance: ProblemInstance,
     sends private directions of the task intersection on its direct link and
     the relay carries their pairwise sums, letting each sink subtract its own
     contribution. The relay's remaining columns complete the task
-    intersection.
+    intersection. `bases` are _analyze's.
     """
     n, z = instance.n, instance.z
-    b1, b2 = observation_bases(spec, tol)
-    b3, b4 = task_bases(spec)
-    i34 = intersect(b3, b4, tol)
-    i13 = intersect(b1, b3, tol)
-    i24 = intersect(b2, b4, tol)
+    _, _, b3, b4, i13, i24, i34 = bases
     r34 = i34.dim
     if r34 < z:
         # impossible under r+ <= 3Z since r+ + r- = 4Z here
@@ -202,14 +200,14 @@ def construct_lb_code(spec: TaskSpectrum, instance: ProblemInstance,
 
     Raises PreconditionNotMet otherwise; callers fall back to training.
     """
-    report = _analyze(spec, instance, tol)
+    report, bases = _analyze(spec, instance, tol)
     if not report.sufficient_ok:
         raise PreconditionNotMet(
             f"sufficient conditions fail: necessary_ok={report.necessary_ok}, "
             f"sf1_ok={report.sf1_ok}, sf2_ok={report.sf2_ok}"
         )
     if 2 * instance.z <= instance.n:
-        spans = _construct_small_capacity(spec, instance, tol)
+        spans = _construct_small_capacity(bases, instance, tol)
         return realize_spans(spans, instance, tol)
     if instance.a > instance.b:
         rev = _reversed_instance(instance)

@@ -221,6 +221,10 @@ class ResultRecord:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(ResultRecord))
+# each CSV column parsed by its field's declared type (a string here, since
+# annotations are postponed)
+_FIELD_PARSERS = tuple({"str": str, "int": int, "float": float}[f.type]
+                       for f in fields(ResultRecord))
 _SWEEP_ERRORS = (
     PreconditionNotMet, DivergenceDetected, InfeasibleSpec,
     InfeasibleExtension, ValueError, np.linalg.LinAlgError,
@@ -335,6 +339,10 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     z = int(sweep.get("z", 8))
     keep_sf3 = bool(sweep.get("keep_sf3", True))
     profile_cfg = sweep.get("eig_profile")
+    # without an explicit construction, one is tried on every cell and kept
+    # where the conditions allow it
+    auto_construct = bool(approaches) and "analytic_construction" not in approaches
+    per_cell = approaches + (["analytic_construction"] if auto_construct else [])
 
     records: list[ResultRecord] = []
     trained: list[_TrainedCell] = []
@@ -347,11 +355,7 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
             a = b = int(value)
             r_plus = int(sweep.get("r_plus", 24))
 
-        todo = list(approaches)
-        auto_construct = bool(approaches) and "analytic_construction" not in approaches
         for seed in seeds:
-            instance = None
-            report = None
             lb = math.nan
             try:
                 profile = _eig_profile(profile_cfg, n, z, r_plus)
@@ -363,29 +367,27 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                 )
                 spec_obj = spectrum(instance, tol)
                 lb = lower_bound(spec_obj, z)
-                report = sufficient_report(spec_obj, instance, tol)
             except ConfigError:
                 raise
             except _SWEEP_ERRORS as exc:
-                for approach in todo:
+                for approach in approaches:
                     records.append(_failed_record(
                         approach, param, value, seed, lb, exc))
                 continue
-            cell = todo + (["analytic_construction"]
-                           if auto_construct and report.sufficient_ok else [])
-            for approach in cell:
+            for approach in per_cell:
                 if approach != "analytic_construction":
                     trained.append(_TrainedCell(approach, value, seed, instance, lb))
                     continue
                 t0 = time.perf_counter()
                 try:
-                    code = construct_lb_code(spectrum(instance, tol), instance, tol)
+                    code = construct_lb_code(spec_obj, instance, tol)
                     records.append(_ok_record(
                         approach, param, value, seed, lb, code, instance, 0,
                         t0, tol))
                 except _SWEEP_ERRORS as exc:
-                    records.append(_failed_record(
-                        approach, param, value, seed, lb, exc))
+                    if not (auto_construct and isinstance(exc, PreconditionNotMet)):
+                        records.append(_failed_record(
+                            approach, param, value, seed, lb, exc))
 
     for batch in _lockstep_batches(trained):
         t0 = time.perf_counter()
@@ -456,26 +458,9 @@ def read_csv(path) -> list[ResultRecord]:
             header = next(reader, None)
             if tuple(header or ()) != _FIELD_NAMES:
                 raise ConfigError(f"unexpected CSV header in {path}: {header}")
-            out = []
-            for row in reader:
-                named = dict(zip(_FIELD_NAMES, row))
-                out.append(ResultRecord(
-                    approach=named["approach"],
-                    sweep_param_name=named["sweep_param_name"],
-                    sweep_param_value=float(named["sweep_param_value"]),
-                    seed=int(named["seed"]),
-                    L3=float(named["L3"]),
-                    L4=float(named["L4"]),
-                    L_total=float(named["L_total"]),
-                    lower_bound=float(named["lower_bound"]),
-                    u56=float(named["u56"]),
-                    u13=float(named["u13"]),
-                    u24=float(named["u24"]),
-                    epochs_run=int(named["epochs_run"]),
-                    wall_ms=float(named["wall_ms"]),
-                    status=named["status"],
-                ))
-            return out
+            return [ResultRecord(*(parse(cell)
+                                   for parse, cell in zip(_FIELD_PARSERS, row)))
+                    for row in reader]
     except OSError as exc:
         raise OSError(f"cannot read records from {path}: {exc}") from exc
 

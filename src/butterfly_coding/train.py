@@ -61,6 +61,10 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not self.learning_rate > 0:

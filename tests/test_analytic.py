@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import butterfly_coding.analytic as analytic_module
 from butterfly_coding import (
     PreconditionNotMet,
     ProblemInstance,
@@ -110,6 +111,9 @@ class TestConditionReport:
             if rep.sufficient_ok:
                 assert rep.necessary_ok
 
+    def test_necessary_report_is_an_alias(self):
+        assert necessary_report is sufficient_report
+
     def test_dimension_corollary_flag(self):
         inst = simple_instance(n=3, a=2, b=2, z=1)
         rep = sufficient_report(spectrum(inst), inst)
@@ -144,6 +148,21 @@ class TestConstruction:
         inst = unachievable_dichotomy_instance()
         with pytest.raises(PreconditionNotMet):
             construct_lb_code(spectrum(inst), inst)
+
+    def test_bases_built_once_per_construction(self, monkeypatch):
+        # 2Z <= n: the analysis and the span construction share one geometry
+        inst = achievable_dichotomy_instance()
+        assert 2 * inst.z <= inst.n
+        calls = []
+        original = analytic_module.observation_bases
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analytic_module, "observation_bases", counted)
+        construct_lb_code(spectrum(inst), inst)
+        assert len(calls) == 1
 
     def test_large_capacity_full_rank_exact(self):
         # 2Z > n with full-rank tasks: every coordinate reaches both sinks

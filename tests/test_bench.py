@@ -27,6 +27,7 @@ from butterfly_coding import (
     train,
     write_csv,
 )
+import butterfly_coding.analytic as analytic_module
 import butterfly_coding.bench as bench_module
 from butterfly_coding.bench import (
     _FIELD_NAMES,
@@ -167,6 +168,31 @@ class TestRunSweep:
                    for r in constructed)
         trained = [r for r in records if r.approach == "task_aware_coding"]
         assert all(r.epochs_run == 60 for r in trained)
+        # r_plus = 7 > 3Z: the rejected construction leaves no record, ok or
+        # failed, beside the trained ones
+        rejected = run_sweep(small_sweep_config(sweep={"values": [7]}))
+        assert [(r.approach, r.status) for r in rejected] == [
+            ("task_aware_coding", "ok")] * 2
+
+    def test_one_spectrum_and_one_analysis_per_constructed_cell(self, monkeypatch):
+        calls = {"spectrum": 0, "analyze": 0}
+
+        def counted(module, name, key):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(bench_module, "spectrum", "spectrum")
+        counted(analytic_module, "_analyze", "analyze")
+        config = small_sweep_config(sweep={"approaches": ["analytic_construction"]},
+                                    seeds=[0])
+        records = run_sweep(config)
+        assert [r.status for r in records] == ["ok", "ok"]
+        assert calls == {"spectrum": 2, "analyze": 2}
 
     def test_explicit_construction_not_duplicated(self):
         config = small_sweep_config()
@@ -433,6 +459,15 @@ class TestCli:
         assert lines[0] == "epoch,L3,L4,L_total"
         assert len(lines) == 41
         assert "final L_total=" in capsys.readouterr().err
+
+    def test_train_float_epochs_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "tf.json", {
+            "synthetic": {"n": 8, "z": 2, "a": 6, "b": 6,
+                          "r_plus_target": 6, "seed": 0},
+            "train": {"epochs": 20.0}})
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: bad train settings: epochs must be an integer" in err
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -52,10 +52,20 @@ class TestTrainConfig:
         dict(mode="nonsense"),
         dict(gradient="sampled"),
         dict(init_scale=0.0),
+        dict(epochs=3.0),
+        dict(epochs=True),
+        dict(batch_size=8.0),
+        dict(batch_size=True),
+        dict(seed=1.5),
+        dict(seed=False),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), seed=np.int64(2))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 8, 2)
 
 
 class TestInitCode:
