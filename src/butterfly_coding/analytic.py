@@ -4,7 +4,9 @@ sufficient_report (alias necessary_report) reports both the rank conditions
 that any bound-achieving code must satisfy (given positive eigen-gaps) and the
 span-coverage conditions under which construct_lb_code emits a code whose
 exact loss equals the lower bound. The report and the construction are decided
-on one set of bases, built once per instance by _analyze.
+on one set of bases, built once per instance by _analyze. Each capacity regime
+has one construction, 2Z <= n on those bases and 2Z > n on the rows of the
+Cholesky factor, for either order of a and b.
 """
 
 from __future__ import annotations
@@ -13,15 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .code import ButterflyCode, CodeSpans, realize_spans, with_optimal_decoders
-from .model import (
-    ProblemInstance,
-    TaskSpectrum,
-    observation_bases,
-    spectrum,
-    task_bases,
-    validate,
-)
+from .code import ButterflyCode, CodeSpans, realize_spans
+from .model import ProblemInstance, TaskSpectrum, observation_bases, task_bases
 from .subspace import (
     Basis,
     DEFAULT_TOL,
@@ -155,43 +150,30 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
 
 def _construct_large_capacity(spec: TaskSpectrum, instance: ProblemInstance,
                               tol: ToleranceConfig) -> CodeSpans:
-    """Span construction for 2Z > n, assuming a <= b.
+    """Span construction for 2Z > n.
 
-    Rows of L indexed below n-b are private to node 1, above a private to
-    node 2, the rest mutual. The relay pairs each node-1-private row with a
-    node-2-private partner so both sinks recover both by subtraction; leftover
-    node-2 rows and the mutual rows fill the remaining columns.
+    Rows of L indexed below n-b are private to node 1, from a on private to
+    node 2, the rest mutual. The relay pairs each of the first p = min(n-a,
+    n-b) private rows of node 1 with a node-2-private partner so both sinks
+    recover both by subtraction; the unpaired private rows of the node that
+    has more of them and the mutual rows fill the remaining columns.
     """
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
     rows = [spec.cholesky_l[i, :].copy() for i in range(n)]
-    pairs = [rows[i] + rows[a + i] for i in range(n - b)]
-    directs = [rows[i] for i in range(a + n - b, n)]
-    mutual = [rows[i] for i in range(n - b, a)]
+    p = min(n - a, n - b)
+    pairs = [rows[i] + rows[a + i] for i in range(p)]
+    directs = rows[p:n - b] + rows[a + p:]
+    mutual = rows[n - b:a]
     slots56 = z - len(pairs) - len(directs)
-    slots13 = z - (n - b)
+    slots13 = z - p
     assert slots56 >= 0 and slots13 >= 0
     fills: list[np.ndarray] = []
     for idx in range(slots56 + slots13):
         fills.append(mutual[idx % len(mutual)] if mutual else np.zeros(n))
     phi56 = _stack(pairs + directs + fills[:slots56], n)
-    phi13 = _stack([rows[i] for i in range(n - b)] + fills[slots56:], n)
-    phi24 = _stack([rows[a + i] for i in range(n - b)] + fills[slots56:], n)
+    phi13 = _stack(rows[:p] + fills[slots56:], n)
+    phi24 = _stack(rows[a:a + p] + fills[slots56:], n)
     return CodeSpans(phi13=phi13, phi24=phi24, phi56=phi56)
-
-
-def _reversed_instance(instance: ProblemInstance) -> ProblemInstance:
-    """Flip the coordinate order and swap the two source/sink pairs."""
-    return validate(
-        ProblemInstance(
-            n=instance.n,
-            psi=instance.psi[::-1, ::-1].copy(),
-            a=instance.b,
-            b=instance.a,
-            z=instance.z,
-            k3=instance.k4[:, ::-1].copy(),
-            k4=instance.k3[:, ::-1].copy(),
-        )
-    )
 
 
 def construct_lb_code(spec: TaskSpectrum, instance: ProblemInstance,
@@ -208,25 +190,6 @@ def construct_lb_code(spec: TaskSpectrum, instance: ProblemInstance,
         )
     if 2 * instance.z <= instance.n:
         spans = _construct_small_capacity(bases, instance, tol)
-        return realize_spans(spans, instance, tol)
-    if instance.a > instance.b:
-        rev = _reversed_instance(instance)
-        rev_code = construct_lb_code(spectrum(rev, tol), rev, tol)
-        flip_a = np.eye(instance.a)[::-1]
-        flip_b = np.eye(instance.b)[::-1]
-        swap = np.block([
-            [np.zeros((instance.z, instance.z)), np.eye(instance.z)],
-            [np.eye(instance.z), np.zeros((instance.z, instance.z))],
-        ])
-        raw = ButterflyCode(
-            e13=rev_code.e24 @ flip_a,
-            e15=rev_code.e25 @ flip_a,
-            e24=rev_code.e13 @ flip_b,
-            e25=rev_code.e15 @ flip_b,
-            e56=rev_code.e56 @ swap,
-            d3=np.zeros((instance.n, 2 * instance.z)),
-            d4=np.zeros((instance.n, 2 * instance.z)),
-        )
-        return with_optimal_decoders(raw, instance, tol)
-    spans = _construct_large_capacity(spec, instance, tol)
+    else:
+        spans = _construct_large_capacity(spec, instance, tol)
     return realize_spans(spans, instance, tol)

@@ -611,7 +611,3 @@ def main(argv=None) -> int:
             DivergenceDetected, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -151,8 +151,8 @@ def realize_spans(spans: CodeSpans, instance: ProblemInstance,
 
     phi13 must lie in node 1's observation span and phi24 in node 2's
     (InvalidSpan otherwise). Each phi56 column is assigned wholly to the
-    observation span that contains it; columns in neither span alone are split
-    across both by minimum-norm least squares.
+    observation span that contains it, node 1's when both do; columns in
+    neither span alone are split across both by minimum-norm least squares.
     """
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
     chol = _cholesky(instance.psi, tol)
@@ -170,25 +170,19 @@ def realize_spans(spans: CodeSpans, instance: ProblemInstance,
     if np.any(r24 > thresholds(spans.phi24)):
         raise InvalidSpan("phi24 leaves node 2's observation span")
 
-    e15 = np.zeros((z, a))
-    e25 = np.zeros((z, b))
-    both = np.hstack([u1, u2])
     thr56 = thresholds(spans.phi56)
-    for j in range(z):
-        g = spans.phi56[:, j]
-        c1, res1 = _fit_columns(u1, g[:, None], tol)
-        if res1[0] <= thr56[j]:
-            e15[j, :] = c1[:, 0]
-            continue
-        c2, res2 = _fit_columns(u2, g[:, None], tol)
-        if res2[0] <= thr56[j]:
-            e25[j, :] = c2[:, 0]
-            continue
-        cj, resj = _fit_columns(both, g[:, None], tol)
-        if resj[0] > thr56[j]:
-            raise InvalidSpan("phi56 column outside col(U1) + col(U2)")
-        e15[j, :] = cj[:a, 0]
-        e25[j, :] = cj[a:, 0]
+    c1, r1 = _fit_columns(u1, spans.phi56, tol)
+    c2, r2 = _fit_columns(u2, spans.phi56, tol)
+    cs, rs = _fit_columns(np.hstack([u1, u2]), spans.phi56, tol)
+    on1 = r1 <= thr56
+    on2 = ~on1 & (r2 <= thr56)
+    split = ~on1 & ~on2
+    if np.any(rs[split] > thr56[split]):
+        raise InvalidSpan("phi56 column outside col(U1) + col(U2)")
+    e15 = np.where(on1[:, None], c1.T, 0.0)
+    e25 = np.where(on2[:, None], c2.T, 0.0)
+    e15[split] = cs[:a, split].T
+    e25[split] = cs[a:, split].T
 
     code = ButterflyCode(
         e13=c13.T,

@@ -166,15 +166,16 @@ def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
                  tol: ToleranceConfig) -> list[np.ndarray]:
     """Pick `count` pool columns, each with the largest residual against the
     running span (ties broken by lowest column index). Raises if the pool runs
-    out of independent directions first."""
-    span = current
+    out of independent directions first.
+
+    The pool is projected against the current span once; each pick then
+    deflates every residual by the chosen residual's direction."""
+    resid = pool
+    if current.shape[1] and count:
+        q = orthonormal_basis(current, tol).vectors
+        resid = pool - q @ (q.T @ pool)
     chosen: list[np.ndarray] = []
     for _ in range(count):
-        if span.shape[1] == 0:
-            resid = pool
-        else:
-            q = orthonormal_basis(span, tol).vectors
-            resid = pool - q @ (q.T @ pool)
         norms = np.linalg.norm(resid, axis=0)
         best = int(np.argmax(norms)) if norms.size else 0
         if norms.size == 0 or norms[best] <= tol.rank_tol:
@@ -182,7 +183,8 @@ def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
                 f"pool exhausted after {len(chosen)} of {count} extension vectors"
             )
         chosen.append(pool[:, best].copy())
-        span = np.hstack([span, pool[:, best:best + 1]])
+        unit = resid[:, best] / norms[best]
+        resid = resid - np.outer(unit, unit @ resid)
     return chosen
 
 

@@ -3,11 +3,14 @@ import pytest
 
 import butterfly_coding.analytic as analytic_module
 from butterfly_coding import (
+    InfeasibleSpec,
     PreconditionNotMet,
     ProblemInstance,
+    SyntheticSpec,
     construct_lb_code,
     exact_loss,
     flow_spans,
+    gen_synthetic,
     is_subspace_of,
     lower_bound,
     lower_bound_of,
@@ -173,7 +176,8 @@ class TestConstruction:
         assert exact_loss(code, inst)[2] <= 1e-18
 
     def test_large_capacity_mirror_case(self):
-        # a > b exercises the reflected construction path
+        # a > b: node 1 has more private rows than node 2, so its unpaired
+        # private row rides the relay
         inst = simple_instance(n=3, a=3, b=2, z=2)
         code = construct_lb_code(spectrum(inst), inst)
         assert exact_loss(code, inst)[2] <= 1e-18
@@ -230,3 +234,62 @@ class TestConstruction:
         spec = spectrum(inst)
         code = construct_lb_code(spec, inst)
         assert exact_loss(code, inst)[2] >= lower_bound_of(inst) - 1e-9
+
+
+def mirrored(inst):
+    """The same problem with the coordinate order reversed and the two
+    source/sink pairs swapped."""
+    return validate(ProblemInstance(
+        n=inst.n, psi=inst.psi[::-1, ::-1].copy(), a=inst.b, b=inst.a,
+        z=inst.z, k3=inst.k4[:, ::-1].copy(), k4=inst.k3[:, ::-1].copy()))
+
+
+_MIRROR_SWAPS = {"eigengap_ok3": "eigengap_ok4", "r_minus_13": "r_minus_24",
+                 "sf1_ok": "sf2_ok"}
+_MIRROR_SWAPS.update({v: k for k, v in _MIRROR_SWAPS.items()})
+
+
+def _mirror_cases(rng, count):
+    """Random positive-definite instances alternating with synthetic ones of
+    prescribed joint task rank, both with random a, b and Z."""
+    made = 0
+    while made < count:
+        if made % 2:
+            n = int(rng.integers(2, 9))
+            a = int(rng.integers(1, n + 1))
+            spec = SyntheticSpec(
+                n=n, z=int(rng.integers(1, n + 1)), a=a,
+                b=int(rng.integers(max(1, n - a), n + 1)),
+                r_plus_target=int(rng.integers(1, n + 1)),
+                keep_sf3=bool(rng.integers(2)), seed=int(rng.integers(1000)))
+            try:
+                inst = gen_synthetic(spec)
+            except InfeasibleSpec:
+                continue
+        else:
+            inst = random_pd_instance(rng, n_max=8)
+        made += 1
+        yield inst
+
+
+def test_mirror_oracle():
+    rng = np.random.default_rng(21)
+    # 2Z > n with a != b puts one side of each pair through a > b
+    built = {"small": 0, "large_unequal": 0, "large_equal": 0}
+    for inst in _mirror_cases(rng, 300):
+        twin = mirrored(inst)
+        spec, twin_spec = spectrum(inst), spectrum(twin)
+        rep = sufficient_report(spec, inst).to_dict()
+        twin_rep = sufficient_report(twin_spec, twin).to_dict()
+        assert twin_rep == {_MIRROR_SWAPS.get(k, k): v for k, v in rep.items()}
+        if not rep["sufficient_ok"]:
+            continue
+        for case, case_spec in ((inst, spec), (twin, twin_spec)):
+            lb = lower_bound(case_spec, case.z)
+            total = exact_loss(construct_lb_code(case_spec, case), case)[2]
+            assert total <= lb + 1e-8 * (1 + lb)
+        if 2 * inst.z <= inst.n:
+            built["small"] += 1
+        else:
+            built["large_unequal" if inst.a != inst.b else "large_equal"] += 1
+    assert min(built.values()) >= 10, built

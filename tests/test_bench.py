@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +31,7 @@ from butterfly_coding import (
     train,
     write_csv,
 )
+import butterfly_coding
 import butterfly_coding.analytic as analytic_module
 import butterfly_coding.bench as bench_module
 from butterfly_coding.bench import (
@@ -468,6 +473,19 @@ class TestCli:
         assert main(["train", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "error: bad train settings: epochs must be an integer" in err
+
+    def test_package_runs_as_a_module_without_warnings(self, tmp_path):
+        cfg = write_config(tmp_path, "m.json", {
+            "synthetic": {"n": 8, "z": 2, "a": 6, "b": 6, "r_plus_target": 6}})
+        src = str(Path(butterfly_coding.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "butterfly_coding",
+             "analyze", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["sufficient_ok"] is True
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

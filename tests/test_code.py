@@ -7,6 +7,7 @@ from butterfly_coding import (
     BadDimensions,
     ButterflyCode,
     CodeSpans,
+    DEFAULT_TOL,
     InvalidSpan,
     check_code_shapes,
     code_from_json,
@@ -170,6 +171,35 @@ class TestFlowSpans:
         assert np.allclose(spans.phi56.T @ h, relay, atol=1e-10)
 
 
+def _relay_fit_by_column(spans, inst, tol=DEFAULT_TOL):
+    """Reference relay realization: one fit per column, node 1 first, then
+    node 2, then the split."""
+    chol = np.linalg.cholesky(inst.psi)
+    u1 = chol[: inst.a, :].T
+    u2 = chol[inst.n - inst.b :, :].T
+    scale = max(1.0, float(np.abs(chol).max()))
+
+    def fit(basis, g):
+        c = np.linalg.lstsq(basis, g, rcond=tol.rank_tol)[0]
+        thr = tol.rank_tol * scale * max(1.0, np.linalg.norm(g))
+        return c, np.linalg.norm(basis @ c - g) <= thr
+
+    e15 = np.zeros((inst.z, inst.a))
+    e25 = np.zeros((inst.z, inst.b))
+    for j in range(inst.z):
+        g = spans.phi56[:, j]
+        c1, in1 = fit(u1, g)
+        c2, in2 = fit(u2, g)
+        if in1:
+            e15[j] = c1
+        elif in2:
+            e25[j] = c2
+        else:
+            c, _ = fit(np.hstack([u1, u2]), g)
+            e15[j], e25[j] = c[: inst.a], c[inst.a :]
+    return e15, e25
+
+
 class TestRealizeSpans:
     def test_round_trip_span_equality(self):
         rng = np.random.default_rng(5)
@@ -190,6 +220,22 @@ class TestRealizeSpans:
                               (spans.phi24, back.phi24),
                               (spans.phi56, back.phi56)):
                 assert np.allclose(want, got, atol=1e-9 * (1 + np.abs(want).max()))
+
+    def test_relay_matches_per_column_reference(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            inst = random_pd_instance(rng, n_max=6)
+            chol = np.linalg.cholesky(inst.psi)
+            sources = (chol[: inst.a, :].T, chol[inst.n - inst.b :, :].T, chol.T)
+            relay = [sources[k] @ rng.normal(size=sources[k].shape[1])
+                     for k in rng.integers(0, 3, size=inst.z)]
+            spans = CodeSpans(phi13=np.zeros((inst.n, inst.z)),
+                              phi24=np.zeros((inst.n, inst.z)),
+                              phi56=np.column_stack(relay))
+            code = realize_spans(spans, inst)
+            want15, want25 = _relay_fit_by_column(spans, inst)
+            assert np.allclose(code.e15, want15, rtol=0, atol=1e-12)
+            assert np.allclose(code.e25, want25, rtol=0, atol=1e-12)
 
     def test_relay_column_in_one_observation_only(self):
         # psi = I, n=3, a=2: node 1 sees axes 1,2 and node 2 sees axes 2,3.
@@ -218,6 +264,28 @@ class TestRealizeSpans:
         assert np.allclose(back.phi56, spans.phi56, atol=1e-9)
         assert not np.allclose(code.e15, 0.0)
         assert not np.allclose(code.e25, 0.0)
+
+    def test_mixed_relay_columns_are_placed_by_priority(self):
+        # psi = I, n=3, a=b=2: node 1 sees axes 1,2 and node 2 sees axes 2,3.
+        # Relay columns: axis 1 (node 1 only), axis 3 (node 2 only),
+        # [1,0,-1] (needs both), axis 2 (both see it; node 1 sends it).
+        inst = simple_instance(n=3, a=2, b=2, z=4)
+        e = np.eye(3)
+        spans = CodeSpans(
+            phi13=np.column_stack([e[:, 0], e[:, 1], e[:, 0], e[:, 1]]),
+            phi24=np.column_stack([e[:, 2], e[:, 1], e[:, 2], e[:, 1]]),
+            phi56=np.column_stack([e[:, 0], e[:, 2], e[:, 0] - e[:, 2], e[:, 1]]),
+        )
+        code = realize_spans(spans, inst)
+        sends1 = np.any(code.e15 != 0.0, axis=1)
+        sends2 = np.any(code.e25 != 0.0, axis=1)
+        assert list(sends1) == [True, False, True, True]
+        assert list(sends2) == [False, True, True, False]
+        back = flow_spans(code, inst)
+        for want, got in ((spans.phi13, back.phi13),
+                          (spans.phi24, back.phi24),
+                          (spans.phi56, back.phi56)):
+            assert np.allclose(want, got, atol=1e-12)
 
     def test_unreachable_direct_column(self):
         inst = simple_instance(n=3, a=2, b=2, z=1)

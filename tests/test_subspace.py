@@ -13,6 +13,7 @@ from butterfly_coding import (
     orthonormal_basis,
     rank_of,
 )
+from butterfly_coding.subspace import _greedy_pick
 
 
 def span(*cols, n=None):
@@ -192,3 +193,57 @@ def test_property_battery():
             assert is_subspace_of(orthonormal_basis(em, ambient_dim=n), pool)
             grown = orthonormal_basis(np.hstack([a.vectors, em]), ambient_dim=n)
             assert grown.dim == target.dim
+
+
+def _greedy_pick_by_refactoring(current, pool, count, tol):
+    """Reference greedy rule: re-factor the running span before every pick."""
+    span = current
+    chosen = []
+    for _ in range(count):
+        if span.shape[1] == 0:
+            resid = pool
+        else:
+            q = orthonormal_basis(span, tol).vectors
+            resid = pool - q @ (q.T @ pool)
+        norms = np.linalg.norm(resid, axis=0)
+        best = int(np.argmax(norms)) if norms.size else 0
+        if norms.size == 0 or norms[best] <= tol.rank_tol:
+            raise InfeasibleExtension(
+                f"pool exhausted after {len(chosen)} of {count} extension vectors"
+            )
+        chosen.append(pool[:, best].copy())
+        span = np.hstack([span, pool[:, best:best + 1]])
+    return chosen
+
+
+def test_greedy_pick_ties_go_to_lowest_index():
+    tol = ToleranceConfig()
+    got = _greedy_pick(np.zeros((4, 0)), np.eye(4), 3, tol)
+    assert [list(v) for v in got] == [list(np.eye(4)[:, j]) for j in range(3)]
+
+
+def test_greedy_pick_matches_refactoring_reference():
+    tol = ToleranceConfig()
+    rng = np.random.default_rng(12)
+    exhausted = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 11))
+        k = int(rng.integers(0, n))
+        core = rng.normal(size=(n, k))
+        m = int(rng.integers(0, n + 2))
+        # mostly full-rank pools; the rest run out of directions early
+        rank = m if rng.random() < 0.7 else int(rng.integers(0, m + 1))
+        pool = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m))
+        count = int(rng.integers(0, min(m, n - k) + 1))
+        try:
+            want = _greedy_pick_by_refactoring(core, pool, count, tol)
+        except InfeasibleExtension as exc:
+            exhausted += 1
+            with pytest.raises(InfeasibleExtension, match=str(exc)):
+                _greedy_pick(core, pool, count, tol)
+            continue
+        got = _greedy_pick(core, pool, count, tol)
+        assert len(got) == len(want) == count
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert exhausted >= 10
