@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analytic import PreconditionNotMet, construct_lb_code, sufficient_report
+from .analytic import PreconditionNotMet, _stack, construct_lb_code, sufficient_report
 from .code import exact_loss, utilities, code_to_json
 from .model import (
     ProblemInstance,
@@ -100,10 +100,6 @@ def _embed(n: int, coords: list[int], block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _columns(n: int, cols: list[np.ndarray]) -> np.ndarray:
-    return np.column_stack(cols) if cols else np.zeros((n, 0))
-
-
 def gen_synthetic(spec: SyntheticSpec,
                   tol: ToleranceConfig = DEFAULT_TOL) -> ProblemInstance:
     """Identity-covariance instance whose task spans overlap in exactly
@@ -177,8 +173,8 @@ def gen_synthetic(spec: SyntheticSpec,
         spill = _embed(n, rest, q[:, s + (k - k3p):need])
         ex4 += [spill[:, j] for j in range(k - k4p)]
 
-    u3 = np.hstack([_columns(n, ex3), shared])
-    u4 = np.hstack([_columns(n, ex4), shared])
+    u3 = np.hstack([_stack(ex3, n), shared])
+    u4 = np.hstack([_stack(ex4, n), shared])
     root = np.sqrt(mu)
     instance = validate(
         ProblemInstance(n=n, psi=np.eye(n), a=a, b=b, z=z,
@@ -237,8 +233,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _typed(value, kind, field: str, what: str):
+    """`value` if it is a `kind`, else a ConfigError naming the field."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"\"{field}\" must be {what}, got {value!r}")
+    return value
+
+
 def _train_config(config: dict, overrides: dict | None = None) -> TrainConfig:
-    params = dict(config.get("train", {}))
+    params = dict(_typed(config.get("train", {}), dict, "train", "an object"))
     params.pop("trace_csv", None)
     if overrides:
         params.update(overrides)
@@ -249,8 +252,11 @@ def _train_config(config: dict, overrides: dict | None = None) -> TrainConfig:
 
 
 def _tolerance(config: dict) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_tol=config.get("tolerances", {}).get("rank_tol", 1e-10))
+    block = _typed(config.get("tolerances", {}), dict, "tolerances", "an object")
+    try:
+        return ToleranceConfig(rank_tol=block.get("rank_tol", 1e-10))
+    except ValueError as exc:
+        raise ConfigError(f"bad \"tolerances\": {exc}") from exc
 
 
 def _eig_profile(profile_cfg, n: int, z: int, r_plus: int) -> tuple | None:
@@ -322,10 +328,11 @@ def _ok_record(approach, param, value, seed, lb, code, instance, epochs_run,
 
 
 def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRecord]:
-    sweep = _require(config, "sweep", "the top level")
+    sweep = _typed(_require(config, "sweep", "the top level"), dict, "sweep", "an object")
     param = _require(sweep, "param", "\"sweep\"")
-    values = _require(sweep, "values", "\"sweep\"")
-    approaches = list(_require(sweep, "approaches", "\"sweep\""))
+    values = _typed(_require(sweep, "values", "\"sweep\""), (list, tuple), "values", "a list")
+    approaches = list(_typed(_require(sweep, "approaches", "\"sweep\""), (list, tuple),
+                             "approaches", "a list"))
     if param not in ("r_plus", "a"):
         raise ConfigError(f"sweep param must be \"r_plus\" or \"a\", got {param!r}")
     for approach in approaches:
@@ -333,7 +340,11 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
             raise ConfigError(f"unknown approach {approach!r}")
     if tol is None:
         tol = _tolerance(config)
-    seeds = [int(s) for s in config.get("seeds", [0])]
+    seeds = _typed(config.get("seeds", [0]), (list, tuple), "seeds", "a list")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ConfigError(f"\"seeds\" must be integers, got {seed!r}")
+    seeds = [int(s) for s in seeds]
     base_cfg = _train_config(config)
     n = int(sweep.get("n", 32))
     z = int(sweep.get("z", 8))

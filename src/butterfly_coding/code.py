@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BadDimensions, ProblemInstance, WhitenedInstance, _cholesky, spectrum
+from .model import BadDimensions, ProblemInstance, WhitenedInstance, _cholesky, _task_grams
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
 
 
@@ -206,7 +206,7 @@ def utilities(code: ButterflyCode, instance: ProblemInstance,
     u24 is symmetric.
     """
     spans = flow_spans(code, instance, tol)
-    spec = spectrum(instance, tol)
+    _, s3, s4 = _task_grams(instance, tol)
 
     def subspace_trace(s, basis):
         if basis.dim == 0:
@@ -214,11 +214,11 @@ def utilities(code: ButterflyCode, instance: ProblemInstance,
         return float(np.sum((s @ basis.vectors) * basis.vectors))
 
     xi = orthonormal_basis(spans.phi56, tol, ambient_dim=instance.n)
-    u56 = subspace_trace(spec.s3 + spec.s4, xi)
+    u56 = subspace_trace(s3 + s4, xi)
     b135 = orthonormal_basis(np.hstack([spans.phi13, spans.phi56]), tol, ambient_dim=instance.n)
     b245 = orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol, ambient_dim=instance.n)
-    u13 = subspace_trace(spec.s3, b135) - subspace_trace(spec.s3, xi)
-    u24 = subspace_trace(spec.s4, b245) - subspace_trace(spec.s4, xi)
+    u13 = subspace_trace(s3, b135) - subspace_trace(s3, xi)
+    u24 = subspace_trace(s4, b245) - subspace_trace(s4, xi)
     return u56, u13, u24
 
 

@@ -22,6 +22,7 @@ from .subspace import (
     Basis,
     DEFAULT_TOL,
     ToleranceConfig,
+    _fix_signs,
     extend_from_pool,
     intersect,
     orthonormal_basis,
@@ -101,13 +102,16 @@ def _cholesky(psi: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 
 def _descending_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(0.5 * (s + s.T))
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # deterministic sign: largest-magnitude entry of each eigenvector positive
-    idx = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[idx, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    return w, v * signs
+    return w[::-1].copy(), _fix_signs(v[:, ::-1].copy())
+
+
+def _task_grams(instance: ProblemInstance, tol: ToleranceConfig):
+    """Cholesky factor L of psi and the whitened task Grams
+    S_i = L^T K_i^T K_i L."""
+    chol = _cholesky(instance.psi, tol)
+    return (chol,
+            chol.T @ instance.k3.T @ instance.k3 @ chol,
+            chol.T @ instance.k4.T @ instance.k4 @ chol)
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,7 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
     first.
     """
     inst = instance
-    chol = _cholesky(inst.psi, tol)
-    s3 = chol.T @ inst.k3.T @ inst.k3 @ chol
-    s4 = chol.T @ inst.k4.T @ inst.k4 @ chol
+    chol, s3, s4 = _task_grams(inst, tol)
     mu3, u3 = _descending_eigh(s3)
     mu4, u4 = _descending_eigh(s4)
     m = min(2 * inst.z, inst.n)

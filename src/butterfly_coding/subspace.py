@@ -8,6 +8,7 @@ whole library shares one rank knob.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class ToleranceConfig:
     rank_tol: float = 1e-10
 
     def __post_init__(self):
+        if isinstance(self.rank_tol, bool) or not isinstance(self.rank_tol, numbers.Real):
+            raise ValueError(f"rank_tol must be a real number, got {self.rank_tol!r}")
         if not (0.0 <= self.rank_tol < 1.0):
             raise ValueError(f"rank_tol must lie in [0, 1), got {self.rank_tol}")
 

@@ -2,13 +2,16 @@
 
 The trainer runs plain gradient descent on the exact quadratic objective (or
 its batch estimate) with simultaneous updates, matching the contractual update
-rule. Modes restrict which matrices move or which objective drives them; the
-loss trace always reports the true task losses.
+rule. Modes restrict which matrices move or which objective drives them
+(task_agnostic_coding descends on the identity task, K = I); the loss trace
+always reports the true task losses.
 
 One batched kernel does all training: every array carries a leading member
 axis, so the runs of a whole sweep step in lockstep (`train_lockstep`), and
-`train` is the batch of one. Members never mix, so each one's arithmetic,
-and result, is the same in any batch.
+`train` is the batch of one. The batch keeps its shape for the whole run: a
+member that diverges is retired in place and comes back as its error.
+Members never mix, so each one's arithmetic, and result, is the same in any
+batch.
 """
 
 from __future__ import annotations
@@ -247,15 +250,6 @@ def _losses(c: np.ndarray, r: np.ndarray, psi) -> np.ndarray:
     return (_times_psi(p, psi) * p).reshape(len(p), -1).sum(axis=1)
 
 
-def _weighted(gram: np.ndarray, r: np.ndarray, psi, task: np.ndarray) -> np.ndarray:
-    """M = G R psi per member: G is the task Gram K^T K where `task` holds
-    and the identity elsewhere (task_agnostic_coding)."""
-    m = _times_psi(gram @ r, psi)
-    if task.all():
-        return m
-    return np.where(task, m, _times_psi(r, psi))
-
-
 def _directions(mats, into5, a3, a4, m3, m4, dims) -> dict[str, np.ndarray]:
     """Descent direction X = -grad / 2 of each matrix for the objective
     Tr(G3 R3 psi R3') + Tr(G4 R4 psi R4') with R_i = I - D_i A_i, chained
@@ -278,40 +272,21 @@ def _directions(mats, into5, a3, a4, m3, m4, dims) -> dict[str, np.ndarray]:
 
 @dataclass
 class _Batch:
-    """Stacked state of the live members of a lockstep run; axis 0 runs over
-    members, in job order."""
+    """Stacked state of a lockstep run; axis 0 runs over members, in job
+    order, and keeps every member to the end: one that diverges is retired
+    in place, as a zero code that no longer moves."""
 
     ids: np.ndarray                # job index of each member
     mats: dict[str, np.ndarray]    # (B, rows, cols) per code matrix
     steps: dict[str, np.ndarray]   # (B, 1, 1): 2 * learning_rate, 0 if frozen
     psi: np.ndarray | None         # (B, n, n); None when every psi is I
-    grams: tuple[np.ndarray, np.ndarray]    # K_i^T K_i
+    grams: tuple[np.ndarray, np.ndarray]    # gradient Grams: K_i^T K_i, or I
     factors: tuple[np.ndarray, np.ndarray]  # C_i with C_i^T C_i = K_i^T K_i
-    task: np.ndarray               # (B, 1, 1) bool; False: identity objective
     colour: np.ndarray | None      # (B, n, n) F with psi = F F^T, empirical only
     rngs: list                     # batch streams, empirical gradient only
     trace: np.ndarray              # (B, epochs, 3)
     initial: np.ndarray            # (B,) total loss before the first update
     bufs: tuple                    # work arrays, see _buffers
-
-    def keep(self, alive: np.ndarray) -> _Batch:
-        def rows(x):
-            return None if x is None else x[alive]
-
-        return _Batch(
-            ids=self.ids[alive],
-            mats={k: v[alive] for k, v in self.mats.items()},
-            steps={k: v[alive] for k, v in self.steps.items()},
-            psi=rows(self.psi),
-            grams=tuple(map(rows, self.grams)),
-            factors=tuple(map(rows, self.factors)),
-            task=self.task[alive],
-            colour=rows(self.colour),
-            rngs=[g for g, ok in zip(self.rngs, alive) if ok],
-            trace=self.trace[alive],
-            initial=self.initial[alive],
-            bufs=tuple(map(rows, self.bufs)),
-        )
 
 
 def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
@@ -327,6 +302,13 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
     k4s = [np.atleast_2d(np.asarray(job.instance.k4, dtype=float)) for job in members]
     psi = np.stack([_sym(job.instance.psi) for job in members])
     empirical = config.gradient == "empirical_batch"
+    eye = np.eye(dims[0])
+
+    def grams(ks):
+        # task_agnostic_coding descends on the identity task, K = I
+        return np.stack([eye if job.config.mode == "task_agnostic_coding" else k.T @ k
+                         for job, k in zip(members, ks)])
+
     return _Batch(
         ids=ids,
         mats={name: np.stack([mats[name] for _, mats, _, _ in started])
@@ -335,12 +317,10 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
                                if name in trainable else 0.0
                                for i, _, trainable, _ in started])[:, None, None]
                for name in _MATRIX_FIELDS},
-        psi=None if np.all(psi == np.eye(dims[0])) else psi,
-        grams=(np.stack([k.T @ k for k in k3s]), np.stack([k.T @ k for k in k4s])),
+        psi=None if np.all(psi == eye) else psi,
+        grams=(grams(k3s), grams(k4s)),
         factors=(np.stack([_task_factor(k, dims[0]) for k in k3s]),
                  np.stack([_task_factor(k, dims[0]) for k in k4s])),
-        task=np.array([job.config.mode != "task_agnostic_coding"
-                       for job in members])[:, None, None],
         colour=np.stack([f for *_, f in started]) if empirical else None,
         rngs=[_philox(job.config.seed, _BATCH_STREAM) for job in members]
         if empirical else [],
@@ -362,51 +342,55 @@ def _descend(bt: _Batch, dims, epochs: int, batch_size: int, out: list) -> None:
     """Plain simultaneous gradient descent on every member at once. Pass t
     evaluates the code after t updates: its losses are the trace row of
     epoch t-1 and its residuals give the gradient of epoch t, so a run makes
-    epochs + 1 residual passes. Members that diverge leave the batch."""
+    epochs + 1 residual passes. A member that diverges is retired in place:
+    its error goes to `out`, its matrices and steps to zero, and the pass is
+    rerun so that its residuals are finite again."""
     # matrices no member trains (the encoders of a coding_benchmark batch)
     # skip the zero update
     moving = [name for name in _MATRIX_FIELDS if bt.steps[name].any()]
     noise = None
     if bt.colour is not None:
         noise = np.empty((len(bt.ids), batch_size, dims[0]))
+    live = np.ones(len(bt.ids), dtype=bool)
     for t in range(epochs + 1):
-        maps, l3, l4 = _evaluate(bt, dims)
+        (into5, a3, a4, r3, r4), l3, l4 = _evaluate(bt, dims)
         total = l3 + l4
         if t == 0:
             bt.initial = total
         else:
             bt.trace[:, t - 1] = np.stack([l3, l4, total], axis=1)
-            alive = np.isfinite(total) & ~(total > 10.0 * bt.initial)
-            if not alive.all():
-                for j in np.flatnonzero(~alive):
+            failed = live & (~np.isfinite(total) | (total > 10.0 * bt.initial))
+            if failed.any():
+                for j in np.flatnonzero(failed):
                     out[bt.ids[j]] = DivergenceDetected(
                         f"L_total={float(total[j]):.6g} exceeded 10x initial "
                         f"{float(bt.initial[j]):.6g} at epoch {t - 1}; "
                         f"reduce learning_rate")
-                bt = bt.keep(alive)
-                moving = [name for name in moving if bt.steps[name].any()]
-                if not len(bt.ids):
+                for name in _MATRIX_FIELDS:
+                    bt.mats[name][failed] = 0.0
+                    bt.steps[name][failed] = 0.0
+                live &= ~failed
+                if not live.any():
                     return
-                if noise is not None:
-                    noise = noise[alive]
-                maps, _, _ = _evaluate(bt, dims)
+                # rerun the pass into the same work arrays: the retired
+                # members' residuals are those of a zero code now
+                _evaluate(bt, dims)
         if t == epochs:
             break
-        into5, a3, a4, r3, r4 = maps
         psi_step = bt.psi
         if noise is not None:
             for j, rng in enumerate(bt.rngs):
                 rng.standard_normal(out=noise[j])
             x = noise @ _t(bt.colour)
             psi_step = _t(x) @ x / batch_size
-        m3 = _weighted(bt.grams[0], r3, psi_step, bt.task)
-        m4 = _weighted(bt.grams[1], r4, psi_step, bt.task)
+        m3 = _times_psi(bt.grams[0] @ r3, psi_step)
+        m4 = _times_psi(bt.grams[1] @ r4, psi_step)
         step = _directions(bt.mats, into5, a3, a4, m3, m4, dims)
         for name in moving:
             bt.mats[name] += bt.steps[name] * step[name]
-    for j, i in enumerate(bt.ids):
+    for j in np.flatnonzero(live):
         code = ButterflyCode(**{name: bt.mats[name][j].copy() for name in _MATRIX_FIELDS})
-        out[i] = (code, bt.trace[j].copy())
+        out[bt.ids[j]] = (code, bt.trace[j].copy())
 
 
 def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -476,9 +460,9 @@ def _gradients(mats, g3, g4, psi, n, a, b, z) -> dict[str, np.ndarray]:
     the kernel computes it."""
     dims = (n, a, b, z)
     one, (into5, a3, a4, r3, r4) = _single(mats, dims)
-    psi, task = _sym(psi)[None], np.ones((1, 1, 1), dtype=bool)
-    m3 = _weighted(np.asarray(g3, dtype=float)[None], r3, psi, task)
-    m4 = _weighted(np.asarray(g4, dtype=float)[None], r4, psi, task)
+    psi = _sym(psi)[None]
+    m3 = _times_psi(np.asarray(g3, dtype=float)[None] @ r3, psi)
+    m4 = _times_psi(np.asarray(g4, dtype=float)[None] @ r4, psi)
     step = _directions(one, into5, a3, a4, m3, m4, dims)
     return {name: -2.0 * step[name][0] for name in _MATRIX_FIELDS}
 

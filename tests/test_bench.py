@@ -487,6 +487,24 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["sufficient_ok"] is True
 
+    @pytest.mark.parametrize("command, change, message", [
+        ("analyze", {"tolerances": 5}, '"tolerances" must be an object'),
+        ("analyze", {"tolerances": {"rank_tol": "1e-10"}},
+         'bad "tolerances": rank_tol must be a real number'),
+        ("sweep", {"sweep": {"values": 6}}, '"values" must be a list'),
+        ("sweep", {"sweep": {"approaches": "task_aware_coding"}},
+         '"approaches" must be a list'),
+        ("sweep", {"train": [1, 2]}, '"train" must be an object'),
+        ("sweep", {"seeds": [1.5]}, '"seeds" must be integers, got 1.5'),
+    ], ids=["tolerances", "rank_tol", "values", "approaches", "train", "seeds"])
+    def test_malformed_field_is_an_error(self, tmp_path, capsys, command,
+                                         change, message):
+        config = small_sweep_config(
+            synthetic={"n": 8, "z": 2, "a": 6, "b": 6, "r_plus_target": 6}, **change)
+        cfg = write_config(tmp_path, "bad.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         cfg = write_config(tmp_path, "s.json", small_sweep_config())

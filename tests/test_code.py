@@ -16,6 +16,7 @@ from butterfly_coding import (
     flow_spans,
     lower_bound_of,
     optimal_decoders,
+    orthonormal_basis,
     realize_spans,
     spectrum,
     utilities,
@@ -357,6 +358,34 @@ class TestUtilities:
         u56, u13, u24 = utilities(code, inst)
         cap = np.trace(spec.s3 + spec.s4)
         assert abs(u56 + u13 + u24 - cap) <= 1e-8 * (1 + cap)
+
+
+    def test_matches_spectrum_grams_without_eigendecompositions(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(20):
+            inst = random_pd_instance(rng, n_max=8)
+            code = random_code(inst, rng)
+            spans = flow_spans(code, inst)
+            spec = spectrum(inst)
+
+            def trace(s, cols):
+                basis = orthonormal_basis(cols, ambient_dim=inst.n)
+                return 0.0 if basis.dim == 0 else float(
+                    np.sum((s @ basis.vectors) * basis.vectors))
+
+            relay = spans.phi56
+            want = (trace(spec.s3 + spec.s4, relay),
+                    trace(spec.s3, np.hstack([spans.phi13, relay])) - trace(spec.s3, relay),
+                    trace(spec.s4, np.hstack([spans.phi24, relay])) - trace(spec.s4, relay))
+            cases.append((code, inst, want))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
+        for code, inst, want in cases:
+            assert utilities(code, inst) == want
+        assert not calls
 
 
 class TestInvariants:

@@ -1,0 +1,89 @@
+"""Property tests: the paper's invariants over generated instances.
+
+Hypothesis draws the seeds and sizes; `derandomize=True` fixes the examples,
+so every run checks the same instances.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from butterfly_coding import (
+    InfeasibleSpec,
+    ProblemInstance,
+    SyntheticSpec,
+    exact_loss,
+    gen_synthetic,
+    lower_bound,
+    lower_bound_of,
+    spectrum,
+    sufficient_report,
+    validate,
+    with_optimal_decoders,
+)
+
+from conftest import random_pd_instance
+from test_code import random_code
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+SEEDS = st.integers(0, 2**32 - 1)
+# powers of two scale every float exactly, so c^2 scaling holds to rounding
+POWERS = st.integers(-3, 3)
+
+
+def scaled_tasks(instance: ProblemInstance, c: float) -> ProblemInstance:
+    return validate(ProblemInstance(
+        n=instance.n, psi=instance.psi, a=instance.a, b=instance.b, z=instance.z,
+        k3=c * instance.k3, k4=c * instance.k4))
+
+
+def optimal_total(instance: ProblemInstance, code) -> float:
+    return exact_loss(with_optimal_decoders(code, instance), instance)[2]
+
+
+@st.composite
+def synthetic_specs(draw):
+    n = draw(st.integers(3, 10))
+    z = draw(st.integers(1, n))
+    a = draw(st.integers((n + 1) // 2, n))
+    b = draw(st.integers(max(1, n - a), n))
+    m = min(2 * z, n)
+    return SyntheticSpec(
+        n=n, z=z, a=a, b=b, r_plus_target=draw(st.integers(m, min(2 * m, n))),
+        keep_sf3=draw(st.booleans()), seed=draw(SEEDS))
+
+
+@PROPERTY
+@given(seed=SEEDS, power=POWERS)
+def test_scaling_tasks_by_c_scales_bound_and_loss_by_c_squared(seed, power):
+    rng = np.random.default_rng(seed)
+    inst = random_pd_instance(rng, n_max=8)
+    code = random_code(inst, rng)
+    c2 = 4.0 ** power
+    big = scaled_tasks(inst, 2.0 ** power)
+    for got, want in ((lower_bound(spectrum(big), big.z), lower_bound(spectrum(inst), inst.z)),
+                      (optimal_total(big, code), optimal_total(inst, code))):
+        assert abs(got - c2 * want) <= 1e-10 * c2 * abs(want)
+
+
+@PROPERTY
+@given(spec=synthetic_specs(), power=POWERS)
+def test_scaling_tasks_keeps_the_report(spec, power):
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    big = scaled_tasks(inst, 2.0 ** power)
+    rep = sufficient_report(spectrum(inst), inst)
+    big_rep = sufficient_report(spectrum(big), big)
+    for field in ("r_plus_34", "r_minus_34", "r_minus_13", "r_minus_24", "sufficient_ok"):
+        assert getattr(big_rep, field) == getattr(rep, field), field
+
+
+@PROPERTY
+@given(seed=SEEDS, scale=st.sampled_from([0.1, 1.0, 10.0]))
+def test_no_code_with_optimal_decoders_beats_the_bound(seed, scale):
+    rng = np.random.default_rng(seed)
+    inst = random_pd_instance(rng, n_max=8)
+    lb = lower_bound_of(inst)
+    assert optimal_total(inst, random_code(inst, rng, scale)) >= lb - 1e-9 * (1 + lb)

@@ -28,6 +28,13 @@ def test_tolerance_config_rejects_bad_range():
     assert ToleranceConfig(rank_tol=0.0).rank_tol == 0.0
 
 
+@pytest.mark.parametrize("value", ["1e-10", None, True, [1e-10]])
+def test_tolerance_config_rejects_non_real(value):
+    with pytest.raises(ValueError, match="rank_tol must be a real number"):
+        ToleranceConfig(rank_tol=value)
+    assert ToleranceConfig(rank_tol=np.float64(1e-8)).rank_tol == 1e-8
+
+
 def test_orthonormal_basis_collinear_collapses():
     b = span([1.0, 0, 0], [2.0, 0, 0])
     assert b.dim == 1

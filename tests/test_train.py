@@ -295,6 +295,21 @@ class TestGradients:
             assert np.abs(g - fd).max() <= 1e-5 * scale, name
 
 
+    def test_agnostic_descends_on_identity_gram(self):
+        inst = random_pd_instance(np.random.default_rng(17), n_max=6)
+        n, a, b, z = inst.n, inst.a, inst.b, inst.z
+        init = init_code(inst, 4, init_scale=0.3)
+        lr = 0.01
+        code, _ = train(inst, TrainConfig(epochs=1, learning_rate=lr,
+                                          mode="task_agnostic_coding"), init=init)
+        names = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
+        mats = {k: np.array(getattr(init, k), dtype=float) for k in names}
+        grads = _gradients(mats, np.eye(n), np.eye(n), inst.psi, n, a, b, z)
+        for name in names:
+            want = mats[name] - lr * grads[name]
+            assert np.abs(getattr(code, name) - want).max() <= 1e-15, name
+
+
 def same_dims_instances(rng, count, n=5, a=4, b=3, z=2):
     """Random instances sharing (n, a, b, z) but not psi or the number of
     task rows, so one lockstep batch can hold them all."""
@@ -351,10 +366,11 @@ class TestLockstep:
         for job, got in zip(mixed, train_lockstep(mixed)):
             assert_same_run(got, train(job.instance, job.config))
 
-    def test_diverging_member_fails_alone(self):
+    @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
+    def test_diverging_member_fails_alone(self, gradient):
         insts = same_dims_instances(np.random.default_rng(21), 2)
-        calm = TrainConfig(epochs=60, learning_rate=0.02, seed=1)
-        wild = TrainConfig(epochs=60, learning_rate=50.0, seed=1)
+        calm = TrainConfig(epochs=60, learning_rate=0.02, seed=1, gradient=gradient)
+        wild = TrainConfig(epochs=60, learning_rate=50.0, seed=1, gradient=gradient)
         jobs = [TrainJob(insts[0], calm), TrainJob(insts[1], wild),
                 TrainJob(insts[1], calm)]
         results = train_lockstep(jobs)
@@ -364,6 +380,22 @@ class TestLockstep:
         assert str(results[1]) == str(alone.value)
         assert_same_run(results[0], train(insts[0], calm))
         assert_same_run(results[2], train(insts[1], calm))
+
+    def test_every_member_diverging(self):
+        insts = same_dims_instances(np.random.default_rng(26), 3)
+        jobs = [TrainJob(inst, TrainConfig(epochs=60, learning_rate=lr, seed=s,
+                                           mode=mode))
+                for s, (inst, lr, mode) in enumerate(zip(
+                    insts, (50.0, 80.0, 200.0),
+                    ("task_aware_coding", "task_agnostic_coding",
+                     "task_aware_no_coding")))]
+        results = train_lockstep(jobs)
+        assert len({id(r) for r in results}) == len(jobs)
+        for job, got in zip(jobs, results):
+            with pytest.raises(DivergenceDetected) as alone:
+                train(job.instance, job.config)
+            assert isinstance(got, DivergenceDetected)
+            assert str(got) == str(alone.value)
 
     def test_bad_start_fails_only_that_member(self):
         insts = same_dims_instances(np.random.default_rng(22), 2)
