@@ -16,16 +16,18 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .code import ButterflyCode, CodeSpans, realize_spans
-from .model import ProblemInstance, TaskSpectrum, observation_bases, task_bases
+from .model import ProblemInstance, TaskSpectrum, task_bases
 from .subspace import (
     Basis,
     DEFAULT_TOL,
     ToleranceConfig,
+    _coordinate_cut,
+    _extend,
     _greedy_pick,
-    extend_from_pool,
     intersect,
     is_subspace_of,
     join,
+    orthonormal_basis,
 )
 
 
@@ -55,20 +57,28 @@ class ConditionReport:
 def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
              tol: ToleranceConfig) -> tuple[ConditionReport, tuple[Basis, ...]]:
     """The condition report and the bases it was decided on:
-    (b1, b2, b3, b4, i13, i24, i34)."""
-    n, z = instance.n, instance.z
-    b1, b2 = observation_bases(spec, tol)
+    (b3, b4, i13, i24, i34, j13, j24), where j13 = i13 + i34 and
+    j24 = i24 + i34 are the spans the coverage conditions test.
+
+    L is lower-triangular, so node 1's observation span is exactly the first
+    a whitened axes: it is never factored, and its intersections are
+    coordinate cuts."""
+    n, a, z = instance.n, instance.a, instance.z
+    b2 = orthonormal_basis(spec.obs2, tol, ambient_dim=n)
     b3, b4 = task_bases(spec)
     i34 = intersect(b3, b4, tol)
-    i13 = intersect(b1, b3, tol)
+    i13 = _coordinate_cut(b3, a, tol)
     i24 = intersect(b2, b4, tol)
-    r_plus = join(b3, b4, tol).dim
+    # [b3 | b4] and [b3 | -b4] share their singular values, so the joint
+    # rank is the column count less the intersection's dimension
+    r_plus = b3.dim + b4.dim - i34.dim
     floor = min(z, n - z)
     necessary_ok = (r_plus <= 3 * z) and (i13.dim >= floor) and (i24.dim >= floor)
-    sf1 = is_subspace_of(b3, join(i13, i34, tol), tol)
-    sf2 = is_subspace_of(b4, join(i24, i34, tol), tol)
-    i12 = intersect(b1, b2, tol)
-    nc_free = is_subspace_of(i34, i12, tol)
+    j13 = join(i13, i34, tol)
+    j24 = join(i24, i34, tol)
+    sf1 = is_subspace_of(b3, j13, tol)
+    sf2 = is_subspace_of(b4, j24, tol)
+    nc_free = is_subspace_of(i34, _coordinate_cut(b2, a, tol), tol)
     gap_scale = tol.rank_tol * max(1.0, float(spec.mu3[0]), float(spec.mu4[0]))
     report = ConditionReport(
         eigengap_ok3=spec.eigengap3 > gap_scale,
@@ -84,7 +94,7 @@ def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
         corollary_dim=n <= z + min(instance.a, instance.b),
         sufficient_ok=necessary_ok and sf1 and sf2,
     )
-    return report, (b1, b2, b3, b4, i13, i24, i34)
+    return report, (b3, b4, i13, i24, i34, j13, j24)
 
 
 def sufficient_report(spec: TaskSpectrum, instance: ProblemInstance,
@@ -116,23 +126,24 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
     sends private directions of the task intersection on its direct link and
     the relay carries their pairwise sums, letting each sink subtract its own
     contribution. The relay's remaining columns complete the task
-    intersection. `bases` are _analyze's.
+    intersection. `bases` are _analyze's; the intersections with node 1's
+    span are coordinate cuts, as there.
     """
-    n, z = instance.n, instance.z
-    _, _, b3, b4, i13, i24, i34 = bases
+    n, a, z = instance.n, instance.a, instance.z
+    b3, b4, i13, i24, i34, j13, j24 = bases
     r34 = i34.dim
     if r34 < z:
         # impossible under r+ <= 3Z since r+ + r- = 4Z here
         raise PreconditionNotMet(f"task intersection dimension {r34} below Z={z}")
-    excl3 = extend_from_pool(i34, i13, b3, tol)
-    excl4 = extend_from_pool(i34, i24, b4, tol)
-    i1234 = intersect(i13, i24, tol)
+    excl3 = _extend(i34, i13, b3, j13, tol)
+    excl4 = _extend(i34, i24, b4, j24, tol)
+    i234 = intersect(i24, b3, tol)
+    i1234 = _coordinate_cut(i234, a, tol)
     k_both = min(i1234.dim, r34 - z)
     shared = [i1234.vectors[:, j].copy() for j in range(k_both)]
     q = r34 - z - k_both
     if q > 0:
-        i134 = intersect(i13, b4, tol)
-        i234 = intersect(i24, b3, tol)
+        i134 = _coordinate_cut(i34, a, tol)
         core = _stack(shared, n)
         xi = _greedy_pick(core, i134.vectors, q, tol)
         chi = _greedy_pick(core, i234.vectors, q, tol)

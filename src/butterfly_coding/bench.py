@@ -123,6 +123,7 @@ def gen_synthetic(spec: SyntheticSpec,
     k = m - s
     mu = _profile(spec, m)
     rng = np.random.default_rng(spec.seed)
+    eye = np.eye(n)
 
     if spec.keep_sf3:
         overlap = list(range(n - b, a))
@@ -136,12 +137,12 @@ def gen_synthetic(spec: SyntheticSpec,
         q_full = np.linalg.qr(rng.normal(size=(o, o)))[0] if o else np.zeros((0, 0))
         shared = _embed(n, overlap, q_full[:, :s])
         used = s
-        ex3 = [np.eye(n)[:, c] for c in range(min(k, n - b))]
+        ex3 = [eye[:, c] for c in range(min(k, n - b))]
         if spill3:
             block = _embed(n, overlap, q_full[:, used:used + spill3])
             ex3 += [block[:, j] for j in range(spill3)]
             used += spill3
-        ex4 = [np.eye(n)[:, c] for c in range(n - 1, n - 1 - min(k, n - a), -1)]
+        ex4 = [eye[:, c] for c in range(n - 1, n - 1 - min(k, n - a), -1)]
         if spill4:
             block = _embed(n, overlap, q_full[:, used:used + spill4])
             ex4 += [block[:, j] for j in range(spill4)]
@@ -166,10 +167,10 @@ def gen_synthetic(spec: SyntheticSpec,
         q = (np.linalg.qr(rng.normal(size=(len(rest), need)))[0]
              if need else np.zeros((len(rest), 0)))
         shared = _embed(n, rest, q[:, :s])
-        ex3 = [np.eye(n)[:, c] for c in ex3_coords]
+        ex3 = [eye[:, c] for c in ex3_coords]
         spill = _embed(n, rest, q[:, s:s + (k - k3p)])
         ex3 += [spill[:, j] for j in range(k - k3p)]
-        ex4 = [np.eye(n)[:, c] for c in ex4_coords]
+        ex4 = [eye[:, c] for c in ex4_coords]
         spill = _embed(n, rest, q[:, s + (k - k3p):need])
         ex4 += [spill[:, j] for j in range(k - k4p)]
 
@@ -177,7 +178,7 @@ def gen_synthetic(spec: SyntheticSpec,
     u4 = np.hstack([_stack(ex4, n), shared])
     root = np.sqrt(mu)
     instance = validate(
-        ProblemInstance(n=n, psi=np.eye(n), a=a, b=b, z=z,
+        ProblemInstance(n=n, psi=eye, a=a, b=b, z=z,
                         k3=root[:, None] * u3.T, k4=root[:, None] * u4.T),
         tol,
     )
@@ -234,10 +235,15 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _typed(value, kind, field: str, what: str):
-    """`value` if it is a `kind`, else a ConfigError naming the field."""
-    if not isinstance(value, kind):
+    """`value` if it is a `kind`, else a ConfigError naming the field. A bool
+    never passes, although Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"\"{field}\" must be {what}, got {value!r}")
     return value
+
+
+def _integer(value, field: str, what: str = "an integer") -> int:
+    return int(_typed(value, (int, np.integer), field, what))
 
 
 def _train_config(config: dict, overrides: dict | None = None) -> TrainConfig:
@@ -340,14 +346,17 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
             raise ConfigError(f"unknown approach {approach!r}")
     if tol is None:
         tol = _tolerance(config)
-    seeds = _typed(config.get("seeds", [0]), (list, tuple), "seeds", "a list")
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ConfigError(f"\"seeds\" must be integers, got {seed!r}")
-    seeds = [int(s) for s in seeds]
+    seeds = [_integer(seed, "seeds", "integers") for seed in
+             _typed(config.get("seeds", [0]), (list, tuple), "seeds", "a list")]
+    values = [_integer(value, "values", "integers") for value in values]
     base_cfg = _train_config(config)
-    n = int(sweep.get("n", 32))
-    z = int(sweep.get("z", 8))
+    n = _integer(sweep.get("n", 32), "n")
+    z = _integer(sweep.get("z", 8), "z")
+    if param == "r_plus":
+        a = _integer(sweep.get("a", 24), "a")
+        b = _integer(sweep.get("b", a), "b")
+    else:
+        r_plus = _integer(sweep.get("r_plus", 24), "r_plus")
     keep_sf3 = bool(sweep.get("keep_sf3", True))
     profile_cfg = sweep.get("eig_profile")
     # without an explicit construction, one is tried on every cell and kept
@@ -359,12 +368,9 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     trained: list[_TrainedCell] = []
     for value in values:
         if param == "r_plus":
-            a = int(sweep.get("a", 24))
-            b = int(sweep.get("b", a))
-            r_plus = int(value)
+            r_plus = value
         else:
-            a = b = int(value)
-            r_plus = int(sweep.get("r_plus", 24))
+            a = b = value
 
         for seed in seeds:
             lb = math.nan
@@ -491,7 +497,7 @@ def read_config(path) -> dict:
 
 def _instance_from_config(config: dict, tol: ToleranceConfig) -> ProblemInstance:
     if "instance" in config:
-        block = dict(config["instance"])
+        block = dict(_typed(config["instance"], dict, "instance", "an object"))
         samples_path = block.pop("samples_csv", None)
         if samples_path is not None:
             psi = covariance_from_samples(load_samples_csv(samples_path))
@@ -502,7 +508,7 @@ def _instance_from_config(config: dict, tol: ToleranceConfig) -> ProblemInstance
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad \"instance\" block: {exc}") from exc
     if "synthetic" in config:
-        block = dict(config["synthetic"])
+        block = dict(_typed(config["synthetic"], dict, "synthetic", "an object"))
         try:
             block["eig_profile"] = _eig_profile(
                 block.get("eig_profile"), int(block["n"]), int(block["z"]),

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .model import BadDimensions, ProblemInstance, WhitenedInstance, _cholesky, _task_grams
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
@@ -144,6 +145,14 @@ def _fit_columns(basis_mat: np.ndarray, targets: np.ndarray, tol: ToleranceConfi
     return coeff, np.linalg.norm(resid, axis=0)
 
 
+def _fit_node1(chol: np.ndarray, a: int, targets: np.ndarray):
+    """_fit_columns onto node 1's span, the columns of L[:a, :]^T. Those are
+    zero past row a (L is lower-triangular), so the fit is a triangular solve
+    against L[:a, :a]^T and the residual is the targets' rows past a."""
+    coeff = solve_triangular(chol[:a, :a], targets[:a], lower=True, trans="T")
+    return coeff, np.linalg.norm(targets[a:], axis=0)
+
+
 def realize_spans(spans: CodeSpans, instance: ProblemInstance,
                   tol: ToleranceConfig = DEFAULT_TOL) -> ButterflyCode:
     """Encoders whose flow spans reproduce the given Phi matrices columnwise,
@@ -163,26 +172,31 @@ def realize_spans(spans: CodeSpans, instance: ProblemInstance,
     def thresholds(mat):
         return tol.rank_tol * scale * np.maximum(1.0, np.linalg.norm(mat, axis=0))
 
-    c13, r13 = _fit_columns(u1, spans.phi13, tol)
+    c13, r13 = _fit_node1(chol, a, spans.phi13)
     if np.any(r13 > thresholds(spans.phi13)):
         raise InvalidSpan("phi13 leaves node 1's observation span")
     c24, r24 = _fit_columns(u2, spans.phi24, tol)
     if np.any(r24 > thresholds(spans.phi24)):
         raise InvalidSpan("phi24 leaves node 2's observation span")
 
-    thr56 = thresholds(spans.phi56)
-    c1, r1 = _fit_columns(u1, spans.phi56, tol)
-    c2, r2 = _fit_columns(u2, spans.phi56, tol)
-    cs, rs = _fit_columns(np.hstack([u1, u2]), spans.phi56, tol)
+    phi56 = spans.phi56
+    thr56 = thresholds(phi56)
+    c1, r1 = _fit_node1(chol, a, phi56)
     on1 = r1 <= thr56
-    on2 = ~on1 & (r2 <= thr56)
-    split = ~on1 & ~on2
-    if np.any(rs[split] > thr56[split]):
-        raise InvalidSpan("phi56 column outside col(U1) + col(U2)")
     e15 = np.where(on1[:, None], c1.T, 0.0)
-    e25 = np.where(on2[:, None], c2.T, 0.0)
-    e15[split] = cs[:a, split].T
-    e25[split] = cs[a:, split].T
+    e25 = np.zeros((z, b))
+    rest = np.flatnonzero(~on1)
+    if rest.size:
+        c2, r2 = _fit_columns(u2, phi56[:, rest], tol)
+        on2 = r2 <= thr56[rest]
+        e25[rest[on2]] = c2[:, on2].T
+        split = rest[~on2]
+        if split.size:
+            cs, rs = _fit_columns(np.hstack([u1, u2]), phi56[:, split], tol)
+            if np.any(rs > thr56[split]):
+                raise InvalidSpan("phi56 column outside col(U1) + col(U2)")
+            e15[split] = cs[:a].T
+            e25[split] = cs[a:].T
 
     code = ButterflyCode(
         e13=c13.T,

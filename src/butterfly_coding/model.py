@@ -5,7 +5,9 @@ Conventions fixed here and relied on everywhere else:
   - Observation 1 is the first `a` coordinates of x, observation 2 the last `b`.
   - Whitened coordinates are h = L^{-1} x with psi = L L^T (Cholesky).
   - Node i's observation span in whitened coordinates is spanned by the first a
-    (resp. last b) rows of L, i.e. columns of L^T.
+    (resp. last b) rows of L, i.e. columns of L^T. L is lower-triangular and
+    nonsingular, so node 1's span is exactly the first a axes, span(e_1 ...
+    e_a); node 2's is a general subspace.
   - Eigen-decompositions are returned in descending order with each eigenvector's
     largest-magnitude entry positive.
 """

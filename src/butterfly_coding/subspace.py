@@ -12,7 +12,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 
 class DimensionMismatch(ValueError):
@@ -131,22 +130,84 @@ def _check_same_ambient(a: Basis, b: Basis):
         )
 
 
-def intersect(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
-    """Basis of the intersection, via the nullspace of the stacked system [A | -B].
+def _principal_vectors(resid: np.ndarray, rank: int, tol: ToleranceConfig) -> np.ndarray:
+    """Right singular vectors V of `resid` whose angle passes intersect's test.
 
-    For orthonormal A and B every nullspace vector (alpha, beta) gives one
-    intersection vector A alpha, and the map is injective, so the dimension
-    count is exact at integer level.
+    `resid` holds the part of an orthonormal basis S outside another span,
+    in any orthonormal coordinates, so its singular values are the sines of
+    the principal angles between the spans and S V are the principal
+    vectors. `rank` bounds the residual's rank (n less the other span's
+    dimension); the sines past it are zero by construction and are set so
+    exactly.
+    """
+    k = resid.shape[1]
+    if k == 0:
+        return np.zeros((0, 0))
+    _, s, vh = np.linalg.svd(resid, full_matrices=resid.shape[0] < k)
+    sines = np.zeros(k)
+    top = min(s.size, rank)
+    sines[:top] = np.minimum(s[:top], 1.0)
+    cosines = np.sqrt(1.0 - sines**2)
+    # descending sines: the last cosine is cos(theta_1), the smallest angle's
+    keep = sines <= tol.rank_tol * np.sqrt((1.0 + cosines) * (1.0 + cosines[-1]))
+    return vh[keep].T
+
+
+def _unit_basis(vectors: np.ndarray) -> Basis:
+    """Basis of mutually orthogonal nonzero columns, scaled to unit length."""
+    return Basis(vectors.shape[0], _fix_signs(vectors / np.linalg.norm(vectors, axis=0)))
+
+
+def intersect(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
+    """Basis of the intersection, from the sines of the principal angles.
+
+    With S the smaller basis (A on a tie) and G the larger, the residual
+    (I - G G^T) S has the sines of the principal angles
+    theta_1 <= ... <= theta_k between the spans as singular values, and its
+    right singular vectors V give the principal vectors S V. The
+    intersection holds the angles that pass
+
+        sin(theta) <= rank_tol * sqrt((1 + cos(theta)) * (1 + cos(theta_1))).
+
+    That is the rank rule of the stacked system [A | -B] rewritten. For
+    orthonormal A and B, [A | -B] has singular values sqrt(1 +- cos(theta_i)),
+    plus 1 for each column the larger basis has more, so its largest is
+    sqrt(1 + cos(theta_1)). A null vector under the relative threshold is a
+    value sqrt(1 - cos(theta)) = sqrt(2) sin(theta/2) at most
+    rank_tol * sqrt(1 + cos(theta_1)), and 1 - cos(theta) =
+    sin(theta)^2 / (1 + cos(theta)) turns that into the test above. The
+    values of 1 and above never pass while rank_tol < 1/sqrt(2), so both
+    rules count the same dimensions. The sine form resolves angles down to
+    rounding, where the cosine form (singular values of A^T B) stops near
+    1e-8 (Bjorck & Golub, Math. Comp. 1973; Knyazev & Argentati, SIAM J.
+    Sci. Comput. 2002).
+
+    The basis spans A's principal vectors, as the null vectors (alpha, beta)
+    of [A | -B] gave A alpha: when B is the smaller basis, A's partners of
+    B V are A A^T B V, normalized.
     """
     _check_same_ambient(a, b)
+    n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
-        return Basis.empty(a.ambient_dim)
-    stacked = np.hstack([a.vectors, -b.vectors])
-    ns = null_space(stacked, rcond=tol.rank_tol)
-    if ns.shape[1] == 0:
-        return Basis.empty(a.ambient_dim)
-    vecs = a.vectors @ ns[: a.dim, :]
-    return orthonormal_basis(vecs, tol)
+        return Basis.empty(n)
+    cross = a.vectors.T @ b.vectors
+    if a.dim <= b.dim:
+        v = _principal_vectors(a.vectors - b.vectors @ cross.T, n - b.dim, tol)
+        vecs = a.vectors @ v
+    else:
+        v = _principal_vectors(b.vectors - a.vectors @ cross, n - a.dim, tol)
+        vecs = a.vectors @ (cross @ v)
+    return _unit_basis(vecs)
+
+
+def _coordinate_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
+    """intersect(span(e_1 ... e_k), basis), by the test intersect applies:
+    the residual of the basis against the first k axes is its rows past k,
+    and the result lies on those axes."""
+    v = _principal_vectors(basis.vectors[k:], basis.ambient_dim - k, tol)
+    vecs = np.zeros((basis.ambient_dim, v.shape[1]))
+    vecs[:k] = basis.vectors[:k] @ v
+    return _unit_basis(vecs)
 
 
 def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
@@ -200,6 +261,13 @@ def extend_from_pool(core: Basis, pool: Basis, target: Basis,
     pool intersect target (by modularity this preserves feasibility whenever
     span(core union pool) covers the target).
     """
+    return _extend(core, pool, target, None, tol)
+
+
+def _extend(core: Basis, pool: Basis, target: Basis, cover: Basis | None,
+            tol: ToleranceConfig) -> list[np.ndarray]:
+    """extend_from_pool, with `cover` = join(core, pool) when the caller has
+    already built it (None builds it here)."""
     _check_same_ambient(core, pool)
     _check_same_ambient(core, target)
     if not is_subspace_of(core, target, tol):
@@ -209,7 +277,9 @@ def extend_from_pool(core: Basis, pool: Basis, target: Basis,
         raise ValueError("core dimension exceeds target dimension")
     if need == 0:
         return []
-    if not is_subspace_of(target, join(core, pool, tol), tol):
+    if cover is None:
+        cover = join(core, pool, tol)
+    if not is_subspace_of(target, cover, tol):
         raise InfeasibleExtension("span(core union pool) does not cover target")
     effective = pool
     if not is_subspace_of(pool, target, tol):

@@ -3,21 +3,27 @@ import pytest
 
 import butterfly_coding.analytic as analytic_module
 from butterfly_coding import (
+    DEFAULT_TOL,
+    ConditionReport,
     InfeasibleSpec,
     PreconditionNotMet,
     ProblemInstance,
     SyntheticSpec,
+    ToleranceConfig,
     construct_lb_code,
     exact_loss,
     flow_spans,
     gen_synthetic,
     is_subspace_of,
+    join,
     lower_bound,
     lower_bound_of,
     necessary_report,
+    observation_bases,
     orthonormal_basis,
     spectrum,
     sufficient_report,
+    task_bases,
     validate,
 )
 
@@ -28,6 +34,7 @@ from conftest import (
     unachievable_dichotomy_instance,
 )
 from test_model import simple_instance
+from test_subspace import _intersect_by_null_space, edge_angle
 
 
 def collinear(u, v, atol=1e-9):
@@ -154,18 +161,28 @@ class TestConstruction:
 
     def test_bases_built_once_per_construction(self, monkeypatch):
         # 2Z <= n: the analysis and the span construction share one geometry
+        # and node 1's span, the first a whitened axes, is never factored
         inst = achievable_dichotomy_instance()
         assert 2 * inst.z <= inst.n
-        calls = []
-        original = analytic_module.observation_bases
+        spec = spectrum(inst)
+        analyses, factored = [], []
+        analyze, svd = analytic_module._analyze, np.linalg.svd
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            analyses.append(1)
+            return analyze(*args, **kwargs)
 
-        monkeypatch.setattr(analytic_module, "observation_bases", counted)
-        construct_lb_code(spectrum(inst), inst)
-        assert len(calls) == 1
+        def recorded(m, *args, **kwargs):
+            factored.append(np.array(m, copy=True))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(analytic_module, "_analyze", counted)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        construct_lb_code(spec, inst)
+        assert len(analyses) == 1
+        assert factored
+        assert not any(m.shape == spec.obs1.shape and np.allclose(m, spec.obs1)
+                       for m in factored)
 
     def test_large_capacity_full_rank_exact(self):
         # 2Z > n with full-rank tasks: every coordinate reaches both sinks
@@ -293,3 +310,130 @@ def test_mirror_oracle():
         else:
             built["large_unequal" if inst.a != inst.b else "large_equal"] += 1
     assert min(built.values()) >= 10, built
+
+
+def reference_report(spec, inst, tol=DEFAULT_TOL):
+    """The condition report decided with every intersection a null space of
+    [A | -B], node 1's span factored like node 2's and r+ a rank of
+    [b3 | b4]."""
+    n, z = inst.n, inst.z
+    b1, b2 = observation_bases(spec, tol)
+    b3, b4 = task_bases(spec)
+    i34 = _intersect_by_null_space(b3, b4, tol)
+    i13 = _intersect_by_null_space(b1, b3, tol)
+    i24 = _intersect_by_null_space(b2, b4, tol)
+    r_plus = join(b3, b4, tol).dim
+    floor = min(z, n - z)
+    necessary_ok = r_plus <= 3 * z and i13.dim >= floor and i24.dim >= floor
+    sf1 = is_subspace_of(b3, join(i13, i34, tol), tol)
+    sf2 = is_subspace_of(b4, join(i24, i34, tol), tol)
+    gap_scale = tol.rank_tol * max(1.0, float(spec.mu3[0]), float(spec.mu4[0]))
+    return ConditionReport(
+        eigengap_ok3=spec.eigengap3 > gap_scale,
+        eigengap_ok4=spec.eigengap4 > gap_scale,
+        r_plus_34=r_plus, r_minus_34=i34.dim,
+        r_minus_13=i13.dim, r_minus_24=i24.dim,
+        necessary_ok=necessary_ok, sf1_ok=sf1, sf2_ok=sf2,
+        corollary_nc_free=is_subspace_of(
+            i34, _intersect_by_null_space(b1, b2, tol), tol),
+        corollary_dim=n <= z + min(inst.a, inst.b),
+        sufficient_ok=necessary_ok and sf1 and sf2)
+
+
+def _random_rotation(rng, k):
+    return np.linalg.qr(rng.normal(size=(k, k)))[0]
+
+
+def _random_span_orthogonal_to(rng, span, plane, k):
+    """k random orthonormal directions of `span` (orthonormal columns)
+    orthogonal to the columns of `plane`."""
+    free = span @ np.linalg.svd(plane.T @ span)[2][plane.shape[1]:].T
+    return free @ _random_rotation(rng, free.shape[1])[:, :k]
+
+
+def tilted_instance(seed, kind, angle, identity_psi):
+    """An instance whose whitened task spans carry one small planted
+    principal angle: a task-3 direction tilted out of node 1's observation
+    span by `angle` ("13"), a task-4 direction out of node 2's ("24"), or a
+    task-3 and a task-4 direction apart by it ("34"). The task's other
+    directions are covered exactly by the other intersection of its
+    coverage condition, so sf1 ("13") or sf2 ("24", "34") hinges on the
+    tilted direction alone. The same seed gives the same instance up to the
+    angle.
+
+    The planted angle is the only small one between the spans it tilts, and
+    the tilt's plane is orthogonal to every other direction. An exact
+    intersection beside an angle of 1e-10 fixes its principal vectors only
+    to rounding / angle, about 1e-7, and a coverage join of such vectors can
+    gain a spurious direction, which leaves the report to rounding in any
+    implementation."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 13))
+    z = int(rng.integers(1, (n - 1) // 4 + 1))
+    m = 2 * z
+    # the tilted task keeps no forced intersection with the observation span
+    wide = int(rng.integers(max((n + 1) // 2, m + 1), n - m + 1))
+    narrow = int(rng.integers(max(n - wide, m + 1), n))
+    a, b = (narrow, wide) if kind == "24" else (wide, narrow)
+    if identity_psi:
+        chol = np.eye(n)
+    else:
+        chol = np.tril(rng.normal(scale=0.3, size=(n, n)), -1)
+        chol += np.diag(rng.uniform(1.0, 2.0, n))
+    node1 = np.eye(n)[:, :a]
+    q = np.linalg.qr(chol[n - b:, :].T, mode="complete")[0]
+    node2 = q[:, :b]
+    if kind == "34":
+        plane = _random_rotation(rng, n)[:, :2]
+        tilt = np.cos(angle) * plane[:, 0] + np.sin(angle) * plane[:, 1]
+        u3 = np.column_stack([plane[:, 0], _random_span_orthogonal_to(rng, node1, plane, m - 1)])
+        u4 = np.column_stack([tilt, _random_span_orthogonal_to(rng, node2, plane, m - 1)])
+    else:
+        inside, outside = ((node1, np.eye(n)[:, a:]) if kind == "13"
+                           else (node2, q[:, b:]))
+        plane = np.column_stack([inside[:, 0], outside[:, 0]])
+        tilt = np.cos(angle) * plane[:, 0] + np.sin(angle) * plane[:, 1]
+        shared = _random_span_orthogonal_to(rng, np.eye(n), plane, m)
+        tilted = np.column_stack([tilt, shared[:, 1:]])
+        u3, u4 = (tilted, shared) if kind == "13" else (shared, tilted)
+    mu3 = np.sort(rng.uniform(1.0, 3.0, m))[::-1]
+    mu4 = np.sort(rng.uniform(1.0, 3.0, m))[::-1]
+    # K L = diag(sqrt(mu)) U^T puts U's span on top of the whitened Gram
+    inv = np.linalg.inv(chol)
+    return validate(ProblemInstance(
+        n=n, psi=chol @ chol.T, a=a, b=b, z=z,
+        k3=np.sqrt(mu3)[:, None] * (u3.T @ inv),
+        k4=np.sqrt(mu4)[:, None] * (u4.T @ inv)))
+
+
+_HINGE = {"13": ("r_minus_13", "sf1_ok"), "24": ("r_minus_24", "sf2_ok"),
+          "34": ("r_minus_34", "sf2_ok")}
+
+
+@pytest.mark.parametrize("kind", sorted(_HINGE))
+@pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+def test_report_matches_null_space_reference_at_the_tolerance_edge(kind, rank_tol):
+    # each instance hinges one intersection and one coverage flag on a
+    # planted angle at 0.25x to 4x the angle where the rank rule flips; the
+    # report must decide it as the null-space reference does, field by
+    # field. Between 0.5x and 1x the intersection keeps a direction whose
+    # residual sin(theta) against the other span exceeds is_subspace_of's
+    # threshold rank_tol, so the coverage flag depends on which span's side
+    # the intersection basis is taken from. 0.5x itself is left out: there
+    # sin(theta) = rank_tol exactly and rounding decides the flag in either
+    # implementation.
+    tol = ToleranceConfig(rank_tol=rank_tol)
+    edge = edge_angle(tol)
+    for seed in range(12):
+        for identity_psi in (True, False):
+            dims, covered = [], []
+            for factor in (0.25, 0.4, 0.75, 2.0, 4.0):
+                inst = tilted_instance(seed, kind, factor * edge, identity_psi)
+                spec = spectrum(inst, tol)
+                rep = sufficient_report(spec, inst, tol)
+                assert rep == reference_report(spec, inst, tol), (seed, factor)
+                dims.append(getattr(rep, _HINGE[kind][0]))
+                covered.append(getattr(rep, _HINGE[kind][1]))
+            assert dims[0] == dims[1] == dims[2] == dims[3] + 1 == dims[4] + 1, dims
+            # contained while sin(theta) <= rank_tol, i.e. below 0.5x
+            assert covered == [True, True, False, False, False], covered

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +277,20 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(config)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"n": 8.9}, '"n" must be an integer, got 8.9'),
+        ({"z": 2.0}, '"z" must be an integer, got 2.0'),
+        ({"a": True}, '"a" must be an integer, got True'),
+        ({"b": "6"}, '"b" must be an integer, got \'6\''),
+        ({"values": [4, 6.5]}, '"values" must be integers, got 6.5'),
+        ({"param": "a", "values": [6], "r_plus": 6.0},
+         '"r_plus" must be an integer, got 6.0'),
+    ], ids=["n", "z", "a", "b", "values", "r_plus"])
+    def test_non_integer_dimension_rejected(self, change, message):
+        # a float used to be truncated: "n": 8.9 ran at n = 8
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_sweep(small_sweep_config(sweep=change))
+
     def test_missing_sweep_section(self):
         with pytest.raises(ConfigError, match="sweep"):
             run_sweep({"train": {}})
@@ -496,11 +511,17 @@ class TestCli:
          '"approaches" must be a list'),
         ("sweep", {"train": [1, 2]}, '"train" must be an object'),
         ("sweep", {"seeds": [1.5]}, '"seeds" must be integers, got 1.5'),
-    ], ids=["tolerances", "rank_tol", "values", "approaches", "train", "seeds"])
+        ("sweep", {"sweep": {"n": 8.9}}, '"n" must be an integer, got 8.9'),
+        ("sweep", {"sweep": {"values": [6.5]}}, '"values" must be integers, got 6.5'),
+        ("analyze", {"instance": 5}, '"instance" must be an object, got 5'),
+        ("analyze", {"synthetic": [1]}, '"synthetic" must be an object, got [1]'),
+    ], ids=["tolerances", "rank_tol", "values", "approaches", "train", "seeds",
+            "float_n", "float_value", "instance", "synthetic"])
     def test_malformed_field_is_an_error(self, tmp_path, capsys, command,
                                          change, message):
-        config = small_sweep_config(
-            synthetic={"n": 8, "z": 2, "a": 6, "b": 6, "r_plus_target": 6}, **change)
+        config = small_sweep_config(**{
+            "synthetic": {"n": 8, "z": 2, "a": 6, "b": 6, "r_plus_target": 6},
+            **change})
         cfg = write_config(tmp_path, "bad.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"error: {message}" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from butterfly_coding import (
     Basis,
+    DEFAULT_TOL,
     DimensionMismatch,
     InfeasibleExtension,
     ToleranceConfig,
@@ -254,3 +258,99 @@ def test_greedy_pick_matches_refactoring_reference():
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
     assert exhausted >= 10
+
+
+def _intersect_by_null_space(a, b, tol=DEFAULT_TOL):
+    """Reference intersection: the null space of the stacked system [A | -B],
+    each null vector (alpha, beta) giving the intersection vector A alpha."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    if a.dim == 0 or b.dim == 0:
+        return Basis.empty(a.ambient_dim)
+    ns = null_space(np.hstack([a.vectors, -b.vectors]), rcond=tol.rank_tol)
+    if ns.shape[1] == 0:
+        return Basis.empty(a.ambient_dim)
+    return orthonormal_basis(a.vectors @ ns[: a.dim, :], tol)
+
+
+# principal angles planted against the intersection threshold: "exact" is 0,
+# "wide" is well separated, a number is that multiple of the edge angle
+ANGLE_KINDS = ("exact", 0.25, 0.5, 2.0, 4.0, "wide")
+
+
+def edge_angle(tol):
+    """The angle at which intersect's test flips when the smallest principal
+    angle is (close to) zero: sqrt(2) sin(theta/2) = rank_tol * sqrt(2)."""
+    return 2.0 * np.arcsin(tol.rank_tol)
+
+
+def planted_pair(rng, kinds, extra_a, extra_b, tol):
+    """Bases A and B of R^n, n = 2 len(kinds) + extra_a + extra_b, with one
+    principal angle per kind and extra_a (extra_b) further columns orthogonal
+    to the other span; each basis is rotated at random inside its span.
+    Returns (A, B, the number of angles that pass the threshold)."""
+    k = len(kinds)
+    n = 2 * k + extra_a + extra_b
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    angles = [0.0 if kind == "exact"
+              else rng.uniform(0.3, np.pi / 2) if kind == "wide"
+              else kind * edge_angle(tol) for kind in kinds]
+    tilted = [np.cos(t) * q[:, j] + np.sin(t) * q[:, k + j]
+              for j, t in enumerate(angles)]
+    a = np.hstack([q[:, :k], q[:, 2 * k:2 * k + extra_a]])
+    b = np.column_stack(tilted + [q[:, j] for j in range(2 * k + extra_a, n)])
+
+    def rotated(m):
+        return m @ np.linalg.qr(rng.normal(size=(m.shape[1],) * 2))[0]
+
+    passing = sum(kind in ("exact", 0.25, 0.5) for kind in kinds)
+    return Basis(n, rotated(a)), Basis(n, rotated(b)), passing
+
+
+EDGE_TOLS = (ToleranceConfig(), ToleranceConfig(1e-7), ToleranceConfig(1e-4))
+
+
+def assert_same_dimension(a, b, passing, tol):
+    want = _intersect_by_null_space(a, b, tol).dim
+    assert want == passing
+    assert intersect(a, b, tol).dim == want
+    assert intersect(b, a, tol).dim == want
+
+
+@pytest.mark.parametrize("tol", EDGE_TOLS, ids=lambda t: f"{t.rank_tol:g}")
+def test_intersect_matches_null_space_at_the_tolerance_edge(tol):
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        kinds = [ANGLE_KINDS[i] for i in rng.integers(0, len(ANGLE_KINDS),
+                                                      int(rng.integers(1, 5)))]
+        a, b, passing = planted_pair(rng, kinds, int(rng.integers(0, 4)),
+                                     int(rng.integers(0, 4)), tol)
+        assert_same_dimension(a, b, passing, tol)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(ANGLE_KINDS), min_size=1, max_size=5),
+       extra_a=st.integers(0, 4), extra_b=st.integers(0, 4),
+       tol=st.sampled_from(EDGE_TOLS))
+def test_intersect_matches_null_space_on_planted_angles(seed, kinds, extra_a,
+                                                         extra_b, tol):
+    a, b, passing = planted_pair(np.random.default_rng(seed), kinds, extra_a,
+                                 extra_b, tol)
+    assert_same_dimension(a, b, passing, tol)
+
+
+def test_intersect_counts_forced_dimensions_at_zero_tolerance():
+    # dim A + dim B > n forces an intersection of dim A + dim B - n, which the
+    # sine form gets from the residual's rank bound, not from rounding
+    rng = np.random.default_rng(32)
+    tol = ToleranceConfig(rank_tol=0.0)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))),
+                              ambient_dim=n)
+        b = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))),
+                              ambient_dim=n)
+        forced = max(0, a.dim + b.dim - n)
+        assert intersect(a, b, tol).dim == forced
+        assert _intersect_by_null_space(a, b, tol).dim == forced
