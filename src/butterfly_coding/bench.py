@@ -261,6 +261,12 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _numbers(value) -> bool:
+    """An array, or a list whose entries are real numbers or such lists."""
+    return isinstance(value, np.ndarray) or isinstance(value, list) and all(
+        _numbers(v) if isinstance(v, list) else _real(v) for v in value)
+
+
 # the JSON values a config field takes, by its declared type (a string, as
 # in _FIELD_PARSERS); a bool is never a number
 _JSON_TYPES = {
@@ -269,7 +275,7 @@ _JSON_TYPES = {
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a boolean"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
-    "np.ndarray": (lambda v: isinstance(v, (list, np.ndarray)), "a nested number list"),
+    "np.ndarray": (_numbers, "a nested number list"),
     "tuple | str | None": (
         lambda v: (v == FLAT_TAIL) if isinstance(v, str) else (
             v is None or isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v))),
@@ -308,12 +314,16 @@ class _TrainBlock(TrainConfig):
     trace_csv: str | None = None
 
 
-# Cap on each (members, n, n) float array of a lockstep batch, and so on the
-# members trained at once (a batch holds 20-24 such arrays). Batching pays
-# while per-call overhead dominates an epoch and stops paying once a batch
-# outgrows the cache: measured on one thread of a 2-vCPU Xeon, the per-member
-# epoch time was best at 16-32 members for n=32 and 4-8 for n=64, and at
-# n=128 rose from 1.85 ms alone to 2.2-2.4 ms in batches of 2-8. 192 KiB
+# Cap on the members trained at once, as the bytes of one (members, n, n)
+# float array. A member's largest work arrays are that size or twice it: the
+# two sinks' thin residuals, (2, h, n) with h = n/2 task rows on every
+# synthetic instance, and a task_agnostic_coding member's dense (2, n, n)
+# ones. Batching pays while per-call overhead dominates an epoch and stops
+# paying once a batch outgrows the cache: measured on one thread of a 2-vCPU
+# Xeon (the four modes in turn, best of 5 runs), the per-member epoch time
+# at n=32 fell from 0.10 ms alone to 0.02-0.04 ms, with no trend from 16 to
+# 48 members; at n=64 from 0.14 ms alone to 0.11-0.14 ms at 2-16 members;
+# and at n=128 it rose from 0.53 ms alone to 0.57-0.95 ms at 2-8. 192 KiB
 # gives 24 members at n=32, 6 at n=64 and 1 from n=128 up.
 _LOCKSTEP_BYTES = 192 * 2**10
 
@@ -496,6 +506,10 @@ def read_csv(path) -> list[ResultRecord]:
         raise OSError(f"cannot read records from {path}: {exc}") from exc
 
 
+# the blocks a config may hold; each command reads the ones it needs
+_CONFIG_KEYS = ("instance", "synthetic", "sweep", "seeds", "train", "tolerances", "pca")
+
+
 def read_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -506,6 +520,9 @@ def read_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"\"{key}\" is an unknown top-level key")
     return config
 
 
@@ -573,11 +590,19 @@ def _cmd_sweep(config, out, tol) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _PcaBlock:
+    """A config's "pca" block: the task matrix the pca command compresses."""
+    task: str = "k3"
+
+    def __post_init__(self):
+        if self.task not in ("k3", "k4"):
+            raise ValueError(f"pca task must be \"k3\" or \"k4\", got {self.task!r}")
+
+
 def _cmd_pca(config, out, tol) -> int:
+    which = _block(_PcaBlock, config.get("pca", {}), "pca").task
     instance = _instance_from_config(config, tol)
-    which = _typed(config.get("pca", {}), dict, "pca", "an object").get("task", "k3")
-    if which not in ("k3", "k4"):
-        raise ConfigError(f"pca task must be \"k3\" or \"k4\", got {which!r}")
     k = instance.k3 if which == "k3" else instance.k4
     encoder, decoder, loss = task_pca(k, instance.psi, instance.z, tol)
     _emit(json.dumps({

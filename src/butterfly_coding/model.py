@@ -64,9 +64,14 @@ def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> P
     for name, value in (("n", n), ("a", a), ("b", b), ("z", z)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise BadDimensions(f"{name} must be an integer, got {value!r}")
-    psi = np.asarray(instance.psi, dtype=float)
-    k3 = np.atleast_2d(np.asarray(instance.k3, dtype=float))
-    k4 = np.atleast_2d(np.asarray(instance.k4, dtype=float))
+    mats = {}
+    for name in ("psi", "k3", "k4"):
+        try:
+            mats[name] = np.asarray(getattr(instance, name), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadDimensions(f"{name} must be an array of real numbers: {exc}") from None
+    psi = mats["psi"]
+    k3, k4 = np.atleast_2d(mats["k3"]), np.atleast_2d(mats["k4"])
     for name, k in (("k3", k3), ("k4", k4)):
         if not np.all(np.isfinite(k)):
             raise BadDimensions(f"{name} contains non-finite entries")

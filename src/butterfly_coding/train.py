@@ -8,10 +8,14 @@ always reports the true task losses.
 
 One batched kernel does all training: every array carries a leading member
 axis, so the runs of a whole sweep step in lockstep (`train_lockstep`), and
-`train` is the batch of one. The batch keeps its shape for the whole run: a
-member that diverges is retired in place and comes back as its error.
-Members never mix, so each one's arithmetic, and result, is the same in any
-batch.
+`train` is the batch of one; the two sinks' arrays stack on one more leading
+axis, so each product serves both. The kernel works on each task's thin
+factor C, the R of a QR of K (min(rows, n) x n), and never forms the n x n
+residual R = I - DA: ||K R||^2 = ||C R||^2 = ||C - (C D) A||^2. Members that
+descend on the identity task keep R dense. The batch keeps its shape for the
+whole run: a member that diverges is retired in place and comes back as its
+error. Members never mix, and step in sub-batches of one factor height and
+descent kind, so each one's arithmetic, and result, is the same in any batch.
 """
 
 from __future__ import annotations
@@ -184,10 +188,23 @@ def _t(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
+def _factors(k3, k4, n: int) -> np.ndarray:
+    """(2, h, n) thin task factors C_i with C_i^T C_i = K_i^T K_i: the R of a
+    QR of each task matrix, min(rows_i, n) x n, zero-padded to the taller of
+    the two. Zero rows change no loss or gradient, and the padding is the
+    member's own, so its arithmetic does not depend on its batch."""
+    rs = [np.linalg.qr(np.atleast_2d(np.asarray(k, dtype=float)), mode="r")
+          for k in (k3, k4)]
+    c = np.zeros((2, max(r.shape[0] for r in rs), n))
+    for ci, r in zip(c, rs):
+        ci[: r.shape[0]] = r
+    return c
+
+
 def _start(job: TrainJob, tol: ToleranceConfig):
-    """A member's starting matrices, the names it trains, and for the
-    empirical gradient the factor F with psi = F F^T that colours its
-    sample batches."""
+    """A member's starting matrices, the names it trains, for the empirical
+    gradient the factor F with psi = F F^T that colours its sample batches,
+    and its task factors."""
     instance, config = job.instance, job.config
     if job.init is None:
         init = init_code(instance, config.seed, config.init_scale)
@@ -209,33 +226,7 @@ def _start(job: TrainJob, tol: ToleranceConfig):
     if config.gradient == "empirical_batch":
         w, v = np.linalg.eigh(_sym(instance.psi))
         colour = v * np.sqrt(np.clip(w, 0.0, None))
-    return mats, trainable, colour
-
-
-def _buffers(size: int, dims: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
-    """Work arrays of one residual pass: into5, A3, A4, R3, R4."""
-    n, _, _, z = dims
-    return tuple(np.zeros((size, 2 * z, n)) for _ in range(3)) + tuple(
-        np.zeros((size, n, n)) for _ in range(2))
-
-
-def _residuals(mats, dims, bufs) -> tuple[np.ndarray, ...]:
-    """Link maps and sink residuals R_i = I - D_i A_i over a batch, written
-    into bufs: (into5, A3, A4, R3, R4)."""
-    into5, a3, a4 = _encoder_maps(ButterflyCode(**mats), *dims, out=bufs[:3])
-    eye = np.eye(dims[0])
-    for d, amap, r in zip((mats["d3"], mats["d4"]), (a3, a4), bufs[3:]):
-        np.matmul(d, amap, out=r)
-        np.subtract(eye, r, out=r)
-    return bufs
-
-
-def _task_factor(k: np.ndarray, n: int) -> np.ndarray:
-    """n x n factor C with C^T C = K^T K: the R of a QR of K, zero-padded."""
-    c = np.zeros((n, n))
-    r = np.linalg.qr(np.atleast_2d(np.asarray(k, dtype=float)), mode="r")
-    c[: r.shape[0]] = r
-    return c
+    return mats, trainable, colour, _factors(instance.k3, instance.k4, instance.n)
 
 
 def _times_psi(x: np.ndarray, psi) -> np.ndarray:
@@ -246,51 +237,25 @@ def _times_psi(x: np.ndarray, psi) -> np.ndarray:
     return x if psi is None else x @ psi
 
 
-def _losses(c: np.ndarray, r: np.ndarray, psi) -> np.ndarray:
-    """True task losses Tr(K R psi R^T K^T) per member, summed as
-    (C R psi) * (C R) so that they stay accurate, and nonnegative for
-    psi = I, down to zero loss."""
-    p = c @ r
-    return (_times_psi(p, psi) * p).reshape(len(p), -1).sum(axis=1)
-
-
-def _directions(mats, into5, a3, a4, m3, m4, dims) -> dict[str, np.ndarray]:
-    """Descent direction X = -grad / 2 of each matrix for the objective
-    Tr(G3 R3 psi R3') + Tr(G4 R4 psi R4') with R_i = I - D_i A_i, chained
-    through the link maps from M_i = G_i R_i psi."""
-    n, a, b, z = dims
-    y3 = _t(mats["d3"]) @ m3
-    y4 = _t(mats["d4"]) @ m4
-    relay = y3[..., z:, :] + y4[..., z:, :]
-    into = _t(mats["e56"]) @ relay
-    return {
-        "e13": y3[..., :z, :a],
-        "e15": into[..., :z, :a],
-        "e24": y4[..., :z, n - b:],
-        "e25": into[..., z:, n - b:],
-        "e56": relay @ _t(into5),
-        "d3": m3 @ _t(a3),
-        "d4": m4 @ _t(a4),
-    }
-
-
 @dataclass
 class _Batch:
     """Stacked state of a lockstep run; axis 0 runs over members, in job
     order, and keeps every member to the end: one that diverges is retired
-    in place, as a zero code that no longer moves."""
+    in place, as a zero code that no longer moves. Arrays of both sinks
+    carry the sink on a leading axis of 2 before the member axis."""
 
     ids: np.ndarray                # job index of each member
     mats: dict[str, np.ndarray]    # (B, rows, cols) per code matrix
+    d: np.ndarray                  # (2, B, n, 2Z); mats d3 and d4 are its halves
     steps: dict[str, np.ndarray]   # (B, 1, 1): 2 * learning_rate, 0 if frozen
     psi: np.ndarray | None         # (B, n, n); None when every psi is I
-    grams: tuple[np.ndarray, np.ndarray]    # gradient Grams: K_i^T K_i, or I
-    factors: tuple[np.ndarray, np.ndarray]  # C_i with C_i^T C_i = K_i^T K_i
+    factors: np.ndarray            # (2, B, h, n) thin task factors C_i
+    agnostic: bool                 # members descend on the identity task
     colour: np.ndarray | None      # (B, n, n) F with psi = F F^T, empirical only
     rngs: list                     # batch streams, empirical gradient only
     trace: np.ndarray              # (B, epochs, 3)
     initial: np.ndarray            # (B,) total loss before the first update
-    bufs: tuple                    # work arrays, see _buffers
+    bufs: tuple                    # link maps into5 (B, 2Z, n), A (2, B, 2Z, n)
 
 
 def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
@@ -298,48 +263,79 @@ def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
 
 
 def _stack(jobs: list[TrainJob], started: list) -> _Batch:
+    """The batch of the started members, which share their factor height
+    and descent kind."""
     ids = np.array([i for i, *_ in started])
     members = [jobs[i] for i in ids]
-    dims = _dims(members[0].instance)
+    n, _, _, z = _dims(members[0].instance)
     config = members[0].config
-    k3s = [np.atleast_2d(np.asarray(job.instance.k3, dtype=float)) for job in members]
-    k4s = [np.atleast_2d(np.asarray(job.instance.k4, dtype=float)) for job in members]
     psi = np.stack([_sym(job.instance.psi) for job in members])
     empirical = config.gradient == "empirical_batch"
-    eye = np.eye(dims[0])
-
-    def grams(ks):
-        # task_agnostic_coding descends on the identity task, K = I
-        return np.stack([eye if job.config.mode == "task_agnostic_coding" else k.T @ k
-                         for job, k in zip(members, ks)])
-
+    mats = {name: np.stack([m[name] for _, m, *_ in started])
+            for name in _MATRIX_FIELDS}
+    d = np.stack([mats["d3"], mats["d4"]])
+    mats["d3"], mats["d4"] = d
     return _Batch(
         ids=ids,
-        mats={name: np.stack([mats[name] for _, mats, _, _ in started])
-              for name in _MATRIX_FIELDS},
+        mats=mats,
+        d=d,
         steps={name: np.array([2.0 * jobs[i].config.learning_rate
                                if name in trainable else 0.0
-                               for i, _, trainable, _ in started])[:, None, None]
+                               for i, _, trainable, *_ in started])[:, None, None]
                for name in _MATRIX_FIELDS},
-        psi=None if np.all(psi == eye) else psi,
-        grams=(grams(k3s), grams(k4s)),
-        factors=(np.stack([_task_factor(k, dims[0]) for k in k3s]),
-                 np.stack([_task_factor(k, dims[0]) for k in k4s])),
-        colour=np.stack([f for *_, f in started]) if empirical else None,
+        psi=None if np.all(psi == np.eye(n)) else psi,
+        factors=np.stack([f for *_, f in started], axis=1),
+        agnostic=config.mode == "task_agnostic_coding",
+        colour=np.stack([c for *_, c, _ in started]) if empirical else None,
         rngs=[_philox(job.config.seed, _BATCH_STREAM) for job in members]
         if empirical else [],
         trace=np.zeros((len(ids), config.epochs, 3)),
         initial=np.zeros(len(ids)),
-        bufs=_buffers(len(ids), dims),
+        bufs=(np.zeros((len(ids), 2 * z, n)), np.zeros((2, len(ids), 2 * z, n))),
     )
 
 
 def _evaluate(bt: _Batch, dims):
-    """One residual pass: link maps, residuals and (L3, L4) per member."""
-    into5, a3, a4, r3, r4 = _residuals(bt.mats, dims, bt.bufs)
-    l3 = _losses(bt.factors[0], r3, bt.psi)
-    l4 = _losses(bt.factors[1], r4, bt.psi)
-    return (into5, a3, a4, r3, r4), l3, l4
+    """One residual pass: the link maps into5 and A_i, the thin residuals
+    P_i = C_i R_i = C_i - (C_i D_i) A_i of R_i = I - D_i A_i with their
+    products P_i psi, and the true task losses Tr(K_i R_i psi R_i^T K_i^T)
+    per member, (2, B), summed as (P psi) * P so that they stay accurate,
+    and nonnegative for psi = I, down to zero loss."""
+    into5, amap = bt.bufs
+    _encoder_maps(ButterflyCode(**bt.mats), *dims, out=(into5, *amap))
+    cd = bt.factors @ bt.d
+    p = bt.factors - cd @ amap
+    q = _times_psi(p, bt.psi)
+    return (into5, amap, cd, p, q), (q * p).reshape(2, len(bt.ids), -1).sum(axis=2)
+
+
+def _directions(bt: _Batch, ev, psi, dims) -> dict[str, np.ndarray]:
+    """Descent direction X = -grad / 2 of each matrix for the objective
+    sum_i Tr(F_i R_i psi R_i^T F_i^T), with F_i the task factor C_i, or I
+    for members that descend on the identity task (they keep R_i dense).
+    With M_i = F_i R_i psi, the link maps get (F_i D_i)^T M_i, chained
+    through the encoders, and the decoders F_i^T (M_i A_i^T)."""
+    n, a, b, z = dims
+    into5, amap, cd, p, q = ev
+    if bt.agnostic:
+        fd, m = bt.d, _times_psi(np.eye(n) - bt.d @ amap, psi)
+        dd = m @ _t(amap)
+    else:
+        # the exact gradient reuses the loss pass's P psi
+        fd, m = cd, q if psi is bt.psi else _times_psi(p, psi)
+        dd = _t(bt.factors) @ (m @ _t(amap))
+    y = _t(fd) @ m
+    relay = y[0, :, z:] + y[1, :, z:]
+    into = _t(bt.mats["e56"]) @ relay
+    return {
+        "e13": y[0, :, :z, :a],
+        "e15": into[..., :z, :a],
+        "e24": y[1, :, :z, n - b:],
+        "e25": into[..., z:, n - b:],
+        "e56": relay @ _t(into5),
+        "d3": dd[0],
+        "d4": dd[1],
+    }
 
 
 def _descend(bt: _Batch, dims, epochs: int, batch_size: int, out: list) -> None:
@@ -357,7 +353,7 @@ def _descend(bt: _Batch, dims, epochs: int, batch_size: int, out: list) -> None:
         noise = np.empty((len(bt.ids), batch_size, dims[0]))
     live = np.ones(len(bt.ids), dtype=bool)
     for t in range(epochs + 1):
-        (into5, a3, a4, r3, r4), l3, l4 = _evaluate(bt, dims)
+        ev, (l3, l4) = _evaluate(bt, dims)
         total = l3 + l4
         if t == 0:
             bt.initial = total
@@ -376,9 +372,8 @@ def _descend(bt: _Batch, dims, epochs: int, batch_size: int, out: list) -> None:
                 live &= ~failed
                 if not live.any():
                     return
-                # rerun the pass into the same work arrays: the retired
-                # members' residuals are those of a zero code now
-                _evaluate(bt, dims)
+                # the retired members' residuals are those of a zero code now
+                ev, _ = _evaluate(bt, dims)
         if t == epochs:
             break
         psi_step = bt.psi
@@ -387,9 +382,7 @@ def _descend(bt: _Batch, dims, epochs: int, batch_size: int, out: list) -> None:
                 rng.standard_normal(out=noise[j])
             x = noise @ _t(bt.colour)
             psi_step = _t(x) @ x / batch_size
-        m3 = _times_psi(bt.grams[0] @ r3, psi_step)
-        m4 = _times_psi(bt.grams[1] @ r4, psi_step)
-        step = _directions(bt.mats, into5, a3, a4, m3, m4, dims)
+        step = _directions(bt, ev, psi_step, dims)
         for name in moving:
             bt.mats[name] += bt.steps[name] * step[name]
     for j in np.flatnonzero(live):
@@ -405,8 +398,10 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     learning rates may differ. Returns one entry per job, in order: the
     (code, trace) pair `train` would return, or the exception that stopped
     that job alone -- DivergenceDetected, or an error building its start
-    point. Each member's arithmetic is the same as when it trains alone, so
-    its result does not depend on the rest of the batch.
+    point. Members step in sub-batches keyed by what each one fixes alone,
+    its task factor height and whether it descends on the identity task, so
+    each member's arithmetic is the same as when it trains alone, and its
+    result does not depend on the rest of the batch.
     """
     jobs = list(jobs)
     out: list = [None] * len(jobs)
@@ -421,13 +416,16 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
                              f"got {_dims(job.instance)}")
         if tuple(getattr(job.config, key) for key in shared) != first:
             raise ValueError(f"lockstep jobs must share {shared}")
-    started = []
+    groups: dict[tuple, list] = {}
     for i, job in enumerate(jobs):
         try:
-            started.append((i, *_start(job, tol)))
+            started = (i, *_start(job, tol))
         except _MEMBER_ERRORS as exc:
             out[i] = exc
-    if started:
+            continue
+        key = (started[-1].shape[1], job.config.mode == "task_agnostic_coding")
+        groups.setdefault(key, []).append(started)
+    for started in groups.values():
         _descend(_stack(jobs, started), dims, jobs[0].config.epochs,
                  jobs[0].config.batch_size, out)
     return out
@@ -445,29 +443,30 @@ def train(instance: ProblemInstance, config: TrainConfig,
     return result
 
 
-def _single(mats, dims) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, ...]]:
-    """One code's matrices as a batch of one, and its residual pass."""
-    one = {name: np.asarray(mats[name], dtype=float)[None] for name in _MATRIX_FIELDS}
-    return one, _residuals(one, dims, _buffers(1, dims))
+def _single(mats, k3, k4, psi, dims) -> _Batch:
+    """One code, with the task factors of k3 and k4, as a batch of one."""
+    n, a, b, z = dims
+    job = TrainJob(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4),
+                   TrainConfig(epochs=1))
+    mats = {name: np.asarray(mats[name], dtype=float) for name in _MATRIX_FIELDS}
+    return _stack([job], [(0, mats, set(_MATRIX_FIELDS), None, _factors(k3, k4, n))])
 
 
 def _true_losses(mats, k3, k4, psi, n, a, b, z) -> tuple[float, float]:
     """(L3, L4) of one code, as the kernel reads them."""
-    _, (_, _, _, r3, r4) = _single(mats, (n, a, b, z))
-    psi = _sym(psi)[None]
-    return (float(_losses(_task_factor(k3, n)[None], r3, psi)[0]),
-            float(_losses(_task_factor(k4, n)[None], r4, psi)[0]))
-
-
-def _gradients(mats, g3, g4, psi, n, a, b, z) -> dict[str, np.ndarray]:
-    """Gradient of Tr(G3 R3 psi R3') + Tr(G4 R4 psi R4') for one code, as
-    the kernel computes it."""
     dims = (n, a, b, z)
-    one, (into5, a3, a4, r3, r4) = _single(mats, dims)
-    psi = _sym(psi)[None]
-    m3 = _times_psi(np.asarray(g3, dtype=float)[None] @ r3, psi)
-    m4 = _times_psi(np.asarray(g4, dtype=float)[None] @ r4, psi)
-    step = _directions(one, into5, a3, a4, m3, m4, dims)
+    _, (l3, l4) = _evaluate(_single(mats, k3, k4, psi, dims), dims)
+    return float(l3[0]), float(l4[0])
+
+
+def _gradients(mats, c3, c4, psi, n, a, b, z) -> dict[str, np.ndarray]:
+    """Gradient of Tr(C3 R3 psi R3' C3') + Tr(C4 R4 psi R4' C4') for one
+    code, as the kernel computes it; any C_i with the task's Gram will do,
+    such as the task matrix itself."""
+    dims = (n, a, b, z)
+    bt = _single(mats, c3, c4, psi, dims)
+    ev, _ = _evaluate(bt, dims)
+    step = _directions(bt, ev, bt.psi, dims)
     return {name: -2.0 * step[name][0] for name in _MATRIX_FIELDS}
 
 

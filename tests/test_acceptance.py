@@ -362,9 +362,7 @@ def test_08_gradient_correctness():
                 k3_obj = k4_obj = np.eye(n)
             else:
                 k3_obj, k4_obj = inst.k3, inst.k4
-            g3 = k3_obj.T @ k3_obj
-            g4 = k4_obj.T @ k4_obj
-            grads = _gradients(mats, g3, g4, inst.psi, n, a, b, z)
+            grads = _gradients(mats, k3_obj, k4_obj, inst.psi, n, a, b, z)
 
             def objective(m):
                 l3, l4 = _true_losses(m, k3_obj, k4_obj, inst.psi, n, a, b, z)

@@ -537,8 +537,18 @@ class TestCli:
         ("pca", {"pca": 5}, '"pca" must be an object, got 5'),
         ("analyze", {"instance": {"samples_csv": ["1,2"]}},
          '"samples_csv" must be a string, got [\'1,2\']'),
+        ("analyze", {"tolerance": {"rank_tol": 0.5}},
+         '"tolerance" is an unknown top-level key'),
+        ("pca", {"pca": {"taks": "k4"}}, '"taks" is an unknown key in "pca"'),
+        ("analyze", {"instance": {"n": 2, "a": 2, "b": 2, "z": 1,
+                                  "psi": [[1, {}], [0, 1]], "k3": [[1, 0]], "k4": [[0, 1]]}},
+         '"psi" must be a nested number list, got [[1, {}], [0, 1]]'),
+        ("analyze", {"instance": {"n": 2, "a": 2, "b": 2, "z": 1,
+                                  "psi": [[1, 0], [0, 1]], "k3": [["1", 0]], "k4": [[0, 1]]}},
+         '"k3" must be a nested number list'),
     ], ids=["tolerances", "rank_tol", "values", "approaches", "train", "seeds",
-            "float_n", "float_value", "instance", "synthetic", "pca", "samples_csv"])
+            "float_n", "float_value", "instance", "synthetic", "pca", "samples_csv",
+            "top_level_key", "pca_key", "matrix_entry", "matrix_string"])
     def test_malformed_field_is_an_error(self, tmp_path, capsys, command,
                                          change, message):
         config = small_sweep_config(**{

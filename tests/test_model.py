@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ class TestValidate:
         k[1, 2] = bad
         with pytest.raises(BadDimensions, match=field):
             validate(simple_instance(**{field: k}))
+
+    @pytest.mark.parametrize("field", ["psi", "k3", "k4"])
+    @pytest.mark.parametrize("bad", [{}, "x", 1j, [1.0, 2.0]])
+    def test_non_number_entry_rejected(self, field, bad):
+        k = np.eye(3).tolist()
+        k[1][2] = bad
+        with pytest.raises(BadDimensions, match=f"{field} must be an array of real numbers"):
+            validate(replace(simple_instance(), **{field: k}))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_rejected(self, bad):

@@ -25,6 +25,7 @@ from butterfly_coding import (
     utilities,
     validate,
 )
+from butterfly_coding.code import _encoder_maps
 from butterfly_coding.train import _gradients, _selection_e56, _true_losses
 
 from conftest import calm_instance, greedy_trap_instance, random_pd_instance
@@ -279,9 +280,7 @@ class TestGradients:
         code = init_code(inst, 9, init_scale=0.3)
         names = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
         mats = {k: np.array(getattr(code, k), dtype=float) for k in names}
-        g3 = inst.k3.T @ inst.k3
-        g4 = inst.k4.T @ inst.k4
-        grads = _gradients(mats, g3, g4, inst.psi, n, a, b, z)
+        grads = _gradients(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
         h = 1e-5
 
         def total_loss(m):
@@ -302,6 +301,38 @@ class TestGradients:
             assert np.abs(g - fd).max() <= 1e-5 * scale, name
 
 
+    def test_kernel_matches_dense_formulas(self):
+        # the kernel works on thin task factors; the reference forms the
+        # dense residual R = I - D A and the Gram K^T K
+        rng = np.random.default_rng(29)
+        names = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
+        for trial in range(25):
+            inst = random_pd_instance(rng, n_max=8)
+            n, a, b, z = inst.n, inst.a, inst.b, inst.z
+            code = init_code(inst, trial, init_scale=0.5)
+            mats = {k: np.array(getattr(code, k), dtype=float) for k in names}
+            into5, a3, a4 = _encoder_maps(code, n, a, b, z)
+            want_losses, link, want = [], [], {}
+            for k, d, amap, dname in ((inst.k3, code.d3, a3, "d3"),
+                                      (inst.k4, code.d4, a4, "d4")):
+                r = np.eye(n) - d @ amap
+                want_losses.append(np.trace(k @ r @ inst.psi @ r.T @ k.T))
+                grad_r = 2.0 * k.T @ k @ r @ inst.psi
+                want[dname] = -grad_r @ amap.T
+                link.append(-d.T @ grad_r)
+            relay = link[0][z:] + link[1][z:]
+            grad_into5 = code.e56.T @ relay
+            want.update(e13=link[0][:z, :a], e24=link[1][:z, n - b:],
+                        e56=relay @ into5.T, e15=grad_into5[:z, :a],
+                        e25=grad_into5[z:, n - b:])
+            got_losses = _true_losses(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
+            for got, ref in zip(got_losses, want_losses):
+                assert abs(got - ref) <= 1e-12 * abs(ref), trial
+            grads = _gradients(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
+            scale = max(np.abs(ref).max() for ref in want.values())
+            for name in names:
+                assert np.abs(grads[name] - want[name]).max() <= 1e-12 * scale, (trial, name)
+
     def test_agnostic_descends_on_identity_gram(self):
         inst = random_pd_instance(np.random.default_rng(17), n_max=6)
         n, a, b, z = inst.n, inst.a, inst.b, inst.z
@@ -317,14 +348,15 @@ class TestGradients:
             assert np.abs(getattr(code, name) - want).max() <= 1e-15, name
 
 
-def same_dims_instances(rng, count, n=5, a=4, b=3, z=2):
+def same_dims_instances(rng, count, n=5, a=4, b=3, z=2, rows=None):
     """Random instances sharing (n, a, b, z) but not psi or the number of
-    task rows, so one lockstep batch can hold them all."""
+    task rows, so one lockstep batch can hold them all. `rows` fixes each
+    instance's (m3, m4); by default they are drawn from 1 to n + 1."""
     out = []
-    for _ in range(count):
+    for i in range(count):
         f = rng.normal(size=(n, n))
-        k3 = rng.normal(size=(int(rng.integers(1, n + 2)), n))
-        k4 = rng.normal(size=(int(rng.integers(1, n + 2)), n))
+        k3 = rng.normal(size=(rows[i][0] if rows else int(rng.integers(1, n + 2)), n))
+        k4 = rng.normal(size=(rows[i][1] if rows else int(rng.integers(1, n + 2)), n))
         scale = np.sqrt(np.trace(k3 @ k3.T) + np.trace(k4 @ k4.T))
         out.append(validate(ProblemInstance(
             n=n, psi=f @ f.T / n + 0.5 * np.eye(n), a=a, b=b, z=z,
@@ -355,6 +387,19 @@ class TestLockstep:
         results = train_lockstep(jobs)
         assert len(results) == len(jobs)
         for job, got in zip(jobs, results):
+            assert_same_run(got, train(job.instance, job.config))
+
+    @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
+    def test_unequal_task_rows_match_alone(self, gradient):
+        # members of several factor heights, m3 != m4 and more task rows
+        # than n among them, and of both descent kinds share one call
+        insts = same_dims_instances(np.random.default_rng(27), 4,
+                                    rows=[(1, 7), (6, 2), (3, 3), (2, 1)])
+        jobs = [TrainJob(inst, TrainConfig(epochs=40, learning_rate=0.02, seed=s,
+                                           mode=mode, gradient=gradient,
+                                           batch_size=16))
+                for s, inst in enumerate(insts) for mode in MODES]
+        for job, got in zip(jobs, train_lockstep(jobs)):
             assert_same_run(got, train(job.instance, job.config))
 
     def test_identity_covariances_match_alone(self):
