@@ -314,17 +314,18 @@ class _TrainBlock(TrainConfig):
     trace_csv: str | None = None
 
 
-# Cap on the members trained at once, as the bytes of one (members, n, n)
-# float array. A member's largest work arrays are that size or twice it: the
-# two sinks' thin residuals, (2, h, n) with h = n/2 task rows on every
-# synthetic instance, and a task_agnostic_coding member's dense (2, n, n)
-# ones. Batching pays while per-call overhead dominates an epoch and stops
-# paying once a batch outgrows the cache: measured on one thread of a 2-vCPU
-# Xeon (the four modes in turn, best of 5 runs), the per-member epoch time
-# at n=32 fell from 0.10 ms alone to 0.02-0.04 ms, with no trend from 16 to
-# 48 members; at n=64 from 0.14 ms alone to 0.11-0.14 ms at 2-16 members;
-# and at n=128 it rose from 0.53 ms alone to 0.57-0.95 ms at 2-8. 192 KiB
-# gives 24 members at n=32, 6 at n=64 and 1 from n=128 up.
+# Cap on the members trained at once, counted as 8 n^2 bytes, one n x n
+# float64 matrix, per member. A member's working set grows as n^2 and is
+# about nine such matrices on a synthetic instance (Z = n/4, h = n/2 task
+# rows): its code row and direction row, 2.6 n^2 floats each, and its task
+# factors and thin residual work arrays, (2, h, n) = n^2 floats each.
+# Batching pays while per-call overhead dominates an epoch and stops paying
+# once a batch outgrows the cache: measured on one thread of a 2-vCPU Xeon
+# (the four modes in turn, best of 5 runs), the per-member epoch time at
+# n=32 fell from 0.04 ms alone to 0.02-0.03 ms at 8-48 members, lowest at
+# 16-24; at n=64 it was 0.09-0.12 ms alone, 0.07-0.10 ms at 2 members and
+# 0.11-0.17 ms at 3-16; at n=128 0.52-0.56 ms alone and at 2, 1.1 ms at 4-8.
+# 192 KiB gives 24 members at n=32, 6 at n=64 and 1 from n=128 up.
 _LOCKSTEP_BYTES = 192 * 2**10
 
 
@@ -339,7 +340,8 @@ class _TrainedCell:
 
 def _lockstep_batches(cells: list[_TrainedCell]) -> list[list[_TrainedCell]]:
     """Cells grouped by instance dimensions (n, a, b, z), in first-seen
-    order, and cut to at most _LOCKSTEP_BYTES per (members, n, n) array."""
+    order, and cut to batches of at most _LOCKSTEP_BYTES / (8 n^2)
+    members."""
     groups: dict[tuple, list[_TrainedCell]] = {}
     for cell in cells:
         inst = cell.instance

@@ -66,25 +66,19 @@ def check_code_shapes(code: ButterflyCode, instance: ProblemInstance):
             raise BadDimensions(f"{name} contains non-finite entries")
 
 
-def _encoder_maps(code: ButterflyCode, n: int, a: int, b: int, z: int, out=None):
+def _encoder_maps(code: ButterflyCode, n: int, a: int, b: int, z: int):
     """Relay input map and aggregated per-sink encoder maps acting on x.
 
-    Returns (into5, A3, A4), each (..., 2Z, n): into5 stacks the two links
-    into node 5, and A_i stacks sink i's direct block on the relay block.
-    Leading axes of the code's matrices are batch axes. `out` takes three
-    such arrays to fill in place; their entries outside the link blocks must
-    be zero, and stay so.
+    Returns (into5, A3, A4), each 2Z x n: into5 stacks the two links into
+    node 5, and A_i stacks sink i's direct block on the relay block.
     """
-    if out is None:
-        shape = np.shape(code.e56)[:-2] + (2 * z, n)
-        out = (np.zeros(shape), np.zeros(shape), np.zeros(shape))
-    into5, a3, a4 = out
-    into5[..., :z, :a] = code.e15
-    into5[..., z:, n - b :] = code.e25
-    a3[..., :z, :a] = code.e13
-    a4[..., :z, n - b :] = code.e24
-    np.matmul(code.e56, into5, out=a3[..., z:, :])
-    a4[..., z:, :] = a3[..., z:, :]
+    into5, a3, a4 = np.zeros((2 * z, n)), np.zeros((2 * z, n)), np.zeros((2 * z, n))
+    into5[:z, :a] = code.e15
+    into5[z:, n - b :] = code.e25
+    a3[:z, :a] = code.e13
+    a4[:z, n - b :] = code.e24
+    np.matmul(code.e56, into5, out=a3[z:])
+    a4[z:] = a3[z:]
     return into5, a3, a4
 
 

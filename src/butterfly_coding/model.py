@@ -15,6 +15,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,22 @@ class ProblemInstance:
     k4: np.ndarray    # m4 x n task matrix for sink 4
 
 
+def _non_reals(value):
+    """The entries of a nested matrix that are not real numbers. numpy reads
+    booleans and numeric strings as numbers, even a JSON true inside a list
+    of numbers, so they are looked for entry by entry; an array of a numeric
+    dtype has none."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":
+            return
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for entry in value:
+            yield from _non_reals(entry)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        yield value
+
+
 def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> ProblemInstance:
     """Check invariants and return the instance with a symmetrized covariance."""
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
@@ -66,6 +83,8 @@ def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> P
             raise BadDimensions(f"{name} must be an integer, got {value!r}")
     mats = {}
     for name in ("psi", "k3", "k4"):
+        for entry in _non_reals(getattr(instance, name)):
+            raise BadDimensions(f"{name} must be an array of real numbers, got the entry {entry!r}")
         try:
             mats[name] = np.asarray(getattr(instance, name), dtype=float)
         except (TypeError, ValueError) as exc:

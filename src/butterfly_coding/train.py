@@ -9,18 +9,24 @@ always reports the true task losses.
 One batched kernel does all training: every array carries a leading member
 axis, so the runs of a whole sweep step in lockstep (`train_lockstep`), and
 `train` is the batch of one; the two sinks' arrays stack on one more leading
-axis, so each product serves both. The kernel works on each task's thin
-factor C, the R of a QR of K (min(rows, n) x n), and never forms the n x n
-residual R = I - DA: ||K R||^2 = ||C R||^2 = ||C - (C D) A||^2. Members that
-descend on the identity task keep R dense. The batch keeps its shape for the
-whole run: a member that diverges is retired in place and comes back as its
-error. Members never mix, and step in sub-batches of one factor height and
-descent kind, so each one's arithmetic, and result, is the same in any batch.
+axis, so each product serves both. Each member's code is one row of a
+preallocated array, laid out so that its matrices are views into the
+encoder maps the products need. The kernel works on each task's thin factor
+C, the R of a QR of K (min(rows, n) x n), and never forms the n x n residual
+R = I - DA: ||K R||^2 = ||C R||^2 = ||C - (C D) A||^2. Members that descend
+on the identity task keep R dense. One epoch loop steps the whole batch: the
+encoder maps, the relay chain, the trace, the divergence check and the
+update run once over all members, and the residual products once per group
+of members that share a factor height and descent kind. The batch keeps its
+shape for the whole run: a member that diverges is retired in place and
+comes back as its error. Members never mix, so each one's arithmetic, and
+result, is the same in any batch.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -30,7 +36,6 @@ from .code import (
     _MATRIX_FIELDS,
     ButterflyCode,
     CodeSpans,
-    _encoder_maps,
     _field_shapes,
     check_code_shapes,
     realize_spans,
@@ -202,163 +207,310 @@ def _factors(k3, k4, n: int) -> np.ndarray:
 
 
 def _start(job: TrainJob, tol: ToleranceConfig):
-    """A member's starting matrices, the names it trains, for the empirical
-    gradient the factor F with psi = F F^T that colours its sample batches,
-    and its task factors."""
+    """A member's starting matrices, the first block of its row that it
+    trains (see _offsets), for the empirical gradient the factor F with
+    psi = F F^T that colours its sample batches, and its task factors."""
     instance, config = job.instance, job.config
     if job.init is None:
         init = init_code(instance, config.seed, config.init_scale)
     else:
         check_code_shapes(job.init, instance)
         init = job.init
-    mats = {name: np.array(getattr(init, name), dtype=float, copy=True)
-            for name in _MATRIX_FIELDS}
-    trainable = set(_MATRIX_FIELDS)
+    mats = {name: np.asarray(getattr(init, name), dtype=float) for name in _MATRIX_FIELDS}
+    first = "e56"
     if config.mode == "task_aware_no_coding":
         mats["e56"] = _selection_e56(instance.z)
-        trainable.discard("e56")
+        first = "into5"
     elif config.mode == "coding_benchmark":
         bench = greedy_benchmark_code(instance, tol)
         for name in ("e13", "e15", "e24", "e25", "e56"):
-            mats[name] = np.array(getattr(bench, name), dtype=float, copy=True)
-        trainable = {"d3", "d4"}
+            mats[name] = np.asarray(getattr(bench, name), dtype=float)
+        first = "d"
     colour = None
     if config.gradient == "empirical_batch":
         w, v = np.linalg.eigh(_sym(instance.psi))
         colour = v * np.sqrt(np.clip(w, 0.0, None))
-    return mats, trainable, colour, _factors(instance.k3, instance.k4, instance.n)
+    return mats, first, colour, _factors(instance.k3, instance.k4, instance.n)
 
 
-def _times_psi(x: np.ndarray, psi) -> np.ndarray:
-    """x @ psi, where psi=None stands for a batch whose covariances are all
-    exactly I, as for every synthetic instance: x @ I == x bitwise for
-    finite x, so skipping the product changes no result. It made a
-    paper-scale sweep (n=32) a fifth faster."""
-    return x if psi is None else x @ psi
+def _offsets(dims) -> dict[str, int]:
+    """Where each block of a member's row [e56 | into5 | A3 A4 | d3 d4]
+    starts, and its length as "end". Every mode trains a suffix of the row:
+    all of it, all but e56, or the decoders."""
+    n, _, _, z = dims
+    into5 = 2 * z * z
+    amap = into5 + 2 * z * n
+    d = amap + 4 * z * n
+    return {"e56": 0, "into5": into5, "amap": amap, "d": d, "end": d + 4 * z * n}
+
+
+def _views(rows: np.ndarray, dims) -> dict[str, np.ndarray]:
+    """Named views of (B, P) member rows laid out as in _offsets: the encoder
+    maps into5 (B, 2Z, n) and A (2, B, 2Z, n), the decoders d (2, B, n, 2Z),
+    and each code matrix at its place in them (e13 = A3[:Z, :a], e15 =
+    into5[:Z, :a], ...). Entries of the maps outside the link blocks are not
+    parameters, and A's relay rows ("relay") are e56 @ into5."""
+    n, a, b, z = dims
+    k, at = len(rows), _offsets(dims)
+    e56 = rows[:, :at["into5"]].reshape(k, z, 2 * z)
+    into5 = rows[:, at["into5"]:at["amap"]].reshape(k, 2 * z, n)
+    amap = rows[:, at["amap"]:at["d"]].reshape(k, 2, 2 * z, n).swapaxes(0, 1)
+    d = rows[:, at["d"]:].reshape(k, 2, n, 2 * z).swapaxes(0, 1)
+    return {"into5": into5, "amap": amap, "d": d, "relay": amap[:, :, z:],
+            "e13": amap[0, :, :z, :a], "e15": into5[:, :z, :a],
+            "e24": amap[1, :, :z, n - b:], "e25": into5[:, z:, n - b:],
+            "e56": e56, "d3": d[0], "d4": d[1]}
+
+
+def _work(groups: list[tuple], dims) -> list[dict]:
+    """The work arrays of each group, given as (agnostic, members, factor
+    height, whether it multiplies by a psi other than I), as views of pools
+    that all groups share: a group needs its arrays only during its own turn
+    of a pass. cd (2, Bg, h, 2Z) holds C D, later M A^T; p holds P; s the
+    products (P psi) * P, later a dense R; q holds P psi, later M."""
+    n, _, _, z = dims
+    plans = []
+    for agnostic, count, h, weighted in groups:
+        thin = (2, count, h, n)
+        plan = {"cd": ("cd", (2, count, h, 2 * z)), "p": ("p", thin), "s": ("s", thin)}
+        if weighted:
+            plan["q"] = ("q", thin)
+        if agnostic:
+            plan["r"] = ("s", (2, count, n, n))
+            if weighted:
+                plan["m"] = ("q", (2, count, n, n))
+        plans.append(plan)
+    sizes: dict[str, int] = {}
+    for plan in plans:
+        for pool, shape in plan.values():
+            sizes[pool] = max(sizes.get(pool, 0), math.prod(shape))
+    pools = {pool: np.empty(size) for pool, size in sizes.items()}
+    return [{name: pools[pool][:math.prod(shape)].reshape(shape)
+             for name, (pool, shape) in plan.items()} for plan in plans]
 
 
 @dataclass
 class _Batch:
-    """Stacked state of a lockstep run; axis 0 runs over members, in job
-    order, and keeps every member to the end: one that diverges is retired
-    in place, as a zero code that no longer moves. Arrays of both sinks
-    carry the sink on a leading axis of 2 before the member axis."""
+    """Stacked state of a lockstep run. Axis 0 runs over members, sorted
+    into groups (contiguous slices of one factor height and descent kind),
+    and keeps every member to the end: one that diverges is retired in
+    place, as a zero code that no longer moves. Arrays of both sinks carry
+    the sink on a leading axis of 2 before the member axis. Every array a
+    pass writes is allocated here, once."""
 
     ids: np.ndarray                # job index of each member
-    mats: dict[str, np.ndarray]    # (B, rows, cols) per code matrix
-    d: np.ndarray                  # (2, B, n, 2Z); mats d3 and d4 are its halves
-    steps: dict[str, np.ndarray]   # (B, 1, 1): 2 * learning_rate, 0 if frozen
-    psi: np.ndarray | None         # (B, n, n); None when every psi is I
-    factors: np.ndarray            # (2, B, h, n) thin task factors C_i
-    agnostic: bool                 # members descend on the identity task
-    colour: np.ndarray | None      # (B, n, n) F with psi = F F^T, empirical only
-    rngs: list                     # batch streams, empirical gradient only
+    rows: np.ndarray               # (B, P) each member's code, laid out as in _offsets
+    grad: np.ndarray               # (B, P) descent directions, same layout
+    maps: dict[str, np.ndarray]    # _views of rows
+    dirs: dict[str, np.ndarray]    # _views of grad
+    off: tuple                     # views of grad outside the link blocks
+    first: np.ndarray              # (B,) column where each member's trained suffix starts
+    rate: np.ndarray               # (B,) 2 * learning_rate
+    runs: list                     # the update's views, see _runs
+    # per group of members that share a factor height and descent kind, one
+    # contiguous slice of the batch: agnostic (members descend on the
+    # identity task); psi, (Bg, n, n), or None when every psi is exactly I,
+    # as for every synthetic instance (x @ I == x bitwise for finite x, so
+    # skipping the product changes no result; it made a paper-scale sweep
+    # (n=32) a fifth faster); C (2, Bg, h, n), the thin task factors; d and A,
+    # its slices of the maps, and y and dd, their directions; loss (2, Bg);
+    # psi_step, its batch estimates of psi for the empirical gradient; the
+    # work arrays (_work); and transposes (Ct, dt, At, cdt) and a reshape (s2)
+    groups: list[dict]
+    relay: np.ndarray              # (B, Z, n) e56 @ into5, then the relay's direction
+    losses: np.ndarray             # (2, B) task losses of the last pass
+    # empirical gradient only: the F with psi = F F^T that colours each
+    # member's samples, (B, n, n); the members' batch streams; the noise and
+    # samples, (B, batch, n); and their psi estimates, (B, n, n)
+    samples: tuple
     trace: np.ndarray              # (B, epochs, 3)
     initial: np.ndarray            # (B,) total loss before the first update
-    bufs: tuple                    # link maps into5 (B, 2Z, n), A (2, B, 2Z, n)
 
 
 def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
     return instance.n, instance.a, instance.b, instance.z
 
 
+def _runs(bt: _Batch, live: np.ndarray) -> list:
+    """(rows, grad, rate) views for the update, one per stretch of live
+    members that train the same suffix of the row at the same rate."""
+    runs, lo = [], 0
+    while lo < len(live):
+        hi = lo + 1
+        if live[lo]:
+            while (hi < len(live) and live[hi] and bt.first[hi] == bt.first[lo]
+                   and bt.rate[hi] == bt.rate[lo]):
+                hi += 1
+            cols = slice(bt.first[lo], None)
+            runs.append((bt.rows[lo:hi, cols], bt.grad[lo:hi, cols], bt.rate[lo]))
+        lo = hi
+    return runs
+
+
 def _stack(jobs: list[TrainJob], started: list) -> _Batch:
-    """The batch of the started members, which share their factor height
-    and descent kind."""
-    ids = np.array([i for i, *_ in started])
-    members = [jobs[i] for i in ids]
-    n, _, _, z = _dims(members[0].instance)
-    config = members[0].config
-    psi = np.stack([_sym(job.instance.psi) for job in members])
-    empirical = config.gradient == "empirical_batch"
-    mats = {name: np.stack([m[name] for _, m, *_ in started])
-            for name in _MATRIX_FIELDS}
-    d = np.stack([mats["d3"], mats["d4"]])
-    mats["d3"], mats["d4"] = d
-    return _Batch(
-        ids=ids,
-        mats=mats,
-        d=d,
-        steps={name: np.array([2.0 * jobs[i].config.learning_rate
-                               if name in trainable else 0.0
-                               for i, _, trainable, *_ in started])[:, None, None]
-               for name in _MATRIX_FIELDS},
-        psi=None if np.all(psi == np.eye(n)) else psi,
-        factors=np.stack([f for *_, f in started], axis=1),
-        agnostic=config.mode == "task_agnostic_coding",
-        colour=np.stack([c for *_, c, _ in started]) if empirical else None,
-        rngs=[_philox(job.config.seed, _BATCH_STREAM) for job in members]
-        if empirical else [],
-        trace=np.zeros((len(ids), config.epochs, 3)),
-        initial=np.zeros(len(ids)),
-        bufs=(np.zeros((len(ids), 2 * z, n)), np.zeros((2, len(ids), 2 * z, n))),
-    )
-
-
-def _evaluate(bt: _Batch, dims):
-    """One residual pass: the link maps into5 and A_i, the thin residuals
-    P_i = C_i R_i = C_i - (C_i D_i) A_i of R_i = I - D_i A_i with their
-    products P_i psi, and the true task losses Tr(K_i R_i psi R_i^T K_i^T)
-    per member, (2, B), summed as (P psi) * P so that they stay accurate,
-    and nonnegative for psi = I, down to zero loss."""
-    into5, amap = bt.bufs
-    _encoder_maps(ButterflyCode(**bt.mats), *dims, out=(into5, *amap))
-    cd = bt.factors @ bt.d
-    p = bt.factors - cd @ amap
-    q = _times_psi(p, bt.psi)
-    return (into5, amap, cd, p, q), (q * p).reshape(2, len(bt.ids), -1).sum(axis=2)
-
-
-def _directions(bt: _Batch, ev, psi, dims) -> dict[str, np.ndarray]:
-    """Descent direction X = -grad / 2 of each matrix for the objective
-    sum_i Tr(F_i R_i psi R_i^T F_i^T), with F_i the task factor C_i, or I
-    for members that descend on the identity task (they keep R_i dense).
-    With M_i = F_i R_i psi, the link maps get (F_i D_i)^T M_i, chained
-    through the encoders, and the decoders F_i^T (M_i A_i^T)."""
+    """The batch of the started members, sorted into groups of one factor
+    height and descent kind, and within a group by trained suffix and rate,
+    so that the update's stretches are long. Empties `started` as it copies
+    each member in, so that no member's arrays outlive their copy."""
+    config = jobs[started[0][0]].config
+    dims = _dims(jobs[started[0][0]].instance)
     n, a, b, z = dims
-    into5, amap, cd, p, q = ev
-    if bt.agnostic:
-        fd, m = bt.d, _times_psi(np.eye(n) - bt.d @ amap, psi)
-        dd = m @ _t(amap)
+    at = _offsets(dims)
+
+    def key(member):
+        i, _, first, _, factors = member
+        return (factors.shape[1], jobs[i].config.mode == "task_agnostic_coding",
+                -at[first], jobs[i].config.learning_rate)
+
+    started.sort(key=key)
+    count = len(started)
+    keys = [key(member)[:2] for member in started]
+    cuts = [j for j in range(1, count) if keys[j] != keys[j - 1]]
+    bounds = list(zip([0, *cuts], [*cuts, count]))
+    ids = np.array([i for i, *_ in started])
+    sampled = config.gradient == "empirical_batch"
+    rows = np.zeros((count, at["end"]))
+    maps = _views(rows, dims)
+    factors = [np.empty((2, hi - lo, keys[lo][0], n)) for lo, hi in bounds]
+    colour = np.empty((count, n, n)) if sampled else None
+    first, rate = np.empty(count, dtype=int), np.empty(count)
+    for (lo, hi), c in zip(bounds, factors):
+        for j in range(lo, hi):
+            i, mats, block, col, c[:, j - lo] = started[j]   # the factors go to c
+            started[j] = None
+            for name in _MATRIX_FIELDS:
+                maps[name][j] = mats[name]
+            first[j], rate[j] = at[block], 2.0 * jobs[i].config.learning_rate
+            if sampled:
+                colour[j] = col
+    eye = np.eye(n)
+    groups, plans = [], []
+    for (lo, hi), c in zip(bounds, factors):
+        psis = [jobs[i].instance.psi for i in ids[lo:hi]]
+        identity = all(np.all(_sym(psi) == eye) for psi in psis)
+        groups.append({"agnostic": keys[lo][1], "C": c,
+                       "psi": None if identity else np.stack([_sym(psi) for psi in psis])})
+        plans.append((keys[lo][1], hi - lo, keys[lo][0], sampled or not identity))
+    grad = np.zeros_like(rows)
+    dirs = _views(grad, dims)
+    losses = np.empty((2, count))
+    samples = (colour, [_philox(jobs[i].config.seed, _BATCH_STREAM) for i in ids],
+               np.empty((count, config.batch_size, n)),
+               np.empty((count, config.batch_size, n)),
+               np.empty((count, n, n))) if sampled else ()
+    for v, arrays, (lo, hi) in zip(groups, _work(plans, dims), bounds):
+        members = slice(lo, hi)
+        v.update(arrays, d=maps["d"][:, members], A=maps["amap"][:, members],
+                 y=dirs["amap"][:, members], dd=dirs["d"][:, members],
+                 loss=losses[:, members], eye=eye)
+        v.update(Ct=_t(v["C"]), dt=_t(v["d"]), At=_t(v["A"]), cdt=_t(v["cd"]),
+                 s2=v["s"].reshape(2, hi - lo, -1))
+        if sampled:
+            v["psi_step"] = samples[4][members]
+    maps.update(e56t=_t(maps["e56"]), into5t=_t(maps["into5"]))
+    bt = _Batch(
+        ids=ids,
+        rows=rows,
+        grad=grad,
+        maps=maps,
+        dirs=dirs,
+        off=(dirs["into5"][:, :z, a:], dirs["into5"][:, z:, :n - b],
+             dirs["amap"][0, :, :z, a:], dirs["amap"][1, :, :z, :n - b]),
+        first=first,
+        rate=rate,
+        runs=[],
+        groups=groups,
+        relay=np.empty((count, z, n)),
+        losses=losses,
+        samples=samples,
+        trace=np.zeros((count, config.epochs, 3)),
+        initial=np.zeros(count),
+    )
+    bt.runs = _runs(bt, np.ones(count, dtype=bool))
+    return bt
+
+
+def _evaluate(bt: _Batch, directions: bool = False) -> np.ndarray:
+    """One residual pass; returns the true task losses Tr(K_i R_i psi R_i^T
+    K_i^T) per member, (2, B). It completes the encoder maps A_i (their
+    relay rows are e56 @ into5), then, group by group, forms the thin
+    residuals P_i = C_i R_i = C_i - (C_i D_i) A_i of R_i = I - D_i A_i with
+    their products P_i psi, and sums the losses as (P psi) * P so that they
+    stay accurate, and nonnegative for psi = I, down to zero loss. With
+    `directions` it also writes the descent directions into bt.grad."""
+    maps, dirs = bt.maps, bt.dirs
+    np.matmul(maps["e56"], maps["into5"], out=bt.relay)
+    np.copyto(maps["relay"], bt.relay)
+    for v in bt.groups:
+        np.matmul(v["C"], v["d"], out=v["cd"])
+        np.matmul(v["cd"], v["A"], out=v["p"])
+        np.subtract(v["C"], v["p"], out=v["p"])
+        q = v["p"] if v["psi"] is None else np.matmul(v["p"], v["psi"], out=v["q"])
+        np.multiply(q, v["p"], out=v["s"])
+        np.add.reduce(v["s2"], axis=2, out=v["loss"])
+        if directions:
+            _directions(v, q)
+    if directions:
+        # the sink maps' relay rows, chained through the encoders
+        np.add(dirs["relay"][0], dirs["relay"][1], out=bt.relay)
+        np.matmul(maps["e56t"], bt.relay, out=dirs["into5"])
+        np.matmul(bt.relay, maps["into5t"], out=dirs["e56"])
+        for block in bt.off:
+            block.fill(0.0)
+    return bt.losses
+
+
+def _directions(v: dict, q: np.ndarray) -> None:
+    """Descent directions X = -grad / 2 of one group's sink maps and decoders
+    for the objective sum_i Tr(F_i R_i psi R_i^T F_i^T), with F_i the task
+    factor C_i, or I for members that descend on the identity task (they
+    keep R_i dense), and psi the batch estimate for the empirical gradient.
+    With M_i = F_i R_i psi, the sink maps get (F_i D_i)^T M_i and the
+    decoders F_i^T (M_i A_i^T)."""
+    psi = v.get("psi_step", v["psi"])
+    if v["agnostic"]:
+        np.matmul(v["d"], v["A"], out=v["r"])
+        np.subtract(v["eye"], v["r"], out=v["r"])
+        m = v["r"] if psi is None else np.matmul(v["r"], psi, out=v["m"])
+        np.matmul(m, v["At"], out=v["dd"])
+        np.matmul(v["dt"], m, out=v["y"])
     else:
         # the exact gradient reuses the loss pass's P psi
-        fd, m = cd, q if psi is bt.psi else _times_psi(p, psi)
-        dd = _t(bt.factors) @ (m @ _t(amap))
-    y = _t(fd) @ m
-    relay = y[0, :, z:] + y[1, :, z:]
-    into = _t(bt.mats["e56"]) @ relay
-    return {
-        "e13": y[0, :, :z, :a],
-        "e15": into[..., :z, :a],
-        "e24": y[1, :, :z, n - b:],
-        "e25": into[..., z:, n - b:],
-        "e56": relay @ _t(into5),
-        "d3": dd[0],
-        "d4": dd[1],
-    }
+        m = q if psi is v["psi"] else np.matmul(v["p"], psi, out=v["q"])
+        np.matmul(v["cdt"], m, out=v["y"])
+        np.matmul(m, v["At"], out=v["cd"])
+        np.matmul(v["Ct"], v["cd"], out=v["dd"])
 
 
-def _descend(bt: _Batch, dims, epochs: int, batch_size: int, out: list) -> None:
+def _sample_psi(bt: _Batch, batch_size: int) -> None:
+    """Each member's batch estimate of psi, from its own stream."""
+    colour, rngs, noise, x, psi = bt.samples
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=noise[j])
+    np.matmul(noise, _t(colour), out=x)
+    np.matmul(_t(x), x, out=psi)
+    psi /= batch_size
+
+
+def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
     """Plain simultaneous gradient descent on every member at once. Pass t
     evaluates the code after t updates: its losses are the trace row of
     epoch t-1 and its residuals give the gradient of epoch t, so a run makes
     epochs + 1 residual passes. A member that diverges is retired in place:
-    its error goes to `out`, its matrices and steps to zero, and the pass is
-    rerun so that its residuals are finite again."""
-    # matrices no member trains (the encoders of a coding_benchmark batch)
-    # skip the zero update
-    moving = [name for name in _MATRIX_FIELDS if bt.steps[name].any()]
-    noise = None
-    if bt.colour is not None:
-        noise = np.empty((len(bt.ids), batch_size, dims[0]))
+    its error goes to `out`, its row to zero, and the pass is rerun so that
+    its residuals are finite again."""
     live = np.ones(len(bt.ids), dtype=bool)
     for t in range(epochs + 1):
-        ev, (l3, l4) = _evaluate(bt, dims)
-        total = l3 + l4
+        descend = t < epochs
+        if bt.samples and descend:
+            _sample_psi(bt, batch_size)
+        losses = _evaluate(bt, descend)
         if t == 0:
-            bt.initial = total
+            bt.initial = losses[0] + losses[1]
         else:
-            bt.trace[:, t - 1] = np.stack([l3, l4, total], axis=1)
+            row = bt.trace[:, t - 1]
+            row[:, :2] = losses.T
+            total = np.add(losses[0], losses[1], out=row[:, 2])
             failed = live & (~np.isfinite(total) | (total > 10.0 * bt.initial))
             if failed.any():
                 for j in np.flatnonzero(failed):
@@ -366,28 +518,21 @@ def _descend(bt: _Batch, dims, epochs: int, batch_size: int, out: list) -> None:
                         f"L_total={float(total[j]):.6g} exceeded 10x initial "
                         f"{float(bt.initial[j]):.6g} at epoch {t - 1}; "
                         f"reduce learning_rate")
-                for name in _MATRIX_FIELDS:
-                    bt.mats[name][failed] = 0.0
-                    bt.steps[name][failed] = 0.0
+                bt.rows[failed] = 0.0
                 live &= ~failed
                 if not live.any():
                     return
+                bt.runs = _runs(bt, live)
                 # the retired members' residuals are those of a zero code now
-                ev, _ = _evaluate(bt, dims)
-        if t == epochs:
+                _evaluate(bt, descend)
+        if not descend:
             break
-        psi_step = bt.psi
-        if noise is not None:
-            for j, rng in enumerate(bt.rngs):
-                rng.standard_normal(out=noise[j])
-            x = noise @ _t(bt.colour)
-            psi_step = _t(x) @ x / batch_size
-        step = _directions(bt, ev, psi_step, dims)
-        for name in moving:
-            bt.mats[name] += bt.steps[name] * step[name]
+        for rows, grad, rate in bt.runs:
+            np.multiply(grad, rate, out=grad)
+            rows += grad
     for j in np.flatnonzero(live):
-        code = ButterflyCode(**{name: bt.mats[name][j].copy() for name in _MATRIX_FIELDS})
-        out[bt.ids[j]] = (code, bt.trace[j].copy())
+        code = ButterflyCode(**{name: bt.maps[name][j].copy() for name in _MATRIX_FIELDS})
+        out[bt.ids[j]] = (code, bt.trace[j])
 
 
 def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -398,10 +543,11 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     learning rates may differ. Returns one entry per job, in order: the
     (code, trace) pair `train` would return, or the exception that stopped
     that job alone -- DivergenceDetected, or an error building its start
-    point. Members step in sub-batches keyed by what each one fixes alone,
-    its task factor height and whether it descends on the identity task, so
-    each member's arithmetic is the same as when it trains alone, and its
-    result does not depend on the rest of the batch.
+    point. One epoch loop steps every member: each pass forms the encoder
+    maps, the relay chain and the update for the whole batch, and the
+    residual products per group of members that share a task factor height
+    and descent kind, so each member's arithmetic is the same as when it
+    trains alone, and its result does not depend on the rest of the batch.
     """
     jobs = list(jobs)
     out: list = [None] * len(jobs)
@@ -416,18 +562,16 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
                              f"got {_dims(job.instance)}")
         if tuple(getattr(job.config, key) for key in shared) != first:
             raise ValueError(f"lockstep jobs must share {shared}")
-    groups: dict[tuple, list] = {}
+    started = []
     for i, job in enumerate(jobs):
         try:
-            started = (i, *_start(job, tol))
+            started.append((i, *_start(job, tol)))
         except _MEMBER_ERRORS as exc:
             out[i] = exc
-            continue
-        key = (started[-1].shape[1], job.config.mode == "task_agnostic_coding")
-        groups.setdefault(key, []).append(started)
-    for started in groups.values():
-        _descend(_stack(jobs, started), dims, jobs[0].config.epochs,
-                 jobs[0].config.batch_size, out)
+    if started:
+        batch = _stack(jobs, started)
+        del started
+        _descend(batch, jobs[0].config.epochs, jobs[0].config.batch_size, out)
     return out
 
 
@@ -448,14 +592,12 @@ def _single(mats, k3, k4, psi, dims) -> _Batch:
     n, a, b, z = dims
     job = TrainJob(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4),
                    TrainConfig(epochs=1))
-    mats = {name: np.asarray(mats[name], dtype=float) for name in _MATRIX_FIELDS}
-    return _stack([job], [(0, mats, set(_MATRIX_FIELDS), None, _factors(k3, k4, n))])
+    return _stack([job], [(0, mats, "e56", None, _factors(k3, k4, n))])
 
 
 def _true_losses(mats, k3, k4, psi, n, a, b, z) -> tuple[float, float]:
     """(L3, L4) of one code, as the kernel reads them."""
-    dims = (n, a, b, z)
-    _, (l3, l4) = _evaluate(_single(mats, k3, k4, psi, dims), dims)
+    l3, l4 = _evaluate(_single(mats, k3, k4, psi, (n, a, b, z)))
     return float(l3[0]), float(l4[0])
 
 
@@ -463,11 +605,9 @@ def _gradients(mats, c3, c4, psi, n, a, b, z) -> dict[str, np.ndarray]:
     """Gradient of Tr(C3 R3 psi R3' C3') + Tr(C4 R4 psi R4' C4') for one
     code, as the kernel computes it; any C_i with the task's Gram will do,
     such as the task matrix itself."""
-    dims = (n, a, b, z)
-    bt = _single(mats, c3, c4, psi, dims)
-    ev, _ = _evaluate(bt, dims)
-    step = _directions(bt, ev, bt.psi, dims)
-    return {name: -2.0 * step[name][0] for name in _MATRIX_FIELDS}
+    bt = _single(mats, c3, c4, psi, (n, a, b, z))
+    _evaluate(bt, directions=True)
+    return {name: -2.0 * bt.dirs[name][0] for name in _MATRIX_FIELDS}
 
 
 def export_trace_csv(trace: np.ndarray, path) -> None:

@@ -86,6 +86,25 @@ class TestValidate:
         with pytest.raises(BadDimensions, match=f"{field} must be an array of real numbers"):
             validate(replace(simple_instance(), **{field: k}))
 
+    @pytest.mark.parametrize("field", ["psi", "k3", "k4"])
+    @pytest.mark.parametrize("bad", ["1", "1e0", True, False, np.True_, None])
+    def test_string_or_boolean_entry_rejected(self, field, bad):
+        # numpy reads each of these as a number
+        k = np.eye(3).tolist()
+        k[1][2] = bad
+        with pytest.raises(BadDimensions, match=f"{field} must be an array of real numbers"):
+            validate(replace(simple_instance(), **{field: k}))
+
+    @pytest.mark.parametrize("dtype", [bool, str])
+    def test_non_numeric_array_rejected(self, dtype):
+        with pytest.raises(BadDimensions, match="k3 must be an array of real numbers"):
+            validate(replace(simple_instance(), k3=np.eye(3).astype(int).astype(dtype)))
+
+    def test_numeric_entries_of_any_kind_accepted(self):
+        k = [[1, np.int64(0), 0.0], [np.float32(0.5), 2**70, 0], [0, 0, np.uint8(1)]]
+        inst = validate(replace(simple_instance(), k3=k))
+        assert inst.k3.dtype == float and inst.k3[1, 1] == 2.0**70
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_rejected(self, bad):
         psi = np.eye(3)
@@ -326,6 +345,21 @@ class TestSerialization:
         doc = json.loads(instance_to_json(simple_instance()))
         del doc["k4"]
         with pytest.raises(BadDimensions):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value", [
+        ("psi", [["1", 0], [0, "1e0"]]),
+        ("k4", [[0, True]]),
+        ("psi", [[1.5, 0], [0, True]]),
+        ("k3", [[1, None]]),
+    ])
+    def test_entries_read_as_numbers_rejected(self, field, value):
+        # a JSON true inside a list of numbers becomes 1 in a numpy array
+        import json
+        doc = json.loads(instance_to_json(simple_instance(n=2, a=2, b=2, k3=[[1, 0]],
+                                                          k4=[[0, 1]])))
+        doc[field] = value
+        with pytest.raises(BadDimensions, match=f"{field} must be an array of real numbers"):
             instance_from_json(json.dumps(doc))
 
     def test_covariance_from_samples(self):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -432,6 +433,47 @@ class TestLockstep:
         assert str(results[1]) == str(alone.value)
         assert_same_run(results[0], train(insts[0], calm))
         assert_same_run(results[2], train(insts[1], calm))
+
+    @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
+    def test_diverging_member_beside_other_groups(self, gradient):
+        # a task_agnostic_coding member that diverges shares every pass with
+        # task-aware members whose task factors have other heights
+        insts = same_dims_instances(np.random.default_rng(28), 3,
+                                    rows=[(4, 2), (1, 1), (3, 1)])
+        wild = TrainJob(insts[0], TrainConfig(epochs=60, learning_rate=80.0, seed=1,
+                                              mode="task_agnostic_coding",
+                                              gradient=gradient, batch_size=16))
+        jobs = [wild] + [TrainJob(inst, TrainConfig(epochs=60, learning_rate=0.02, seed=s,
+                                                    mode=mode, gradient=gradient,
+                                                    batch_size=16))
+                         for s, inst in enumerate(insts) for mode in MODES
+                         if (s, mode) != (0, "task_agnostic_coding")]
+        results = train_lockstep(jobs)
+        with pytest.raises(DivergenceDetected) as alone:
+            train(wild.instance, wild.config)
+        assert isinstance(results[0], DivergenceDetected)
+        assert str(results[0]) == str(alone.value)
+        for job, got in zip(jobs[1:], results[1:]):
+            assert_same_run(got, train(job.instance, job.config))
+
+    def test_one_epoch_loop_for_all_groups(self, monkeypatch):
+        # four modes on two factor heights: four groups, one residual pass
+        # per epoch for all of them, and one more per epoch that retires
+        # members (eight members diverge, two of them in the same epoch)
+        kernel = sys.modules["butterfly_coding.train"]
+        passes = []
+        evaluate = kernel._evaluate
+        monkeypatch.setattr(kernel, "_evaluate",
+                            lambda *args, **kwargs: passes.append(1) or evaluate(*args, **kwargs))
+        insts = same_dims_instances(np.random.default_rng(30), 2, rows=[(2, 2), (4, 1)])
+        epochs = 25
+        jobs = [TrainJob(inst, TrainConfig(epochs=epochs, learning_rate=lr, seed=s, mode=mode))
+                for s, inst in enumerate(insts) for mode in MODES for lr in (0.02, 1.5)]
+        results = train_lockstep(jobs)
+        retired = [str(r).split(" at epoch ")[1] for r in results
+                   if isinstance(r, DivergenceDetected)]
+        assert len(retired) == len(jobs) // 2 > len(set(retired)) > 1
+        assert len(passes) == epochs + 1 + len(set(retired))
 
     def test_every_member_diverging(self):
         insts = same_dims_instances(np.random.default_rng(26), 3)
