@@ -316,9 +316,9 @@ class _TrainBlock(TrainConfig):
 
 # Cap on the members trained at once, counted as 8 n^2 bytes, one n x n
 # float64 matrix, per member. A member's working set grows as n^2 and is
-# about nine such matrices on a synthetic instance (Z = n/4, h = n/2 task
-# rows): its code row and direction row, 2.6 n^2 floats each, and its task
-# factors and thin residual work arrays, (2, h, n) = n^2 floats each.
+# about twelve such matrices on a synthetic instance (Z = n/4, h = n/2 task
+# rows): its code row, direction row and step row, 2.6 n^2 floats each, and
+# its task factors and thin residual work arrays, (2, h, n) = n^2 floats each.
 # Batching pays while per-call overhead dominates an epoch and stops paying
 # once a batch outgrows the cache: measured on one thread of a 2-vCPU Xeon
 # (the four modes in turn, best of 5 runs), the per-member epoch time at

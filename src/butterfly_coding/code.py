@@ -46,14 +46,41 @@ class CodeSpans:
 _MATRIX_FIELDS = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
 
 
+def _offsets(dims) -> dict[str, int]:
+    """Where each block of a code's row [e56 | into5 | A3 A4 | d3 d4] starts,
+    and its length as "end"."""
+    n, _, _, z = dims
+    into5 = 2 * z * z
+    amap = into5 + 2 * z * n
+    d = amap + 4 * z * n
+    return {"e56": 0, "into5": into5, "amap": amap, "d": d, "end": d + 4 * z * n}
+
+
+def _views(rows: np.ndarray, dims) -> dict[str, np.ndarray]:
+    """Named views of (B, P) code rows laid out as in _offsets: the encoder
+    maps into5 (B, 2Z, n) and A (2, B, 2Z, n), the decoders d (2, B, n, 2Z),
+    and each code matrix at its place in them (e13 = A3[:Z, :a], e15 =
+    into5[:Z, :a], ...). into5 stacks the two links into node 5, and A_i
+    stacks sink i's direct block on the relay block. Entries of the maps
+    outside the link blocks are not parameters, and A's relay rows
+    ("relay") are e56 @ into5."""
+    n, a, b, z = dims
+    k, at = len(rows), _offsets(dims)
+    e56 = rows[:, :at["into5"]].reshape(k, z, 2 * z)
+    into5 = rows[:, at["into5"]:at["amap"]].reshape(k, 2 * z, n)
+    amap = rows[:, at["amap"]:at["d"]].reshape(k, 2, 2 * z, n).swapaxes(0, 1)
+    d = rows[:, at["d"]:].reshape(k, 2, n, 2 * z).swapaxes(0, 1)
+    return {"into5": into5, "amap": amap, "d": d, "relay": amap[:, :, z:],
+            "e13": amap[0, :, :z, :a], "e15": into5[:, :z, :a],
+            "e24": amap[1, :, :z, n - b:], "e25": into5[:, z:, n - b:],
+            "e56": e56, "d3": d[0], "d4": d[1]}
+
+
 def _field_shapes(n: int, a: int, b: int, z: int) -> dict[str, tuple[int, int]]:
     """Shape of each ButterflyCode matrix, in _MATRIX_FIELDS order."""
-    return {
-        "e13": (z, a), "e15": (z, a),
-        "e24": (z, b), "e25": (z, b),
-        "e56": (z, 2 * z),
-        "d3": (n, 2 * z), "d4": (n, 2 * z),
-    }
+    dims = (n, a, b, z)
+    views = _views(np.empty((1, _offsets(dims)["end"])), dims)
+    return {name: views[name].shape[1:] for name in _MATRIX_FIELDS}
 
 
 def check_code_shapes(code: ButterflyCode, instance: ProblemInstance):
@@ -66,20 +93,16 @@ def check_code_shapes(code: ButterflyCode, instance: ProblemInstance):
             raise BadDimensions(f"{name} contains non-finite entries")
 
 
-def _encoder_maps(code: ButterflyCode, n: int, a: int, b: int, z: int):
-    """Relay input map and aggregated per-sink encoder maps acting on x.
-
-    Returns (into5, A3, A4), each 2Z x n: into5 stacks the two links into
-    node 5, and A_i stacks sink i's direct block on the relay block.
-    """
-    into5, a3, a4 = np.zeros((2 * z, n)), np.zeros((2 * z, n)), np.zeros((2 * z, n))
-    into5[:z, :a] = code.e15
-    into5[z:, n - b :] = code.e25
-    a3[:z, :a] = code.e13
-    a4[:z, n - b :] = code.e24
-    np.matmul(code.e56, into5, out=a3[z:])
-    a4[z:] = a3[z:]
-    return into5, a3, a4
+def _encoder_maps(code: ButterflyCode, instance: ProblemInstance) -> dict[str, np.ndarray]:
+    """The code's encoders written into one row laid out as in _offsets, as
+    its _views, with A's relay rows filled in; the decoder block stays zero."""
+    dims = (instance.n, instance.a, instance.b, instance.z)
+    maps = _views(np.zeros((1, _offsets(dims)["end"])), dims)
+    for name in ("e13", "e15", "e24", "e25", "e56"):
+        maps[name][0] = getattr(code, name)
+    np.matmul(code.e56, maps["into5"][0], out=maps["relay"][0, 0])
+    maps["relay"][1, 0] = maps["relay"][0, 0]
+    return maps
 
 
 def exact_loss(code: ButterflyCode, instance: ProblemInstance):
@@ -88,7 +111,7 @@ def exact_loss(code: ButterflyCode, instance: ProblemInstance):
     L_i = Tr(K_i (I - D_i A_i) psi (I - D_i A_i)^T K_i^T), which only needs the
     covariance, so singular psi is fine.
     """
-    _, a3, a4 = _encoder_maps(code, instance.n, instance.a, instance.b, instance.z)
+    a3, a4 = _encoder_maps(code, instance)["amap"][:, 0]
     eye = np.eye(instance.n)
     m3 = instance.k3 @ (eye - code.d3 @ a3)
     m4 = instance.k4 @ (eye - code.d4 @ a4)
@@ -104,9 +127,8 @@ def optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
     D = psi A^T pinv(A psi A^T) zeroes the loss gradient for every task matrix
     simultaneously; the pseudo-inverse handles rank-deficient encoders.
     """
-    _, a3, a4 = _encoder_maps(code, instance.n, instance.a, instance.b, instance.z)
     out = []
-    for am in (a3, a4):
+    for am in _encoder_maps(code, instance)["amap"][:, 0]:
         gram = am @ instance.psi @ am.T
         out.append(instance.psi @ am.T @ np.linalg.pinv(gram, rcond=tol.rank_tol, hermitian=True))
     return out[0], out[1]

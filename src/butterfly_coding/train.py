@@ -10,23 +10,24 @@ One batched kernel does all training: every array carries a leading member
 axis, so the runs of a whole sweep step in lockstep (`train_lockstep`), and
 `train` is the batch of one; the two sinks' arrays stack on one more leading
 axis, so each product serves both. Each member's code is one row of a
-preallocated array, laid out so that its matrices are views into the
-encoder maps the products need. The kernel works on each task's thin factor
-C, the R of a QR of K (min(rows, n) x n), and never forms the n x n residual
-R = I - DA: ||K R||^2 = ||C R||^2 = ||C - (C D) A||^2. Members that descend
-on the identity task keep R dense. One epoch loop steps the whole batch: the
-encoder maps, the relay chain, the trace, the divergence check and the
-update run once over all members, and the residual products once per group
-of members that share a factor height and descent kind. The batch keeps its
-shape for the whole run: a member that diverges is retired in place and
-comes back as its error. Members never mix, so each one's arithmetic, and
-result, is the same in any batch.
+preallocated array, in code.py's layout (`_offsets`), so that its
+matrices are views into the encoder maps the products need. The kernel
+works on each task's thin factor C, the R of a QR of K (min(rows, n) x n),
+and never forms the n x n residual R = I - DA: ||K R||^2 = ||C R||^2 =
+||C - (C D) A||^2. Members that descend on the identity task keep R dense.
+One epoch loop steps the whole batch: the encoder maps, the relay chain, the
+trace, the divergence check and the update run once over all members, and
+the residual products once per group of members that share a factor height
+and descent kind. The update is one masked multiply-add over the batch:
+each member's step is 2 * learning_rate on the matrices its mode trains and
+0 elsewhere. The batch keeps its shape for the whole run: a member that
+diverges is retired in place and comes back as its error. Members never
+mix, so each one's arithmetic, and result, is the same in any batch.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ from .code import (
     ButterflyCode,
     CodeSpans,
     _field_shapes,
+    _offsets,
+    _views,
     check_code_shapes,
     realize_spans,
 )
@@ -207,9 +210,9 @@ def _factors(k3, k4, n: int) -> np.ndarray:
 
 
 def _start(job: TrainJob, tol: ToleranceConfig):
-    """A member's starting matrices, the first block of its row that it
-    trains (see _offsets), for the empirical gradient the factor F with
-    psi = F F^T that colours its sample batches, and its task factors."""
+    """A member's starting matrices, the names of those it trains, for the
+    empirical gradient the factor F with psi = F F^T that colours its sample
+    batches, and its task factors."""
     instance, config = job.instance, job.config
     if job.init is None:
         init = init_code(instance, config.seed, config.init_scale)
@@ -217,76 +220,38 @@ def _start(job: TrainJob, tol: ToleranceConfig):
         check_code_shapes(job.init, instance)
         init = job.init
     mats = {name: np.asarray(getattr(init, name), dtype=float) for name in _MATRIX_FIELDS}
-    first = "e56"
+    trained = _MATRIX_FIELDS
     if config.mode == "task_aware_no_coding":
         mats["e56"] = _selection_e56(instance.z)
-        first = "into5"
+        trained = tuple(name for name in _MATRIX_FIELDS if name != "e56")
     elif config.mode == "coding_benchmark":
         bench = greedy_benchmark_code(instance, tol)
         for name in ("e13", "e15", "e24", "e25", "e56"):
             mats[name] = np.asarray(getattr(bench, name), dtype=float)
-        first = "d"
+        trained = ("d3", "d4")
     colour = None
     if config.gradient == "empirical_batch":
         w, v = np.linalg.eigh(_sym(instance.psi))
         colour = v * np.sqrt(np.clip(w, 0.0, None))
-    return mats, first, colour, _factors(instance.k3, instance.k4, instance.n)
+    return mats, trained, colour, _factors(instance.k3, instance.k4, instance.n)
 
 
-def _offsets(dims) -> dict[str, int]:
-    """Where each block of a member's row [e56 | into5 | A3 A4 | d3 d4]
-    starts, and its length as "end". Every mode trains a suffix of the row:
-    all of it, all but e56, or the decoders."""
+def _work(agnostic: bool, count: int, h: int, weighted: bool, dims) -> dict:
+    """The work arrays of one group of `count` members, of factor height h,
+    that multiplies by a psi other than I if `weighted`: cd (2, Bg, h, 2Z)
+    holds C D, later M A^T; p holds P; s the products (P psi) * P; q holds
+    P psi, later M; and for members that descend on the identity task, r a
+    dense R and m its M."""
     n, _, _, z = dims
-    into5 = 2 * z * z
-    amap = into5 + 2 * z * n
-    d = amap + 4 * z * n
-    return {"e56": 0, "into5": into5, "amap": amap, "d": d, "end": d + 4 * z * n}
-
-
-def _views(rows: np.ndarray, dims) -> dict[str, np.ndarray]:
-    """Named views of (B, P) member rows laid out as in _offsets: the encoder
-    maps into5 (B, 2Z, n) and A (2, B, 2Z, n), the decoders d (2, B, n, 2Z),
-    and each code matrix at its place in them (e13 = A3[:Z, :a], e15 =
-    into5[:Z, :a], ...). Entries of the maps outside the link blocks are not
-    parameters, and A's relay rows ("relay") are e56 @ into5."""
-    n, a, b, z = dims
-    k, at = len(rows), _offsets(dims)
-    e56 = rows[:, :at["into5"]].reshape(k, z, 2 * z)
-    into5 = rows[:, at["into5"]:at["amap"]].reshape(k, 2 * z, n)
-    amap = rows[:, at["amap"]:at["d"]].reshape(k, 2, 2 * z, n).swapaxes(0, 1)
-    d = rows[:, at["d"]:].reshape(k, 2, n, 2 * z).swapaxes(0, 1)
-    return {"into5": into5, "amap": amap, "d": d, "relay": amap[:, :, z:],
-            "e13": amap[0, :, :z, :a], "e15": into5[:, :z, :a],
-            "e24": amap[1, :, :z, n - b:], "e25": into5[:, z:, n - b:],
-            "e56": e56, "d3": d[0], "d4": d[1]}
-
-
-def _work(groups: list[tuple], dims) -> list[dict]:
-    """The work arrays of each group, given as (agnostic, members, factor
-    height, whether it multiplies by a psi other than I), as views of pools
-    that all groups share: a group needs its arrays only during its own turn
-    of a pass. cd (2, Bg, h, 2Z) holds C D, later M A^T; p holds P; s the
-    products (P psi) * P, later a dense R; q holds P psi, later M."""
-    n, _, _, z = dims
-    plans = []
-    for agnostic, count, h, weighted in groups:
-        thin = (2, count, h, n)
-        plan = {"cd": ("cd", (2, count, h, 2 * z)), "p": ("p", thin), "s": ("s", thin)}
+    thin = (2, count, h, n)
+    work = {"cd": np.empty((2, count, h, 2 * z)), "p": np.empty(thin), "s": np.empty(thin)}
+    if weighted:
+        work["q"] = np.empty(thin)
+    if agnostic:
+        work["r"] = np.empty((2, count, n, n))
         if weighted:
-            plan["q"] = ("q", thin)
-        if agnostic:
-            plan["r"] = ("s", (2, count, n, n))
-            if weighted:
-                plan["m"] = ("q", (2, count, n, n))
-        plans.append(plan)
-    sizes: dict[str, int] = {}
-    for plan in plans:
-        for pool, shape in plan.values():
-            sizes[pool] = max(sizes.get(pool, 0), math.prod(shape))
-    pools = {pool: np.empty(size) for pool, size in sizes.items()}
-    return [{name: pools[pool][:math.prod(shape)].reshape(shape)
-             for name, (pool, shape) in plan.items()} for plan in plans]
+            work["m"] = np.empty((2, count, n, n))
+    return work
 
 
 @dataclass
@@ -301,12 +266,12 @@ class _Batch:
     ids: np.ndarray                # job index of each member
     rows: np.ndarray               # (B, P) each member's code, laid out as in _offsets
     grad: np.ndarray               # (B, P) descent directions, same layout
+    # (B, P) 2 * learning_rate where a member's trained matrices sit, 0
+    # elsewhere: outside the link blocks, on A's relay rows, on the
+    # matrices its mode freezes and on a retired member's row
+    step: np.ndarray
     maps: dict[str, np.ndarray]    # _views of rows
     dirs: dict[str, np.ndarray]    # _views of grad
-    off: tuple                     # views of grad outside the link blocks
-    first: np.ndarray              # (B,) column where each member's trained suffix starts
-    rate: np.ndarray               # (B,) 2 * learning_rate
-    runs: list                     # the update's views, see _runs
     # per group of members that share a factor height and descent kind, one
     # contiguous slice of the batch: agnostic (members descend on the
     # identity task); psi, (Bg, n, n), or None when every psi is exactly I,
@@ -331,66 +296,40 @@ def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
     return instance.n, instance.a, instance.b, instance.z
 
 
-def _runs(bt: _Batch, live: np.ndarray) -> list:
-    """(rows, grad, rate) views for the update, one per stretch of live
-    members that train the same suffix of the row at the same rate."""
-    runs, lo = [], 0
-    while lo < len(live):
-        hi = lo + 1
-        if live[lo]:
-            while (hi < len(live) and live[hi] and bt.first[hi] == bt.first[lo]
-                   and bt.rate[hi] == bt.rate[lo]):
-                hi += 1
-            cols = slice(bt.first[lo], None)
-            runs.append((bt.rows[lo:hi, cols], bt.grad[lo:hi, cols], bt.rate[lo]))
-        lo = hi
-    return runs
-
-
 def _stack(jobs: list[TrainJob], started: list) -> _Batch:
     """The batch of the started members, sorted into groups of one factor
-    height and descent kind, and within a group by trained suffix and rate,
-    so that the update's stretches are long. Empties `started` as it copies
-    each member in, so that no member's arrays outlive their copy."""
+    height and descent kind. Empties `started` as it copies each member in,
+    so that no member's arrays outlive their copy."""
     config = jobs[started[0][0]].config
     dims = _dims(jobs[started[0][0]].instance)
-    n, a, b, z = dims
-    at = _offsets(dims)
+    n, _, _, z = dims
 
     def key(member):
-        i, _, first, _, factors = member
-        return (factors.shape[1], jobs[i].config.mode == "task_agnostic_coding",
-                -at[first], jobs[i].config.learning_rate)
+        i, *_, factors = member
+        return factors.shape[1], jobs[i].config.mode == "task_agnostic_coding"
 
     started.sort(key=key)
     count = len(started)
-    keys = [key(member)[:2] for member in started]
+    keys = [key(member) for member in started]
     cuts = [j for j in range(1, count) if keys[j] != keys[j - 1]]
     bounds = list(zip([0, *cuts], [*cuts, count]))
     ids = np.array([i for i, *_ in started])
     sampled = config.gradient == "empirical_batch"
-    rows = np.zeros((count, at["end"]))
-    maps = _views(rows, dims)
+    rows = np.zeros((count, _offsets(dims)["end"]))
+    step = np.zeros_like(rows)
+    maps, steps = _views(rows, dims), _views(step, dims)
     factors = [np.empty((2, hi - lo, keys[lo][0], n)) for lo, hi in bounds]
     colour = np.empty((count, n, n)) if sampled else None
-    first, rate = np.empty(count, dtype=int), np.empty(count)
     for (lo, hi), c in zip(bounds, factors):
         for j in range(lo, hi):
-            i, mats, block, col, c[:, j - lo] = started[j]   # the factors go to c
+            i, mats, trained, col, c[:, j - lo] = started[j]   # the factors go to c
             started[j] = None
             for name in _MATRIX_FIELDS:
                 maps[name][j] = mats[name]
-            first[j], rate[j] = at[block], 2.0 * jobs[i].config.learning_rate
+            for name in trained:
+                steps[name][j] = 2.0 * jobs[i].config.learning_rate
             if sampled:
                 colour[j] = col
-    eye = np.eye(n)
-    groups, plans = [], []
-    for (lo, hi), c in zip(bounds, factors):
-        psis = [jobs[i].instance.psi for i in ids[lo:hi]]
-        identity = all(np.all(_sym(psi) == eye) for psi in psis)
-        groups.append({"agnostic": keys[lo][1], "C": c,
-                       "psi": None if identity else np.stack([_sym(psi) for psi in psis])})
-        plans.append((keys[lo][1], hi - lo, keys[lo][0], sampled or not identity))
     grad = np.zeros_like(rows)
     dirs = _views(grad, dims)
     losses = np.empty((2, count))
@@ -398,27 +337,29 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
                np.empty((count, config.batch_size, n)),
                np.empty((count, config.batch_size, n)),
                np.empty((count, n, n))) if sampled else ()
-    for v, arrays, (lo, hi) in zip(groups, _work(plans, dims), bounds):
-        members = slice(lo, hi)
-        v.update(arrays, d=maps["d"][:, members], A=maps["amap"][:, members],
-                 y=dirs["amap"][:, members], dd=dirs["d"][:, members],
-                 loss=losses[:, members], eye=eye)
-        v.update(Ct=_t(v["C"]), dt=_t(v["d"]), At=_t(v["A"]), cdt=_t(v["cd"]),
+    eye = np.eye(n)
+    groups = []
+    for (lo, hi), c in zip(bounds, factors):
+        members, (h, agnostic) = slice(lo, hi), keys[lo]
+        psis = [_sym(jobs[i].instance.psi) for i in ids[members]]
+        psi = None if all(np.all(p == eye) for p in psis) else np.stack(psis)
+        v = _work(agnostic, hi - lo, h, sampled or psi is not None, dims)
+        v.update(agnostic=agnostic, psi=psi, C=c, d=maps["d"][:, members],
+                 A=maps["amap"][:, members], y=dirs["amap"][:, members],
+                 dd=dirs["d"][:, members], loss=losses[:, members], eye=eye)
+        v.update(Ct=_t(c), dt=_t(v["d"]), At=_t(v["A"]), cdt=_t(v["cd"]),
                  s2=v["s"].reshape(2, hi - lo, -1))
         if sampled:
             v["psi_step"] = samples[4][members]
+        groups.append(v)
     maps.update(e56t=_t(maps["e56"]), into5t=_t(maps["into5"]))
-    bt = _Batch(
+    return _Batch(
         ids=ids,
         rows=rows,
         grad=grad,
+        step=step,
         maps=maps,
         dirs=dirs,
-        off=(dirs["into5"][:, :z, a:], dirs["into5"][:, z:, :n - b],
-             dirs["amap"][0, :, :z, a:], dirs["amap"][1, :, :z, :n - b]),
-        first=first,
-        rate=rate,
-        runs=[],
         groups=groups,
         relay=np.empty((count, z, n)),
         losses=losses,
@@ -426,8 +367,6 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
         trace=np.zeros((count, config.epochs, 3)),
         initial=np.zeros(count),
     )
-    bt.runs = _runs(bt, np.ones(count, dtype=bool))
-    return bt
 
 
 def _evaluate(bt: _Batch, directions: bool = False) -> np.ndarray:
@@ -455,8 +394,6 @@ def _evaluate(bt: _Batch, directions: bool = False) -> np.ndarray:
         np.add(dirs["relay"][0], dirs["relay"][1], out=bt.relay)
         np.matmul(maps["e56t"], bt.relay, out=dirs["into5"])
         np.matmul(bt.relay, maps["into5t"], out=dirs["e56"])
-        for block in bt.off:
-            block.fill(0.0)
     return bt.losses
 
 
@@ -496,40 +433,39 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
     """Plain simultaneous gradient descent on every member at once. Pass t
     evaluates the code after t updates: its losses are the trace row of
     epoch t-1 and its residuals give the gradient of epoch t, so a run makes
-    epochs + 1 residual passes. A member that diverges is retired in place:
-    its error goes to `out`, its row to zero, and the pass is rerun so that
-    its residuals are finite again."""
+    epochs + 1 residual passes. The update is one masked multiply-add,
+    rows += step * grad. A member that diverges is retired in place: its
+    error goes to `out`, and its row, directions and step to zero. Overflow
+    in a diverging member is expected and only its non-finite total is
+    read, so numpy's floating-point warnings are off for the loop."""
     live = np.ones(len(bt.ids), dtype=bool)
-    for t in range(epochs + 1):
-        descend = t < epochs
-        if bt.samples and descend:
-            _sample_psi(bt, batch_size)
-        losses = _evaluate(bt, descend)
-        if t == 0:
-            bt.initial = losses[0] + losses[1]
-        else:
-            row = bt.trace[:, t - 1]
-            row[:, :2] = losses.T
-            total = np.add(losses[0], losses[1], out=row[:, 2])
-            failed = live & (~np.isfinite(total) | (total > 10.0 * bt.initial))
-            if failed.any():
-                for j in np.flatnonzero(failed):
-                    out[bt.ids[j]] = DivergenceDetected(
-                        f"L_total={float(total[j]):.6g} exceeded 10x initial "
-                        f"{float(bt.initial[j]):.6g} at epoch {t - 1}; "
-                        f"reduce learning_rate")
-                bt.rows[failed] = 0.0
-                live &= ~failed
-                if not live.any():
-                    return
-                bt.runs = _runs(bt, live)
-                # the retired members' residuals are those of a zero code now
-                _evaluate(bt, descend)
-        if not descend:
-            break
-        for rows, grad, rate in bt.runs:
-            np.multiply(grad, rate, out=grad)
-            rows += grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(epochs + 1):
+            descend = t < epochs
+            if bt.samples and descend:
+                _sample_psi(bt, batch_size)
+            losses = _evaluate(bt, descend)
+            if t == 0:
+                bt.initial = losses[0] + losses[1]
+            else:
+                row = bt.trace[:, t - 1]
+                row[:, :2] = losses.T
+                total = np.add(losses[0], losses[1], out=row[:, 2])
+                failed = live & (~np.isfinite(total) | (total > 10.0 * bt.initial))
+                if failed.any():
+                    for j in np.flatnonzero(failed):
+                        out[bt.ids[j]] = DivergenceDetected(
+                            f"L_total={float(total[j]):.6g} exceeded 10x initial "
+                            f"{float(bt.initial[j]):.6g} at epoch {t - 1}; "
+                            f"reduce learning_rate")
+                        bt.rows[j] = bt.grad[j] = bt.step[j] = 0.0
+                    live &= ~failed
+                    if not live.any():
+                        return
+            if not descend:
+                break
+            np.multiply(bt.grad, bt.step, out=bt.grad)
+            bt.rows += bt.grad
     for j in np.flatnonzero(live):
         code = ButterflyCode(**{name: bt.maps[name][j].copy() for name in _MATRIX_FIELDS})
         out[bt.ids[j]] = (code, bt.trace[j])
@@ -592,7 +528,7 @@ def _single(mats, k3, k4, psi, dims) -> _Batch:
     n, a, b, z = dims
     job = TrainJob(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4),
                    TrainConfig(epochs=1))
-    return _stack([job], [(0, mats, "e56", None, _factors(k3, k4, n))])
+    return _stack([job], [(0, mats, _MATRIX_FIELDS, None, _factors(k3, k4, n))])
 
 
 def _true_losses(mats, k3, k4, psi, n, a, b, z) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from butterfly_coding import (
+    ButterflyCode,
     InfeasibleSpec,
     ProblemInstance,
     SyntheticSpec,
@@ -87,3 +88,47 @@ def test_no_code_with_optimal_decoders_beats_the_bound(seed, scale):
     inst = random_pd_instance(rng, n_max=8)
     lb = lower_bound_of(inst)
     assert optimal_total(inst, random_code(inst, rng, scale)) >= lb - 1e-9 * (1 + lb)
+
+
+def block_diagonal(rng, sizes) -> np.ndarray:
+    """Random block-diagonal matrix with blocks of the given sizes, each
+    block's singular values drawn from [0.5, 2]."""
+    t = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for k in sizes:
+        if k:
+            u, _ = np.linalg.qr(rng.normal(size=(k, k)))
+            v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+            t[at:at + k, at:at + k] = (u * rng.uniform(0.5, 2.0, k)) @ v.T
+        at += k
+    return t
+
+
+@PROPERTY
+@given(spec=synthetic_specs(), seed=SEEDS)
+def test_reparameterizing_the_observations_keeps_bound_report_and_loss(spec, seed):
+    # x' = T x with T block-diagonal over the coordinates private to node 1,
+    # shared, and private to node 2: each node sees an invertible map of
+    # what it saw before, psi' = T psi T^T and K' = K T^-1 give the same
+    # task signals, and a code whose encoders undo T and whose decoders
+    # apply it gives the same estimates
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    n, a, b = inst.n, inst.a, inst.b
+    t = block_diagonal(rng, (n - b, a + b - n, n - a))
+    t_inv = np.linalg.inv(t)
+    moved = validate(ProblemInstance(n=n, psi=t @ inst.psi @ t.T, a=a, b=b, z=inst.z,
+                                     k3=inst.k3 @ t_inv, k4=inst.k4 @ t_inv))
+    lb = lower_bound(spectrum(inst), inst.z)
+    assert abs(lower_bound(spectrum(moved), moved.z) - lb) <= 1e-9 * (1 + lb)
+    assert sufficient_report(spectrum(moved), moved) == sufficient_report(spectrum(inst), inst)
+    code = random_code(inst, rng)
+    in1, in2 = np.linalg.inv(t[:a, :a]), np.linalg.inv(t[n - b:, n - b:])
+    moved_code = ButterflyCode(e13=code.e13 @ in1, e15=code.e15 @ in1,
+                               e24=code.e24 @ in2, e25=code.e25 @ in2,
+                               e56=code.e56, d3=t @ code.d3, d4=t @ code.d4)
+    for got, want in zip(exact_loss(moved_code, moved), exact_loss(code, inst)):
+        assert abs(got - want) <= 1e-9 * (1 + want)
