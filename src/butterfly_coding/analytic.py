@@ -111,12 +111,6 @@ def sufficient_report(spec: TaskSpectrum, instance: ProblemInstance,
 necessary_report = sufficient_report
 
 
-def _stack(vectors: list[np.ndarray], n: int) -> np.ndarray:
-    if not vectors:
-        return np.zeros((n, 0))
-    return np.column_stack(vectors)
-
-
 def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstance,
                               tol: ToleranceConfig) -> CodeSpans:
     """Span construction for 2Z <= n.
@@ -140,21 +134,17 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
     i234 = intersect(i24, b3, tol)
     i1234 = _coordinate_cut(i234, a, tol)
     k_both = min(i1234.dim, r34 - z)
-    shared = [i1234.vectors[:, j].copy() for j in range(k_both)]
+    shared = i1234.vectors[:, :k_both]
     q = r34 - z - k_both
+    xi = chi = np.zeros((n, 0))
     if q > 0:
         i134 = _coordinate_cut(i34, a, tol)
-        core = _stack(shared, n)
-        xi = _greedy_pick(core, i134.vectors, q, tol)
-        chi = _greedy_pick(core, i234.vectors, q, tol)
-        sums = [x + c for x, c in zip(xi, chi)]
-    else:
-        xi, chi, sums = [], [], []
-    core_iv = _stack(shared + xi + chi, n)
-    ext56 = _greedy_pick(core_iv, i34.vectors, z - q, tol)
-    phi13 = _stack(excl3 + shared + xi, n)
-    phi24 = _stack(excl4 + shared + chi, n)
-    phi56 = _stack(sums + ext56, n)
+        xi = _greedy_pick(shared, i134.vectors, q, tol)
+        chi = _greedy_pick(shared, i234.vectors, q, tol)
+    ext56 = _greedy_pick(np.hstack([shared, xi, chi]), i34.vectors, z - q, tol)
+    phi13 = np.hstack([excl3, shared, xi])
+    phi24 = np.hstack([excl4, shared, chi])
+    phi56 = np.hstack([xi + chi, ext56])
     assert phi13.shape[1] == z and phi24.shape[1] == z and phi56.shape[1] == z
     return CodeSpans(phi13=phi13, phi24=phi24, phi56=phi56)
 
@@ -170,20 +160,18 @@ def _construct_large_capacity(spec: TaskSpectrum, instance: ProblemInstance,
     has more of them and the mutual rows fill the remaining columns.
     """
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
-    rows = [spec.cholesky_l[i, :].copy() for i in range(n)]
+    cols = spec.cholesky_l.T
     p = min(n - a, n - b)
-    pairs = [rows[i] + rows[a + i] for i in range(p)]
-    directs = rows[p:n - b] + rows[a + p:]
-    mutual = rows[n - b:a]
-    slots56 = z - len(pairs) - len(directs)
+    directs = np.hstack([cols[:, p:n - b], cols[:, a + p:]])
+    mutual = cols[:, n - b:a]
+    slots56 = z - p - directs.shape[1]
     slots13 = z - p
     assert slots56 >= 0 and slots13 >= 0
-    fills: list[np.ndarray] = []
-    for idx in range(slots56 + slots13):
-        fills.append(mutual[idx % len(mutual)] if mutual else np.zeros(n))
-    phi56 = _stack(pairs + directs + fills[:slots56], n)
-    phi13 = _stack(rows[:p] + fills[slots56:], n)
-    phi24 = _stack(rows[a:a + p] + fills[slots56:], n)
+    # the mutual columns in turn, or zeros when there are none
+    fills = np.resize(mutual.T, (slots56 + slots13, n)).T
+    phi56 = np.hstack([cols[:, :p] + cols[:, a:a + p], directs, fills[:, :slots56]])
+    phi13 = np.hstack([cols[:, :p], fills[:, slots56:]])
+    phi24 = np.hstack([cols[:, a:a + p], fills[:, slots56:]])
     return CodeSpans(phi13=phi13, phi24=phi24, phi56=phi56)
 
 

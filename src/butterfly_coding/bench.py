@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .analytic import PreconditionNotMet, _stack, construct_lb_code, sufficient_report
+from .analytic import PreconditionNotMet, construct_lb_code, sufficient_report
 from .code import exact_loss, utilities, code_to_json
 from .model import (
     ProblemInstance,
@@ -103,21 +103,17 @@ def _profile(spec: SyntheticSpec, m: int) -> np.ndarray:
     return mu
 
 
-def _embed(n: int, coords: list[int], block: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, block.shape[1]))
-    out[coords, :] = block
-    return out
-
-
 def gen_synthetic(spec: SyntheticSpec,
                   tol: ToleranceConfig = DEFAULT_TOL) -> ProblemInstance:
     """Identity-covariance instance whose task spans overlap in exactly
-    2*min{2Z,n} - r_plus_target dimensions.
+    s = 2*min{2Z,n} - r_plus_target dimensions.
 
-    keep_sf3 places the shared directions inside the observation overlap so
-    the task intersection stays jointly observable; otherwise they sit
-    generically across the coordinates left free by the exclusives, which
-    shrinks each task's overlap with a single observation as a or b shrinks.
+    Each task's k = min{2Z,n} - s exclusive directions take the axes at its
+    end of x, up to min{k, n-b} for task 3 and min{k, n-a} for task 4; the
+    shared directions, then the exclusives left over, are columns of one
+    random orthonormal block on a coordinate pool. With keep_sf3 the pool is
+    the observation overlap n-b ... a-1, so the task intersection stays
+    jointly observable; otherwise it is every coordinate no axis takes.
     """
     n, z, a, b = spec.n, spec.z, spec.a, spec.b
     if n < 1 or z < 1 or a < 0 or b < 0:
@@ -134,57 +130,32 @@ def gen_synthetic(spec: SyntheticSpec,
     rng = np.random.default_rng(spec.seed)
     eye = np.eye(n)
 
+    k3, k4 = min(k, n - b), min(k, n - a)
+    need = s + (k - k3) + (k - k4)
     if spec.keep_sf3:
-        overlap = list(range(n - b, a))
-        o = len(overlap)
-        spill3 = max(0, k - (n - b))
-        spill4 = max(0, k - (n - a))
-        if s + spill3 + spill4 > o:
+        pool = np.arange(n - b, a)
+        if need > pool.size:
             raise InfeasibleSpec(
-                f"{s} shared plus {spill3 + spill4} spilled exclusive directions "
-                f"exceed the observation overlap of size {o}")
-        q_full = np.linalg.qr(rng.normal(size=(o, o)))[0] if o else np.zeros((0, 0))
-        shared = _embed(n, overlap, q_full[:, :s])
-        used = s
-        ex3 = [eye[:, c] for c in range(min(k, n - b))]
-        if spill3:
-            block = _embed(n, overlap, q_full[:, used:used + spill3])
-            ex3 += [block[:, j] for j in range(spill3)]
-            used += spill3
-        ex4 = [eye[:, c] for c in range(n - 1, n - 1 - min(k, n - a), -1)]
-        if spill4:
-            block = _embed(n, overlap, q_full[:, used:used + spill4])
-            ex4 += [block[:, j] for j in range(spill4)]
+                f"{s} shared plus {need - s} spilled exclusive directions "
+                f"exceed the observation overlap of size {pool.size}")
     else:
-        k3p = min(k, n - b)
-        k4p = min(k, n - a)
-        if k > k3p and k < n - a:
+        if k > k3 and k < n - a:
             raise InfeasibleSpec(
                 "task-3 exclusives would leave the first observation's span")
-        if k > k4p and k < n - b:
+        if k > k4 and k < n - b:
             raise InfeasibleSpec(
                 "task-4 exclusives would leave the second observation's span")
-        ex3_coords = list(range(k3p))
-        ex4_coords = list(range(n - 1, n - 1 - k4p, -1))
-        taken = set(ex3_coords) | set(ex4_coords)
-        rest = [c for c in range(n) if c not in taken]
-        need = s + (k - k3p) + (k - k4p)
-        if need > len(rest):
-            raise InfeasibleSpec(
-                f"{need} generic directions needed but only {len(rest)} "
-                f"coordinates remain")
-        q = (np.linalg.qr(rng.normal(size=(len(rest), need)))[0]
-             if need else np.zeros((len(rest), 0)))
-        shared = _embed(n, rest, q[:, :s])
-        ex3 = [eye[:, c] for c in ex3_coords]
-        spill = _embed(n, rest, q[:, s:s + (k - k3p)])
-        ex3 += [spill[:, j] for j in range(k - k3p)]
-        ex4 = [eye[:, c] for c in ex4_coords]
-        spill = _embed(n, rest, q[:, s + (k - k3p):need])
-        ex4 += [spill[:, j] for j in range(k - k4p)]
-
-    u3 = np.hstack([_stack(ex3, n), shared])
-    u4 = np.hstack([_stack(ex4, n), shared])
+        # n - k3 - k4 >= need, as that reads r_plus_target = s + 2k <= n
+        pool = np.arange(k3, n - k4)
+    # keep_sf3 draws a square block over the whole overlap and uses its first
+    # `need` columns; a seed's instance depends on that width
+    width = pool.size if spec.keep_sf3 else need
+    block = np.zeros((n, width))
+    if width:
+        block[pool] = np.linalg.qr(rng.normal(size=(pool.size, width)))[0]
+    shared, spill = block[:, :s], block[:, s:need]
+    u3 = np.hstack([eye[:, :k3], spill[:, :k - k3], shared])
+    u4 = np.hstack([eye[:, ::-1][:, :k4], spill[:, k - k3:], shared])
     root = np.sqrt(mu)
     instance = validate(
         ProblemInstance(n=n, psi=eye, a=a, b=b, z=z,
@@ -455,9 +426,7 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
 
 
 def _record_order(rec: ResultRecord):
-    approach_rank = (_APPROACHES.index(rec.approach)
-                     if rec.approach in _APPROACHES else len(_APPROACHES))
-    return (rec.sweep_param_value, approach_rank, rec.seed)
+    return (rec.sweep_param_value, _APPROACHES.index(rec.approach), rec.seed)
 
 
 def _failed_record(approach, param, value, seed, lb, exc) -> ResultRecord:
@@ -501,11 +470,19 @@ def read_csv(path) -> list[ResultRecord]:
             header = next(reader, None)
             if tuple(header or ()) != _FIELD_NAMES:
                 raise ConfigError(f"unexpected CSV header in {path}: {header}")
-            return [ResultRecord(*(parse(cell)
-                                   for parse, cell in zip(_FIELD_PARSERS, row)))
-                    for row in reader]
+            return [_parse_row(row, f"{path} line {reader.line_num}") for row in reader]
     except OSError as exc:
         raise OSError(f"cannot read records from {path}: {exc}") from exc
+
+
+def _parse_row(row: list[str], where: str) -> ResultRecord:
+    """The record of one CSV row, which must hold one parsable cell per field."""
+    if len(row) != len(_FIELD_NAMES):
+        raise ConfigError(f"{where}: {len(row)} cells, expected {len(_FIELD_NAMES)}")
+    try:
+        return ResultRecord(*(parse(cell) for parse, cell in zip(_FIELD_PARSERS, row)))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 # the blocks a config may hold; each command reads the ones it needs

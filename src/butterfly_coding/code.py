@@ -280,12 +280,18 @@ def code_to_json(code: ButterflyCode) -> str:
 
 def code_from_json(text: str) -> ButterflyCode:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise BadDimensions(f"code document must be a JSON object, got {doc!r}")
     missing = set(_MATRIX_FIELDS) - set(doc)
     if missing:
         raise BadDimensions(f"code document missing fields: {sorted(missing)}")
     mats = {}
     for name in _MATRIX_FIELDS:
-        entry = doc[name]
-        shape = tuple(int(s) for s in entry["shape"])
-        mats[name] = np.asarray(entry["data"], dtype=float).reshape(shape)
+        try:
+            shape = tuple(int(s) for s in doc[name]["shape"])
+            mats[name] = np.asarray(doc[name]["data"], dtype=float).reshape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadDimensions(
+                f"code field {name} must hold a \"shape\" and matching \"data\": {exc}"
+            ) from None
     return ButterflyCode(**mats)

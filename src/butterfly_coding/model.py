@@ -25,8 +25,8 @@ from .subspace import (
     Basis,
     DEFAULT_TOL,
     ToleranceConfig,
+    _extend,
     _fix_signs,
-    extend_from_pool,
     intersect,
     orthonormal_basis,
 )
@@ -188,11 +188,17 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
     )
 
 
+def _tail(w: np.ndarray, n: int, z: int) -> float:
+    """Sum past index 2Z of the descending eigenvalues w, clipped at zero and
+    cut or padded with zeros to length n."""
+    padded = np.zeros(n)
+    padded[: min(w.size, n)] = np.clip(w[:n], 0.0, None)
+    return float(padded[2 * z :].sum())
+
+
 def lower_bound(spec: TaskSpectrum, z: int) -> float:
     """Sum of both tasks' eigenvalues past index 2Z. Zero when 2Z >= n."""
-    tail3 = np.clip(spec.mu3[2 * z :], 0.0, None)
-    tail4 = np.clip(spec.mu4[2 * z :], 0.0, None)
-    return float(tail3.sum() + tail4.sum())
+    return _tail(spec.mu3, spec.n, z) + _tail(spec.mu4, spec.n, z)
 
 
 def lower_bound_of(instance: ProblemInstance) -> float:
@@ -202,14 +208,8 @@ def lower_bound_of(instance: ProblemInstance) -> float:
     the trailing sums can be read off the small task-side matrices without a
     Cholesky factor.
     """
-    total = 0.0
-    for k in (instance.k3, instance.k4):
-        w = np.linalg.eigvalsh(k @ instance.psi @ k.T)[::-1]
-        w = np.clip(w, 0.0, None)
-        padded = np.zeros(instance.n)
-        padded[: min(w.size, instance.n)] = w[: instance.n]
-        total += float(padded[2 * instance.z :].sum())
-    return total
+    return sum(_tail(np.linalg.eigvalsh(k @ instance.psi @ k.T)[::-1], instance.n, instance.z)
+               for k in (instance.k3, instance.k4))
 
 
 def task_pca(k: np.ndarray, psi: np.ndarray, z: int,
@@ -289,16 +289,8 @@ def whiten(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> Whi
     b2 = orthonormal_basis(theta2, tol, ambient_dim=n_t)
     a_t, b_t = b1.dim, b2.dim
     shared = intersect(b1, b2, tol)
-    ext1 = extend_from_pool(shared, b1, b1, tol)
-    ext2 = extend_from_pool(shared, b2, b2, tol)
-    blocks = []
-    if ext1:
-        blocks.append(np.column_stack(ext1))
-    if shared.dim:
-        blocks.append(shared.vectors)
-    if ext2:
-        blocks.append(np.column_stack(ext2))
-    omega = np.hstack(blocks) if blocks else np.zeros((n_t, 0))
+    omega = np.hstack([_extend(shared, b1, b1, None, tol), shared.vectors,
+                       _extend(shared, b2, b2, None, tol)])
     if omega.shape != (n_t, n_t):
         raise BadDimensions(
             f"whitening basis came out {omega.shape}, expected ({n_t}, {n_t})"
@@ -361,6 +353,8 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 def instance_from_json(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> ProblemInstance:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise BadDimensions(f"instance document must be a JSON object, got {doc!r}")
     names = ("n", "psi", "a", "b", "z", "k3", "k4")
     missing = set(names) - set(doc)
     if missing:

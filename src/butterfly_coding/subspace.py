@@ -227,10 +227,10 @@ def is_subspace_of(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> bo
 
 
 def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
-                 tol: ToleranceConfig) -> list[np.ndarray]:
-    """Pick `count` pool columns, each with the largest residual against the
-    running span (ties broken by lowest column index). Raises if the pool runs
-    out of independent directions first.
+                 tol: ToleranceConfig) -> np.ndarray:
+    """The (n, count) matrix of pool columns picked each with the largest
+    residual against the running span (ties broken by lowest column index).
+    Raises if the pool runs out of independent directions first.
 
     The pool is projected against the current span once; each pick then
     deflates every residual by the chosen residual's direction."""
@@ -238,7 +238,7 @@ def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
     if current.shape[1] and count:
         q = orthonormal_basis(current, tol).vectors
         resid = pool - q @ (q.T @ pool)
-    chosen: list[np.ndarray] = []
+    chosen: list[int] = []
     for _ in range(count):
         norms = np.linalg.norm(resid, axis=0)
         best = int(np.argmax(norms)) if norms.size else 0
@@ -246,10 +246,10 @@ def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
             raise InfeasibleExtension(
                 f"pool exhausted after {len(chosen)} of {count} extension vectors"
             )
-        chosen.append(pool[:, best].copy())
+        chosen.append(best)
         unit = resid[:, best] / norms[best]
         resid = resid - np.outer(unit, unit @ resid)
-    return chosen
+    return pool[:, chosen]
 
 
 def extend_from_pool(core: Basis, pool: Basis, target: Basis,
@@ -261,13 +261,13 @@ def extend_from_pool(core: Basis, pool: Basis, target: Basis,
     pool intersect target (by modularity this preserves feasibility whenever
     span(core union pool) covers the target).
     """
-    return _extend(core, pool, target, None, tol)
+    return list(_extend(core, pool, target, None, tol).T)
 
 
 def _extend(core: Basis, pool: Basis, target: Basis, cover: Basis | None,
-            tol: ToleranceConfig) -> list[np.ndarray]:
-    """extend_from_pool, with `cover` = join(core, pool) when the caller has
-    already built it (None builds it here)."""
+            tol: ToleranceConfig) -> np.ndarray:
+    """extend_from_pool's vectors as an (n, k) matrix, with `cover` =
+    join(core, pool) when the caller has already built it (None builds it)."""
     _check_same_ambient(core, pool)
     _check_same_ambient(core, target)
     if not is_subspace_of(core, target, tol):
@@ -276,7 +276,7 @@ def _extend(core: Basis, pool: Basis, target: Basis, cover: Basis | None,
     if need < 0:
         raise ValueError("core dimension exceeds target dimension")
     if need == 0:
-        return []
+        return np.zeros((core.ambient_dim, 0))
     if cover is None:
         cover = join(core, pool, tol)
     if not is_subspace_of(target, cover, tol):

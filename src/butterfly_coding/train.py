@@ -48,7 +48,8 @@ from .subspace import (
     DEFAULT_TOL,
     InfeasibleExtension,
     ToleranceConfig,
-    extend_from_pool,
+    _extend,
+    join,
     orthonormal_basis,
 )
 
@@ -147,22 +148,15 @@ def greedy_benchmark_code(instance: ProblemInstance,
 
     def side(obs: np.ndarray, gram: np.ndarray) -> np.ndarray:
         pool = orthonormal_basis(obs, tol, ambient_dim=n)
-        joint = orthonormal_basis(np.hstack([b56.vectors, pool.vectors]), tol, ambient_dim=n)
+        joint = join(b56, pool, tol)
         resid = joint.vectors - b56.vectors @ (b56.vectors.T @ joint.vectors)
         comp = orthonormal_basis(resid, tol, ambient_dim=n)
-        t = min(z, comp.dim)
-        if t > 0:
-            m = comp.vectors.T @ gram @ comp.vectors
-            mw, mv = np.linalg.eigh(m)
-            morder = np.argsort(mw)[::-1]
-            tilde = comp.vectors @ mv[:, morder[:t]]
-        else:
-            tilde = np.zeros((n, 0))
+        mw, mv = np.linalg.eigh(comp.vectors.T @ gram @ comp.vectors)
+        tilde = comp.vectors @ mv[:, np.argsort(mw)[::-1][:z]]
         target = orthonormal_basis(np.hstack([tilde, phi56[:, :t56]]), tol, ambient_dim=n)
-        picked = extend_from_pool(b56, pool, target, tol)
+        picked = _extend(b56, pool, target, joint, tol)
         direct = np.zeros((n, z))
-        for j, vec in enumerate(picked):
-            direct[:, j] = vec
+        direct[:, :picked.shape[1]] = picked
         return direct
 
     spans = CodeSpans(

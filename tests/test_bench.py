@@ -402,6 +402,25 @@ class TestCsvRoundTrip:
                 else:
                     assert g == w, name
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda row: row + ["extra"], "15 cells, expected 14"),
+        (lambda row: row[:-2], "12 cells, expected 14"),
+        (lambda row: row[:3] + ["three"] + row[4:], "invalid literal for int"),
+        (lambda row: row[:6] + ["low"] + row[7:], "could not convert string to float"),
+    ], ids=["extra_cell", "short_row", "bad_int", "bad_float"])
+    def test_malformed_row_rejected(self, tmp_path, edit, problem):
+        record = ResultRecord(
+            approach="task_aware_coding", sweep_param_name="r_plus",
+            sweep_param_value=6.0, seed=1, L3=0.5, L4=0.25, L_total=0.75,
+            lower_bound=0.5, u56=1.0, u13=1.0, u24=1.0, epochs_run=10,
+            wall_ms=1.0, status="ok")
+        path = tmp_path / "records.csv"
+        write_csv([record, record], path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, ",".join(edit(second.split(",")))]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path} line 3: {problem}")):
+            read_csv(path)
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("alpha,beta\n1,2\n")

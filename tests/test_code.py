@@ -14,6 +14,7 @@ from butterfly_coding import (
     code_to_json,
     exact_loss,
     flow_spans,
+    instance_from_json,
     lower_bound_of,
     optimal_decoders,
     orthonormal_basis,
@@ -416,6 +417,24 @@ class TestSerialization:
         back = code_from_json(code_to_json(code))
         for name in ("e13", "e15", "e24", "e25", "e56", "d3", "d4"):
             assert np.allclose(getattr(back, name), getattr(code, name))
+
+    @pytest.mark.parametrize("read, fields, problem", [
+        (code_from_json, None, "code document must be a JSON object, got 5"),
+        (code_from_json, {"e13": 5}, "code field e13 must hold"),
+        (code_from_json, {"e15": {"shape": [2]}}, "code field e15 must hold"),
+        (code_from_json, {"d3": {"shape": [3, 3], "data": [1.0, 2.0]}},
+         "code field d3 must hold"),
+        (instance_from_json, None, "instance document must be a JSON object, got 5"),
+    ], ids=["not_an_object", "matrix_not_an_object", "no_data", "data_off_shape",
+            "instance_not_an_object"])
+    def test_malformed_document_rejected(self, read, fields, problem):
+        text = "5"
+        if fields is not None:
+            inst = simple_instance()
+            doc = json.loads(code_to_json(random_code(inst, np.random.default_rng(15))))
+            text = json.dumps({**doc, **fields})
+        with pytest.raises(BadDimensions, match=problem):
+            read(text)
 
     def test_missing_field_rejected(self):
         rng = np.random.default_rng(13)

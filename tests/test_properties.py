@@ -55,6 +55,33 @@ def synthetic_specs(draw):
 
 
 @PROPERTY
+@given(spec=synthetic_specs())
+def test_directions_land_where_the_placement_rule_puts_them(spec):
+    # each task's exclusive directions start on the axes at its end of x;
+    # the shared ones, the last s rows of both task matrices, and the
+    # spilled exclusives sit on a pool that misses those axes, and with
+    # keep_sf3 inside the observation overlap n-b ... a-1
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    n, a, b = inst.n, inst.a, inst.b
+    m = min(2 * inst.z, n)
+    s = 2 * m - spec.r_plus_target
+    k3, k4 = min(m - s, n - b), min(m - s, n - a)
+    k3_axes, k4_axes = inst.k3[:k3], inst.k4[:k4]
+    assert np.count_nonzero(k3_axes) == k3 and np.all(np.diag(k3_axes) > 0)
+    assert np.count_nonzero(k4_axes) == k4 and np.all(np.diag(k4_axes[:, ::-1]) > 0)
+    assert np.array_equal(inst.k3[m - s:], inst.k4[m - s:])
+    if spec.keep_sf3:
+        assert not inst.k3[:, a:].any() and not inst.k4[:, :n - b].any()
+        shared = inst.k3[m - s:]
+        assert not shared[:, :n - b].any() and not shared[:, a:].any()
+    else:
+        assert not inst.k3[:, n - k4:].any() and not inst.k4[:, :k3].any()
+
+
+@PROPERTY
 @given(seed=SEEDS, power=POWERS)
 def test_scaling_tasks_by_c_scales_bound_and_loss_by_c_squared(seed, power):
     rng = np.random.default_rng(seed)

@@ -230,7 +230,7 @@ def _greedy_pick_by_refactoring(current, pool, count, tol):
 def test_greedy_pick_ties_go_to_lowest_index():
     tol = ToleranceConfig()
     got = _greedy_pick(np.zeros((4, 0)), np.eye(4), 3, tol)
-    assert [list(v) for v in got] == [list(np.eye(4)[:, j]) for j in range(3)]
+    assert [list(v) for v in got.T] == [list(np.eye(4)[:, j]) for j in range(3)]
 
 
 def test_greedy_pick_matches_refactoring_reference():
@@ -254,8 +254,8 @@ def test_greedy_pick_matches_refactoring_reference():
                 _greedy_pick(core, pool, count, tol)
             continue
         got = _greedy_pick(core, pool, count, tol)
-        assert len(got) == len(want) == count
-        for g, w in zip(got, want):
+        assert got.shape[1] == len(want) == count
+        for g, w in zip(got.T, want):
             assert np.array_equal(g, w)
     assert exhausted >= 10
 
