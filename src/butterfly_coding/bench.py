@@ -285,49 +285,10 @@ class _TrainBlock(TrainConfig):
     trace_csv: str | None = None
 
 
-# Cap on the members trained at once, counted as 8 n^2 bytes, one n x n
-# float64 matrix, per member. A member's working set grows as n^2 and is
-# about twelve such matrices on a synthetic instance (Z = n/4, h = n/2 task
-# rows): its code row, direction row and step row, 2.6 n^2 floats each, and
-# its task factors and thin residual work arrays, (2, h, n) = n^2 floats each.
-# Batching pays while per-call overhead dominates an epoch and stops paying
-# once a batch outgrows the cache: measured on one thread of a 2-vCPU Xeon
-# (the four modes in turn, best of 5 runs), the per-member epoch time at
-# n=32 fell from 0.04 ms alone to 0.02-0.03 ms at 8-48 members, lowest at
-# 16-24; at n=64 it was 0.09-0.12 ms alone, 0.07-0.10 ms at 2 members and
-# 0.11-0.17 ms at 3-16; at n=128 0.52-0.56 ms alone and at 2, 1.1 ms at 4-8.
-# 192 KiB gives 24 members at n=32, 6 at n=64 and 1 from n=128 up.
-_LOCKSTEP_BYTES = 192 * 2**10
-
-
-@dataclass(frozen=True)
-class _TrainedCell:
-    approach: str
-    value: float
-    seed: int
-    instance: ProblemInstance
-    lower_bound: float
-
-
-def _lockstep_batches(cells: list[_TrainedCell]) -> list[list[_TrainedCell]]:
-    """Cells grouped by instance dimensions (n, a, b, z), in first-seen
-    order, and cut to batches of at most _LOCKSTEP_BYTES / (8 n^2)
-    members."""
-    groups: dict[tuple, list[_TrainedCell]] = {}
-    for cell in cells:
-        inst = cell.instance
-        groups.setdefault((inst.n, inst.a, inst.b, inst.z), []).append(cell)
-    batches = []
-    for (n, _, _, _), group in groups.items():
-        size = max(1, _LOCKSTEP_BYTES // (8 * n * n))
-        batches += [group[i:i + size] for i in range(0, len(group), size)]
-    return batches
-
-
 def _ok_record(approach, param, value, seed, lb, code, instance, epochs_run,
                started, tol, shared_s=0.0) -> ResultRecord:
     """The record of a finished cell, evaluated now; its wall time runs from
-    `started`, plus `shared_s` of batch time spent before that."""
+    `started`, plus `shared_s`, its share of the training before that."""
     l3, l4, total = exact_loss(code, instance)
     u56, u13, u24 = utilities(code, instance, tol)
     return ResultRecord(
@@ -373,7 +334,7 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     per_cell = approaches + (["analytic_construction"] if auto_construct else [])
 
     records: list[ResultRecord] = []
-    trained: list[_TrainedCell] = []
+    trained: list[tuple[tuple, TrainJob]] = []   # (record arguments, job)
     for value in values:
         swept = ({"r_plus_target": value} if param == "r_plus"
                  else {"a": value, "b": value})
@@ -390,7 +351,8 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                 continue
             for approach in per_cell:
                 if approach != "analytic_construction":
-                    trained.append(_TrainedCell(approach, value, seed, instance, lb))
+                    trained.append(((approach, param, value, seed, lb), TrainJob(
+                        instance, replace(base_cfg, mode=approach, seed=seed))))
                     continue
                 t0 = time.perf_counter()
                 try:
@@ -403,24 +365,20 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                         records.append(_failed_record(
                             approach, param, value, seed, lb, exc))
 
-    for batch in _lockstep_batches(trained):
-        t0 = time.perf_counter()
-        results = train_lockstep(
-            [TrainJob(cell.instance, replace(base_cfg, mode=cell.approach, seed=cell.seed))
-             for cell in batch], tol)
-        share = (time.perf_counter() - t0) / len(batch)
-        for cell, result in zip(batch, results):
-            args = (cell.approach, param, cell.value, cell.seed, cell.lower_bound)
-            if isinstance(result, Exception):
-                records.append(_failed_record(*args, result))
-                continue
-            code, trace = result
-            try:
-                records.append(_ok_record(
-                    *args, code, cell.instance, trace.shape[0],
-                    time.perf_counter(), tol, share))
-            except _SWEEP_ERRORS as exc:
-                records.append(_failed_record(*args, exc))
+    t0 = time.perf_counter()
+    results = train_lockstep([job for _, job in trained], tol)
+    share = (time.perf_counter() - t0) / max(1, len(trained))
+    for (args, job), result in zip(trained, results):
+        if isinstance(result, Exception):
+            records.append(_failed_record(*args, result))
+            continue
+        code, trace = result
+        try:
+            records.append(_ok_record(
+                *args, code, job.instance, trace.shape[0],
+                time.perf_counter(), tol, share))
+        except _SWEEP_ERRORS as exc:
+            records.append(_failed_record(*args, exc))
     records.sort(key=_record_order)
     return records
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import BadDimensions, ProblemInstance, WhitenedInstance, _cholesky, _task_grams
+from .model import (BadDimensions, ProblemInstance, WhitenedInstance, _cholesky,
+                    _non_reals, _task_grams)
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
 
 
@@ -288,8 +289,13 @@ def code_from_json(text: str) -> ButterflyCode:
     mats = {}
     for name in _MATRIX_FIELDS:
         try:
-            shape = tuple(int(s) for s in doc[name]["shape"])
-            mats[name] = np.asarray(doc[name]["data"], dtype=float).reshape(shape)
+            shape, data = doc[name]["shape"], doc[name]["data"]
+            if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                       for s in shape):
+                raise ValueError(f"shape entries must be non-negative integers, got {shape!r}")
+            for entry in _non_reals(data):
+                raise ValueError(f"data entries must be real numbers, got {entry!r}")
+            mats[name] = np.asarray(data, dtype=float).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadDimensions(
                 f"code field {name} must hold a \"shape\" and matching \"data\": {exc}"

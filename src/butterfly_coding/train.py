@@ -7,9 +7,11 @@ rule. Modes restrict which matrices move or which objective drives them
 always reports the true task losses.
 
 One batched kernel does all training: every array carries a leading member
-axis, so the runs of a whole sweep step in lockstep (`train_lockstep`), and
-`train` is the batch of one; the two sinks' arrays stack on one more leading
-axis, so each product serves both. Each member's code is one row of a
+axis, so many runs step in lockstep, and the two sinks' arrays stack on one
+more leading axis, so each product serves both. `train_lockstep` owns the
+batching: it takes any list of jobs, such as every trained cell of a sweep,
+groups them by shape and schedule, and caps each batch at _LOCKSTEP_BYTES;
+`train` is the batch of one. Each member's code is one row of a
 preallocated array, in code.py's layout (`_offsets`), so that its
 matrices are views into the encoder maps the products need. The kernel
 works on each task's thin factor C, the R of a QR of K (min(rows, n) x n),
@@ -465,43 +467,57 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
         out[bt.ids[j]] = (code, bt.trace[j])
 
 
-def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Train every job at once with one batched loss-and-gradient kernel.
+# Cap on the members trained at once, counted as 8 n^2 bytes, one n x n
+# float64 matrix, per member. A member's working set grows as n^2 and is
+# about twelve such matrices on a synthetic instance (Z = n/4, h = n/2 task
+# rows): its code row, direction row and step row, 2.6 n^2 floats each, and
+# its task factors and thin residual work arrays, (2, h, n) = n^2 floats each.
+# Batching pays while per-call overhead dominates an epoch and stops paying
+# once a batch outgrows the cache: measured on one thread of a 2-vCPU Xeon
+# (the four modes in turn, best of 5 runs), the per-member epoch time at
+# n=32 fell from 0.04 ms alone to 0.02-0.03 ms at 8-48 members, lowest at
+# 16-24; at n=64 it was 0.09-0.12 ms alone, 0.07-0.10 ms at 2 members and
+# 0.11-0.17 ms at 3-16; at n=128 0.52-0.56 ms alone and at 2, 1.1 ms at 4-8.
+# 192 KiB gives 24 members at n=32, 6 at n=64 and 1 from n=128 up.
+_LOCKSTEP_BYTES = 192 * 2**10
 
-    Jobs must share the instance dimensions (n, a, b, z) and the epochs,
-    gradient and batch_size settings; instances, inits, modes, seeds and
-    learning rates may differ. Returns one entry per job, in order: the
-    (code, trace) pair `train` would return, or the exception that stopped
-    that job alone -- DivergenceDetected, or an error building its start
-    point. One epoch loop steps every member: each pass forms the encoder
-    maps, the relay chain and the update for the whole batch, and the
-    residual products per group of members that share a task factor height
-    and descent kind, so each member's arithmetic is the same as when it
-    trains alone, and its result does not depend on the rest of the batch.
+
+def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Train every job with one batched loss-and-gradient kernel.
+
+    Jobs may mix shapes and schedules. They are grouped by the instance
+    dimensions (n, a, b, z) and the epochs, gradient and batch_size settings,
+    in first-seen order, and each group is cut into batches of at most
+    _LOCKSTEP_BYTES // (8 n^2) members; instances, inits, modes, seeds and
+    learning rates may differ within a batch. Returns one entry per job, in
+    job order: the (code, trace) pair `train` would return, or the exception
+    that stopped that job alone -- DivergenceDetected, or an error building
+    its start point. One epoch loop steps each batch: each pass forms the
+    encoder maps, the relay chain and the update for the whole batch, and
+    the residual products per group of members that share a task factor
+    height and descent kind, so each member's arithmetic is the same as when
+    it trains alone, and its result does not depend on the rest of the batch.
     """
     jobs = list(jobs)
     out: list = [None] * len(jobs)
-    if not jobs:
-        return out
-    dims = _dims(jobs[0].instance)
-    shared = ("epochs", "gradient", "batch_size")
-    first = tuple(getattr(jobs[0].config, key) for key in shared)
-    for job in jobs[1:]:
-        if _dims(job.instance) != dims:
-            raise ValueError(f"lockstep jobs must share (n, a, b, z) {dims}, "
-                             f"got {_dims(job.instance)}")
-        if tuple(getattr(job.config, key) for key in shared) != first:
-            raise ValueError(f"lockstep jobs must share {shared}")
-    started = []
+    groups: dict[tuple, list[int]] = {}
     for i, job in enumerate(jobs):
-        try:
-            started.append((i, *_start(job, tol)))
-        except _MEMBER_ERRORS as exc:
-            out[i] = exc
-    if started:
-        batch = _stack(jobs, started)
-        del started
-        _descend(batch, jobs[0].config.epochs, jobs[0].config.batch_size, out)
+        c = job.config
+        key = (*_dims(job.instance), c.epochs, c.gradient, c.batch_size)
+        groups.setdefault(key, []).append(i)
+    for (n, _, _, _, epochs, _, batch_size), members in groups.items():
+        size = max(1, _LOCKSTEP_BYTES // (8 * n * n))
+        for lo in range(0, len(members), size):
+            started = []
+            for i in members[lo:lo + size]:
+                try:
+                    started.append((i, *_start(jobs[i], tol)))
+                except _MEMBER_ERRORS as exc:
+                    out[i] = exc
+            if started:
+                # _stack empties `started`, and the batch is dropped as soon
+                # as it has trained, before the next one is built
+                _descend(_stack(jobs, started), epochs, batch_size, out)
     return out
 
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,11 +41,13 @@ from butterfly_coding.bench import (
     _FIELD_NAMES,
     FLAT_TAIL_MAX_SHARED,
     _format_cell,
-    _lockstep_batches,
 )
 from butterfly_coding import code_from_json
 
 from conftest import achievable_dichotomy_instance, unachievable_dichotomy_instance
+
+# the module, which the package's `train` attribute (the function) shadows
+train_module = sys.modules["butterfly_coding.train"]
 
 
 class TestFlatTailProfile:
@@ -118,6 +119,13 @@ class TestGenSynthetic:
         with pytest.raises(InfeasibleSpec):
             gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24,
                                         r_plus_target=15, seed=0))
+
+    @pytest.mark.parametrize("n, a, b, problem", [
+        (0, 0, 0, "bad dimensions"), (8, 9, 6, "need max"), (8, 3, 4, "need max"),
+    ], ids=["no_coordinates", "a_above_n", "a_plus_b_below_n"])
+    def test_bad_dimensions_rejected(self, n, a, b, problem):
+        with pytest.raises(InfeasibleSpec, match=problem):
+            gen_synthetic(SyntheticSpec(n=n, z=2, a=a, b=b, r_plus_target=4))
 
     def test_bad_profiles_rejected(self):
         base = dict(n=8, z=2, a=6, b=6, r_plus_target=6, seed=0)
@@ -347,17 +355,22 @@ class TestLockstepSweep:
         config = small_sweep_config(seeds=[0, 1])
         config["sweep"]["approaches"] = ALL_TRAINED
         together = [non_timing(r) for r in run_sweep(config)]
-        monkeypatch.setattr(bench_module, "_LOCKSTEP_BYTES", 1)
+        monkeypatch.setattr(train_module, "_LOCKSTEP_BYTES", 1)
         assert [non_timing(r) for r in run_sweep(config)] == together
 
-    def test_batches_shrink_as_n_grows(self):
-        def sizes(n, cells):
-            cell = SimpleNamespace(instance=SimpleNamespace(n=n, a=n, b=n, z=1))
-            return [len(batch) for batch in _lockstep_batches([cell] * cells)]
-
-        assert sizes(32, 30) == [24, 6]
-        assert sizes(64, 7) == [6, 1]
-        assert sizes(128, 3) == [1, 1, 1]
+    def test_one_train_lockstep_call_per_sweep(self, monkeypatch):
+        # a sweep over two values and two seeds, cut into batches of one
+        # member, still hands all of its trained cells to one call
+        calls = []
+        lockstep = bench_module.train_lockstep
+        monkeypatch.setattr(bench_module, "train_lockstep",
+                            lambda jobs, tol: calls.append(len(jobs)) or lockstep(jobs, tol))
+        monkeypatch.setattr(train_module, "_LOCKSTEP_BYTES", 1)
+        config = small_sweep_config(seeds=[0, 1])
+        config["sweep"]["approaches"] = ALL_TRAINED
+        records = run_sweep(config)
+        assert calls == [2 * 2 * len(ALL_TRAINED)]
+        assert all(r.status == "ok" for r in records)
 
     def test_diverging_member_fails_alone(self):
         # steep eigenvalues make the task-aware objective diverge at this

@@ -424,9 +424,15 @@ class TestSerialization:
         (code_from_json, {"e15": {"shape": [2]}}, "code field e15 must hold"),
         (code_from_json, {"d3": {"shape": [3, 3], "data": [1.0, 2.0]}},
          "code field d3 must hold"),
+        (code_from_json, {"e13": {"shape": [1, 2], "data": [True, "2"]}},
+         "code field e13 must hold.*real numbers, got True"),
+        (code_from_json, {"d3": {"shape": [-1, 2], "data": [0.0] * 6}},
+         "code field d3 must hold.*non-negative integers"),
+        (code_from_json, {"d3": {"shape": ["3", 2], "data": [0.0] * 6}},
+         "code field d3 must hold.*non-negative integers"),
         (instance_from_json, None, "instance document must be a JSON object, got 5"),
     ], ids=["not_an_object", "matrix_not_an_object", "no_data", "data_off_shape",
-            "instance_not_an_object"])
+            "data_not_real", "negative_shape", "string_shape", "instance_not_an_object"])
     def test_malformed_document_rejected(self, read, fields, problem):
         text = "5"
         if fields is not None:

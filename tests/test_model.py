@@ -50,6 +50,10 @@ class TestValidate:
         with pytest.raises(ObservationConstraintViolated):
             validate(simple_instance(n=3, a=4, b=3))
 
+    def test_psi_of_wrong_shape_rejected(self):
+        with pytest.raises(BadDimensions, match="psi shape"):
+            validate(simple_instance(psi=np.eye(2)))
+
     def test_negative_eigenvalue_rejected(self):
         psi = np.diag([1.0, -0.5, 1.0])
         with pytest.raises(NotPSD):
@@ -137,6 +141,10 @@ class TestWhiten:
         assert w.inner.n == 1
         assert w.a_tilde == 1 and w.b_tilde == 1
         assert np.allclose(w.inner.psi, np.eye(1))
+
+    def test_zero_covariance_rejected(self):
+        with pytest.raises(BadDimensions, match="numerically zero"):
+            whiten(simple_instance(psi=np.zeros((3, 3))))
 
     def test_inner_covariance_full_rank(self):
         rng = np.random.default_rng(7)
@@ -235,6 +243,13 @@ class TestSpectrum:
     def test_requires_positive_definite(self):
         inst = simple_instance(psi=np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(CholeskyFailed):
+            spectrum(inst)
+
+    def test_numerically_singular_covariance_rejected(self):
+        # the Cholesky factor exists, but its smallest pivot is below the
+        # square root of the rank tolerance
+        inst = simple_instance(psi=np.diag([1.0, 1e-14, 1.0]))
+        with pytest.raises(CholeskyFailed, match="rank-deficient"):
             spectrum(inst)
 
 

@@ -61,6 +61,30 @@ def test_orthonormal_basis_dimension_mismatch():
         orthonormal_basis([np.ones(3), np.ones(4)])
 
 
+VECTOR_LIST = [[1.0, 1, 3], [4.0, -7, 1], [2.0, 2, 6]]
+
+
+@pytest.mark.parametrize("vectors, stacked, rank", [
+    (VECTOR_LIST, np.column_stack(VECTOR_LIST), 2),
+    (np.array([3.0, 4.0]), np.array([[3.0], [4.0]]), 1),
+    ([np.ones(3), np.ones(4)], None, DimensionMismatch),
+    ([], None, DimensionMismatch),
+], ids=["vector_list", "one_d_array", "mixed_lengths", "empty_list_no_ambient_dim"])
+def test_sequence_input(vectors, stacked, rank):
+    # a list of vectors is the matrix of those columns, and a 1-D array one
+    # column; a list whose lengths differ, or an empty list with no
+    # ambient_dim, gives no matrix
+    if rank is DimensionMismatch:
+        for fn in (orthonormal_basis, rank_of):
+            with pytest.raises(DimensionMismatch):
+                fn(vectors)
+        return
+    got, want = orthonormal_basis(vectors), orthonormal_basis(stacked)
+    assert got.ambient_dim == want.ambient_dim == stacked.shape[0]
+    assert np.array_equal(got.vectors, want.vectors)
+    assert rank_of(vectors) == rank_of(stacked) == want.dim == rank
+
+
 def test_basis_orthonormality_invariant():
     rng = np.random.default_rng(0)
     for _ in range(50):

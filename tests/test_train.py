@@ -522,15 +522,33 @@ class TestLockstep:
         assert isinstance(results[0], BadDimensions)
         assert_same_run(results[1], train(insts[1], cfg))
 
-    def test_mixed_shapes_or_schedules_rejected(self):
-        small, = same_dims_instances(np.random.default_rng(23), 1)
-        big, = same_dims_instances(np.random.default_rng(24), 1, n=6, a=4, b=4)
-        cfg = TrainConfig(epochs=5)
-        with pytest.raises(ValueError, match="share"):
-            train_lockstep([TrainJob(small, cfg), TrainJob(big, cfg)])
-        with pytest.raises(ValueError, match="share"):
-            train_lockstep([TrainJob(small, cfg),
-                            TrainJob(small, TrainConfig(epochs=6))])
+    def test_mixed_shapes_and_schedules_match_alone(self):
+        # two instance shapes, two epoch counts and both gradients,
+        # interleaved, in one call: each member comes back in its place,
+        # the same as trained alone
+        small = same_dims_instances(np.random.default_rng(23), 2)
+        big = same_dims_instances(np.random.default_rng(24), 2, n=6, a=4, b=4)
+        runs = [(small[0], 5), (big[0], 5), (small[1], 6), (big[1], 6)]
+        jobs = [TrainJob(inst, TrainConfig(epochs=epochs, learning_rate=0.02, seed=s,
+                                           mode=mode, gradient=gradient, batch_size=16))
+                for mode in MODES for gradient in ("exact_expectation", "empirical_batch")
+                for s, (inst, epochs) in enumerate(runs)]
+        results = train_lockstep(jobs)
+        assert len(results) == len(jobs)
+        for job, got in zip(jobs, results):
+            assert got[1].shape == (job.config.epochs, 3)
+            assert_same_run(got, train(job.instance, job.config))
+
+    def test_batches_shrink_as_n_grows(self, monkeypatch):
+        # the cap counts one n x n float64 matrix per member; each shape is
+        # its own group, cut in first-seen order
+        kernel = sys.modules["butterfly_coding.train"]
+        sizes = []
+        monkeypatch.setattr(kernel, "_descend", lambda bt, *args: sizes.append(len(bt.ids)))
+        jobs = [TrainJob(simple_instance(n=n, a=n, b=n, z=1), TrainConfig(epochs=1))
+                for n, count in ((32, 30), (64, 7), (128, 3)) for _ in range(count)]
+        train_lockstep(jobs)
+        assert sizes == [24, 6, 6, 1, 1, 1, 1]
 
     def test_empty_batch(self):
         assert train_lockstep([]) == []
@@ -548,6 +566,11 @@ class TestTraceExport:
         back = np.array([[float(v) for v in row.split(",")[1:]]
                          for row in lines[1:]])
         assert np.array_equal(back, trace)
+
+    def test_trace_of_wrong_shape_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            export_trace_csv(np.zeros((4, 2)), tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
