@@ -29,7 +29,7 @@ from .model import (
     task_pca,
     validate,
 )
-from .subspace import DEFAULT_TOL, InfeasibleExtension, ToleranceConfig, rank_of
+from .subspace import DEFAULT_TOL, Basis, InfeasibleExtension, ToleranceConfig, join
 from .train import (
     DivergenceDetected,
     TrainConfig,
@@ -162,7 +162,7 @@ def gen_synthetic(spec: SyntheticSpec,
                         k3=root[:, None] * u3.T, k4=root[:, None] * u4.T),
         tol,
     )
-    got = rank_of(np.hstack([u3, u4]), tol)
+    got = join(Basis(n, u3), Basis(n, u4), tol).dim
     if got != spec.r_plus_target:
         raise InfeasibleSpec(
             f"generated spectrum has joint task rank {got}, "
@@ -343,7 +343,7 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
             try:
                 instance = gen_synthetic(replace(template, seed=seed, **swept), tol)
                 spec_obj = spectrum(instance, tol)
-                lb = lower_bound(spec_obj, template.z)
+                lb = lower_bound(spec_obj, template.z, tol)
             except _SWEEP_ERRORS as exc:
                 for approach in approaches:
                     records.append(_failed_record(
@@ -502,7 +502,7 @@ def _cmd_construct(config, out, tol) -> int:
     _, _, total = exact_loss(code, instance)
     _emit(code_to_json(code), out)
     print(f"L_total={float(total)!r} "
-          f"lower_bound={float(lower_bound(spec, instance.z))!r}",
+          f"lower_bound={float(lower_bound(spec, instance.z, tol))!r}",
           file=sys.stderr)
     return 0
 

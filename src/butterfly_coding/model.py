@@ -188,27 +188,34 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
     )
 
 
-def _tail(w: np.ndarray, n: int, z: int) -> float:
-    """Sum past index 2Z of the descending eigenvalues w, clipped at zero and
-    cut or padded with zeros to length n."""
+def _tail(w: np.ndarray, n: int, z: int, tol: ToleranceConfig) -> float:
+    """Sum past index 2Z of the descending eigenvalues w, cut or padded with
+    zeros to length n. Eigenvalues at or below rank_tol * max(1, w[0]), the
+    relative rule of the eigengap flags, count as zero: on a rank-deficient
+    Gram they are rounding noise, and dropping them can only lower the
+    bound."""
     padded = np.zeros(n)
-    padded[: min(w.size, n)] = np.clip(w[:n], 0.0, None)
+    padded[: min(w.size, n)] = w[:n]
+    floor = tol.rank_tol * max(1.0, float(w[0])) if w.size else 0.0
+    padded[padded <= floor] = 0.0
     return float(padded[2 * z :].sum())
 
 
-def lower_bound(spec: TaskSpectrum, z: int) -> float:
-    """Sum of both tasks' eigenvalues past index 2Z. Zero when 2Z >= n."""
-    return _tail(spec.mu3, spec.n, z) + _tail(spec.mu4, spec.n, z)
+def lower_bound(spec: TaskSpectrum, z: int, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Sum of both tasks' eigenvalues past index 2Z, each task's noise floor
+    counted as zero (see _tail). Zero when 2Z >= n."""
+    return _tail(spec.mu3, spec.n, z, tol) + _tail(spec.mu4, spec.n, z, tol)
 
 
-def lower_bound_of(instance: ProblemInstance) -> float:
+def lower_bound_of(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Lower bound straight from the instance; also valid for singular psi.
 
     The nonzero eigenvalues of L^T K^T K L coincide with those of K psi K^T, so
     the trailing sums can be read off the small task-side matrices without a
     Cholesky factor.
     """
-    return sum(_tail(np.linalg.eigvalsh(k @ instance.psi @ k.T)[::-1], instance.n, instance.z)
+    return sum(_tail(np.linalg.eigvalsh(k @ instance.psi @ k.T)[::-1], instance.n,
+                     instance.z, tol)
                for k in (instance.k3, instance.k4))
 
 

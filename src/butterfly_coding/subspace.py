@@ -12,6 +12,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr
 
 
 class DimensionMismatch(ValueError):
@@ -57,6 +58,12 @@ def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
         m = np.column_stack(cols)
     if ambient_dim is not None and m.shape[0] != ambient_dim:
         raise DimensionMismatch(f"expected ambient dimension {ambient_dim}, got {m.shape[0]}")
+    bad = ~np.isfinite(m)
+    if bad.any():
+        rows, cols = np.nonzero(bad)
+        entries = ", ".join(f"{m[i, j]} at ({i}, {j})" for i, j in zip(rows[:3], cols[:3]))
+        more = f" and {rows.size - 3} more" if rows.size > 3 else ""
+        raise ValueError(f"vectors hold non-finite entries: {entries}{more}")
     return m
 
 
@@ -130,27 +137,45 @@ def _check_same_ambient(a: Basis, b: Basis):
         )
 
 
-def _principal_vectors(resid: np.ndarray, rank: int, tol: ToleranceConfig) -> np.ndarray:
-    """Right singular vectors V of `resid` whose angle passes intersect's test.
+def _sine_test(resid: np.ndarray, rank: int, tol: ToleranceConfig):
+    """SVD U, V^T of `resid` and the mask of the angles that pass
+    intersect's test, one entry per row of V^T.
 
     `resid` holds the part of an orthonormal basis S outside another span,
     in any orthonormal coordinates, so its singular values are the sines of
-    the principal angles between the spans and S V are the principal
-    vectors. `rank` bounds the residual's rank (n less the other span's
-    dimension); the sines past it are zero by construction and are set so
-    exactly.
+    the principal angles between the spans, S V are the principal vectors
+    and U the directions of S outside the other span. `rank` bounds the
+    residual's rank (n less the other span's dimension); the sines past it
+    are zero by construction and are set so exactly. Sines descend, so the
+    angles that fail the test come first.
     """
     k = resid.shape[1]
-    if k == 0:
-        return np.zeros((0, 0))
-    _, s, vh = np.linalg.svd(resid, full_matrices=resid.shape[0] < k)
+    u, s, vh = np.linalg.svd(resid, full_matrices=resid.shape[0] < k)
     sines = np.zeros(k)
     top = min(s.size, rank)
     sines[:top] = np.minimum(s[:top], 1.0)
     cosines = np.sqrt(1.0 - sines**2)
-    # descending sines: the last cosine is cos(theta_1), the smallest angle's
+    # the last cosine is cos(theta_1), the smallest angle's
     keep = sines <= tol.rank_tol * np.sqrt((1.0 + cosines) * (1.0 + cosines[-1]))
+    return u, vh, keep
+
+
+def _principal_vectors(resid: np.ndarray, rank: int, tol: ToleranceConfig) -> np.ndarray:
+    """Right singular vectors V of `resid` whose angle passes intersect's
+    test (see _sine_test)."""
+    if resid.shape[1] == 0:
+        return np.zeros((0, 0))
+    _, vh, keep = _sine_test(resid, rank, tol)
     return vh[keep].T
+
+
+def _residual(a: Basis, b: Basis) -> tuple[np.ndarray, np.ndarray, int]:
+    """(A^T B, (I - G G^T) S, n - dim G) for S the smaller basis (A on a
+    tie) and G the larger."""
+    cross = a.vectors.T @ b.vectors
+    if a.dim <= b.dim:
+        return cross, a.vectors - b.vectors @ cross.T, a.ambient_dim - b.dim
+    return cross, b.vectors - a.vectors @ cross, a.ambient_dim - a.dim
 
 
 def _unit_basis(vectors: np.ndarray) -> Basis:
@@ -187,17 +212,11 @@ def intersect(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
     B V are A A^T B V, normalized.
     """
     _check_same_ambient(a, b)
-    n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
-        return Basis.empty(n)
-    cross = a.vectors.T @ b.vectors
-    if a.dim <= b.dim:
-        v = _principal_vectors(a.vectors - b.vectors @ cross.T, n - b.dim, tol)
-        vecs = a.vectors @ v
-    else:
-        v = _principal_vectors(b.vectors - a.vectors @ cross, n - a.dim, tol)
-        vecs = a.vectors @ (cross @ v)
-    return _unit_basis(vecs)
+        return Basis.empty(a.ambient_dim)
+    cross, resid, rank = _residual(a, b)
+    v = _principal_vectors(resid, rank, tol)
+    return _unit_basis(a.vectors @ v if a.dim <= b.dim else a.vectors @ (cross @ v))
 
 
 def _coordinate_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
@@ -211,9 +230,33 @@ def _coordinate_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 
 def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
-    """Basis of the sum A + B."""
+    """Basis of the sum A + B, from the principal angles that intersect
+    reads: the larger basis G (B on a tie) followed by the directions of the
+    smaller basis S outside G whose angle fails intersect's test, the left
+    singular vectors of the residual (I - G G^T) S with those sines.
+
+    One SVD of the n x dim S residual replaces one of the stack [A | B]. In
+    exact arithmetic both count the same dimensions (see intersect: the
+    stack's rank is dim A + dim B less the angles that pass). Here the
+    count reads the residual and the test that intersect reads, so
+    dim join = dim A + dim B - dim intersect holds in floating point too,
+    and no direction below intersect's rule enters. A left singular vector
+    of sine s is orthogonal to G only to rounding / s, so the new
+    directions are projected against G and re-orthonormalized by a QR,
+    twice: the second pass restores orthogonality to rounding after the
+    first has normalized what it left (Gram-Schmidt "twice is enough",
+    Parlett, The Symmetric Eigenvalue Problem, 1980).
+    """
     _check_same_ambient(a, b)
-    return orthonormal_basis(np.hstack([a.vectors, b.vectors]), tol, a.ambient_dim)
+    if a.dim == 0 or b.dim == 0:
+        return b if a.dim == 0 else a
+    _, resid, rank = _residual(a, b)
+    u, _, keep = _sine_test(resid, rank, tol)
+    g = b.vectors if a.dim <= b.dim else a.vectors
+    new = u[:, :int(np.count_nonzero(~keep))]
+    for _ in range(2):
+        new = np.linalg.qr(new - g @ (g.T @ new))[0]
+    return Basis(a.ambient_dim, np.hstack([g, new]))
 
 
 def is_subspace_of(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -229,27 +272,28 @@ def is_subspace_of(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> bo
 def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
                  tol: ToleranceConfig) -> np.ndarray:
     """The (n, count) matrix of pool columns picked each with the largest
-    residual against the running span (ties broken by lowest column index).
-    Raises if the pool runs out of independent directions first.
+    residual against the running span. Raises if the pool runs out of
+    independent directions first.
 
-    The pool is projected against the current span once; each pick then
-    deflates every residual by the chosen residual's direction."""
+    The pool is projected against the current span once. The picks are then
+    the pivots of a QR with column pivoting of that residual (Businger &
+    Golub, Numer. Math. 1965; LAPACK xGEQP3), which takes the column of
+    largest residual norm at each step, and |R_jj| is the j-th pick's
+    residual. Ties fall to xGEQP3's pivot order."""
+    if count == 0:
+        return pool[:, :0]
     resid = pool
-    if current.shape[1] and count:
+    if current.shape[1]:
         q = orthonormal_basis(current, tol).vectors
         resid = pool - q @ (q.T @ pool)
-    chosen: list[int] = []
-    for _ in range(count):
-        norms = np.linalg.norm(resid, axis=0)
-        best = int(np.argmax(norms)) if norms.size else 0
-        if norms.size == 0 or norms[best] <= tol.rank_tol:
-            raise InfeasibleExtension(
-                f"pool exhausted after {len(chosen)} of {count} extension vectors"
-            )
-        chosen.append(best)
-        unit = resid[:, best] / norms[best]
-        resid = resid - np.outer(unit, unit @ resid)
-    return pool[:, chosen]
+    r, order = qr(resid, mode="r", pivoting=True)
+    found = np.abs(np.diag(r)[:count]) > tol.rank_tol
+    picked = found.size if found.all() else int(np.argmin(found))
+    if picked < count:
+        raise InfeasibleExtension(
+            f"pool exhausted after {picked} of {count} extension vectors"
+        )
+    return pool[:, order[:count]]
 
 
 def extend_from_pool(core: Basis, pool: Basis, target: Basis,

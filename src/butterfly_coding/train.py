@@ -51,7 +51,6 @@ from .subspace import (
     InfeasibleExtension,
     ToleranceConfig,
     _extend,
-    join,
     orthonormal_basis,
 )
 
@@ -150,7 +149,10 @@ def greedy_benchmark_code(instance: ProblemInstance,
 
     def side(obs: np.ndarray, gram: np.ndarray) -> np.ndarray:
         pool = orthonormal_basis(obs, tol, ambient_dim=n)
-        joint = join(b56, pool, tol)
+        # one SVD of the stack, not join: the picks below follow this
+        # basis's rotation, and the trained loss follows the picks (CHANGES.md,
+        # FOUND 16)
+        joint = orthonormal_basis(np.hstack([b56.vectors, pool.vectors]), tol, ambient_dim=n)
         resid = joint.vectors - b56.vectors @ (b56.vectors.T @ joint.vectors)
         comp = orthonormal_basis(resid, tol, ambient_dim=n)
         mw, mv = np.linalg.eigh(comp.vectors.T @ gram @ comp.vectors)

@@ -10,8 +10,10 @@ from butterfly_coding import (
     NotPSD,
     ObservationConstraintViolated,
     ProblemInstance,
+    SyntheticSpec,
     covariance_from_samples,
     exact_loss,
+    gen_synthetic,
     instance_from_json,
     instance_to_json,
     lift_code,
@@ -279,6 +281,26 @@ class TestLowerBound:
             spec = spectrum(inst)
             vals = [lower_bound(spec, zz) for zz in range(1, inst.n + 1)]
             assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n, z, a", [(32, 8, 24), (64, 8, 48)])
+    def test_rank_2z_tasks_have_a_zero_bound(self, n, z, a):
+        # the whitened Grams have rank 2Z, so their tails past 2Z are
+        # rounding noise, which must not make the bound positive
+        for seed in range(5):
+            for r_plus in range(2 * z, 4 * z + 1, 4):
+                for profile in (None, "flat_tail"):
+                    inst = gen_synthetic(SyntheticSpec(
+                        n=n, z=z, a=a, b=a, r_plus_target=r_plus,
+                        eig_profile=profile, seed=seed))
+                    assert lower_bound(spectrum(inst), z) == 0.0
+                    assert lower_bound_of(inst) == 0.0
+
+    def test_task_without_rows(self):
+        # a task matrix with no rows has no eigenvalues to floor; task 4's
+        # eigenvalues are 1, 1, 1, so the tail past 2Z = 2 is 1
+        inst = validate(simple_instance(k3=np.zeros((0, 3))))
+        assert lower_bound_of(inst) == 1.0
+        assert lower_bound(spectrum(inst), 1) == 1.0
 
     def test_matches_instance_level_helper(self):
         rng = np.random.default_rng(16)

@@ -61,6 +61,14 @@ def test_orthonormal_basis_dimension_mismatch():
         orthonormal_basis([np.ones(3), np.ones(4)])
 
 
+@pytest.mark.parametrize("fn", [orthonormal_basis, rank_of], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_rejected(fn, value):
+    # an SVD would read inf as rank 0 and fail to converge on nan
+    with pytest.raises(ValueError, match=r"non-finite entries: -?(nan|inf) at \(0, 0\)"):
+        fn(np.array([[value, 1.0], [0.0, 1.0]]))
+
+
 VECTOR_LIST = [[1.0, 1, 3], [4.0, -7, 1], [2.0, 2, 6]]
 
 
@@ -230,6 +238,55 @@ def test_property_battery():
             assert grown.dim == target.dim
 
 
+def _greedy_pick_by_loop(current, pool, count, tol):
+    """Reference greedy rule as a loop: project the pool against the current
+    span once, then pick the largest residual and deflate every residual by
+    its direction, count times."""
+    resid = pool
+    if current.shape[1] and count:
+        q = orthonormal_basis(current, tol).vectors
+        resid = pool - q @ (q.T @ pool)
+    chosen = []
+    for _ in range(count):
+        norms = np.linalg.norm(resid, axis=0)
+        best = int(np.argmax(norms)) if norms.size else 0
+        if norms.size == 0 or norms[best] <= tol.rank_tol:
+            raise InfeasibleExtension(
+                f"pool exhausted after {len(chosen)} of {count} extension vectors"
+            )
+        chosen.append(best)
+        unit = resid[:, best] / norms[best]
+        resid = resid - np.outer(unit, unit @ resid)
+    return pool[:, chosen]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), data=st.data())
+def test_greedy_pick_matches_the_loop(seed, n, data):
+    # a random core leaves the residual norms of an orthonormal pool
+    # distinct, so both pick the same columns in the same order; a pool that
+    # shares `inside` directions with the core runs out after its other ones
+    rng = np.random.default_rng(seed)
+    tol = ToleranceConfig()
+    k = data.draw(st.integers(1, n - 1), label="core")
+    core = rng.normal(size=(n, k))
+    inside = data.draw(st.integers(0, k), label="inside")
+    outside = data.draw(st.integers(0, n - k), label="outside")
+    pool = orthonormal_basis(np.hstack([core[:, :inside] @ rng.normal(size=(inside, inside)),
+                                        rng.normal(size=(n, outside))]),
+                             ambient_dim=n).vectors
+    count = data.draw(st.integers(0, pool.shape[1] + 1), label="count")
+    try:
+        want = _greedy_pick_by_loop(core, pool, count, tol)
+    except InfeasibleExtension as exc:
+        assert count > outside
+        with pytest.raises(InfeasibleExtension) as got:
+            _greedy_pick(core, pool, count, tol)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array_equal(_greedy_pick(core, pool, count, tol), want)
+
+
 def _greedy_pick_by_refactoring(current, pool, count, tol):
     """Reference greedy rule: re-factor the running span before every pick."""
     span = current
@@ -378,3 +435,71 @@ def test_intersect_counts_forced_dimensions_at_zero_tolerance():
         forced = max(0, a.dim + b.dim - n)
         assert intersect(a, b, tol).dim == forced
         assert _intersect_by_null_space(a, b, tol).dim == forced
+
+
+def _join_by_stacking(a, b, tol=DEFAULT_TOL):
+    """Reference join: an orthonormal basis of the stack [A | B]."""
+    return orthonormal_basis(np.hstack([a.vectors, b.vectors]), tol, a.ambient_dim)
+
+
+def max_residual(x, y):
+    """Largest residual of a column of X after projection onto span(Y)."""
+    resid = x.vectors - y.vectors @ (y.vectors.T @ x.vectors)
+    return np.linalg.norm(resid, axis=0).max(initial=0.0)
+
+
+def assert_join_matches_stacking(a, b, tol):
+    got, want = join(a, b, tol), _join_by_stacking(a, b, tol)
+    assert got.dim == want.dim == a.dim + b.dim - intersect(a, b, tol).dim
+    assert np.abs(got.vectors.T @ got.vectors - np.eye(got.dim)).max(initial=0.0) <= 1e-12
+    # an angle that passes the test merges its pair of vectors, which each
+    # implementation may represent anywhere between the two, and one that
+    # fails fixes its new direction only to rounding / its sine, in both
+    small, large = (a, b) if a.dim <= b.dim else (b, a)
+    sines = np.linalg.svd(small.vectors - large.vectors @ (large.vectors.T @ small.vectors),
+                          compute_uv=False)
+    failing = sines[sines > 2 * tol.rank_tol]
+    slack = tol.rank_tol + 1e-14 / failing.min(initial=1.0)
+    assert max_residual(got, want) <= slack
+    assert max_residual(want, got) <= slack
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(("exact", 0.25, 2.0, 4.0, "wide")),
+                      min_size=1, max_size=5),
+       extra_a=st.integers(0, 4), extra_b=st.integers(0, 4),
+       tol=st.sampled_from(EDGE_TOLS))
+def test_join_matches_stacking_on_planted_angles(seed, kinds, extra_a, extra_b, tol):
+    a, b, _ = planted_pair(np.random.default_rng(seed), kinds, extra_a, extra_b, tol)
+    assert_join_matches_stacking(a, b, tol)
+    assert_join_matches_stacking(b, a, tol)
+
+
+@pytest.mark.parametrize("tol", EDGE_TOLS, ids=lambda t: f"{t.rank_tol:g}")
+def test_join_matches_stacking_on_empty_identical_and_nested_bases(tol):
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        n = int(rng.integers(1, 10))
+        a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))),
+                              ambient_dim=n)
+        rotation = np.linalg.qr(rng.normal(size=(a.dim, a.dim)))[0]
+        inner = Basis(n, a.vectors @ rotation[:, :int(rng.integers(0, a.dim + 1))])
+        empty = Basis.empty(n)
+        for x, y in ((a, empty), (empty, a), (empty, empty), (a, a),
+                     (a, inner), (inner, a)):
+            assert_join_matches_stacking(x, y, tol)
+
+
+def test_join_stays_orthonormal_on_rounding_level_sines():
+    # at rank_tol 0 the sine of an exactly shared direction is rounding
+    # noise, which fails the test; the join's direction for it is arbitrary
+    # but must be orthonormal to the rest
+    rng = np.random.default_rng(35)
+    tol = ToleranceConfig(rank_tol=0.0)
+    for _ in range(300):
+        a, b, _ = planted_pair(rng, ["exact"] * int(rng.integers(1, 6)),
+                               int(rng.integers(0, 5)), int(rng.integers(0, 5)), tol)
+        sup = join(a, b, tol)
+        assert sup.dim == a.dim + b.dim - intersect(a, b, tol).dim
+        assert np.abs(sup.vectors.T @ sup.vectors - np.eye(sup.dim)).max() <= 1e-13
