@@ -191,4 +191,4 @@ def construct_lb_code(spec: TaskSpectrum, instance: ProblemInstance,
         spans = _construct_small_capacity(bases, instance, tol)
     else:
         spans = _construct_large_capacity(spec, instance, tol)
-    return realize_spans(spans, instance, tol)
+    return realize_spans(spans, instance, tol, spec)

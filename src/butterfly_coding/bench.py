@@ -22,6 +22,7 @@ from .analytic import PreconditionNotMet, construct_lb_code, sufficient_report
 from .code import exact_loss, utilities, code_to_json
 from .model import (
     ProblemInstance,
+    TaskSpectrum,
     covariance_from_samples,
     load_samples_csv,
     lower_bound,
@@ -285,12 +286,13 @@ class _TrainBlock(TrainConfig):
     trace_csv: str | None = None
 
 
-def _ok_record(approach, param, value, seed, lb, code, instance, epochs_run,
-               started, tol, shared_s=0.0) -> ResultRecord:
-    """The record of a finished cell, evaluated now; its wall time runs from
-    `started`, plus `shared_s`, its share of the training before that."""
+def _ok_record(approach, param, value, seed, lb, code, instance, spec_obj,
+               epochs_run, started, tol, shared_s=0.0) -> ResultRecord:
+    """The record of a finished cell, evaluated now on the cell's spectrum
+    `spec_obj`; its wall time runs from `started`, plus `shared_s`, its
+    share of the training before that."""
     l3, l4, total = exact_loss(code, instance)
-    u56, u13, u24 = utilities(code, instance, tol)
+    u56, u13, u24 = utilities(code, instance, tol, spec_obj)
     return ResultRecord(
         approach=approach,
         sweep_param_name=param,
@@ -334,7 +336,8 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     per_cell = approaches + (["analytic_construction"] if auto_construct else [])
 
     records: list[ResultRecord] = []
-    trained: list[tuple[tuple, TrainJob]] = []   # (record arguments, job)
+    # (record arguments, the cell's spectrum, job)
+    trained: list[tuple[tuple, TaskSpectrum, TrainJob]] = []
     for value in values:
         swept = ({"r_plus_target": value} if param == "r_plus"
                  else {"a": value, "b": value})
@@ -351,31 +354,31 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                 continue
             for approach in per_cell:
                 if approach != "analytic_construction":
-                    trained.append(((approach, param, value, seed, lb), TrainJob(
+                    trained.append(((approach, param, value, seed, lb), spec_obj, TrainJob(
                         instance, replace(base_cfg, mode=approach, seed=seed))))
                     continue
                 t0 = time.perf_counter()
                 try:
                     code = construct_lb_code(spec_obj, instance, tol)
                     records.append(_ok_record(
-                        approach, param, value, seed, lb, code, instance, 0,
-                        t0, tol))
+                        approach, param, value, seed, lb, code, instance, spec_obj,
+                        0, t0, tol))
                 except _SWEEP_ERRORS as exc:
                     if not (auto_construct and isinstance(exc, PreconditionNotMet)):
                         records.append(_failed_record(
                             approach, param, value, seed, lb, exc))
 
     t0 = time.perf_counter()
-    results = train_lockstep([job for _, job in trained], tol)
+    results = train_lockstep([job for _, _, job in trained], tol)
     share = (time.perf_counter() - t0) / max(1, len(trained))
-    for (args, job), result in zip(trained, results):
+    for (args, spec_obj, job), result in zip(trained, results):
         if isinstance(result, Exception):
             records.append(_failed_record(*args, result))
             continue
         code, trace = result
         try:
             records.append(_ok_record(
-                *args, code, job.instance, trace.shape[0],
+                *args, code, job.instance, spec_obj, trace.shape[0],
                 time.perf_counter(), tol, share))
         except _SWEEP_ERRORS as exc:
             records.append(_failed_record(*args, exc))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import (BadDimensions, ProblemInstance, WhitenedInstance, _cholesky,
-                    _non_reals, _task_grams)
+from .model import (BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance,
+                    _cholesky, _non_reals, _task_grams)
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
 
 
@@ -141,11 +141,20 @@ def with_optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
     return ButterflyCode(code.e13, code.e15, code.e24, code.e25, code.e56, d3, d4)
 
 
+def _chol(instance: ProblemInstance, tol: ToleranceConfig,
+          spec: TaskSpectrum | None) -> np.ndarray:
+    """The Cholesky factor L of psi: the caller's spectrum's, when it holds
+    one, as spectrum computes it the same way."""
+    return _cholesky(instance.psi, tol) if spec is None else spec.cholesky_l
+
+
 def flow_spans(code: ButterflyCode, instance: ProblemInstance,
-               tol: ToleranceConfig = DEFAULT_TOL) -> CodeSpans:
-    """Express each link signal as Phi^T L^{-1} x and return the Phi matrices."""
+               tol: ToleranceConfig = DEFAULT_TOL,
+               spec: TaskSpectrum | None = None) -> CodeSpans:
+    """Express each link signal as Phi^T L^{-1} x and return the Phi matrices.
+    `spec`, the instance's spectrum if the caller holds it, supplies L."""
     check_code_shapes(code, instance)
-    chol = _cholesky(instance.psi, tol)
+    chol = _chol(instance, tol, spec)
     a, b, n = instance.a, instance.b, instance.n
     rows1 = chol[:a, :]        # a x n, the observed rows of L
     rows2 = chol[n - b :, :]
@@ -171,7 +180,8 @@ def _fit_node1(chol: np.ndarray, a: int, targets: np.ndarray):
 
 
 def realize_spans(spans: CodeSpans, instance: ProblemInstance,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> ButterflyCode:
+                  tol: ToleranceConfig = DEFAULT_TOL,
+                  spec: TaskSpectrum | None = None) -> ButterflyCode:
     """Encoders whose flow spans reproduce the given Phi matrices columnwise,
     with decoders filled in by optimal_decoders.
 
@@ -179,9 +189,10 @@ def realize_spans(spans: CodeSpans, instance: ProblemInstance,
     (InvalidSpan otherwise). Each phi56 column is assigned wholly to the
     observation span that contains it, node 1's when both do; columns in
     neither span alone are split across both by minimum-norm least squares.
+    `spec`, the instance's spectrum if the caller holds it, supplies L.
     """
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
-    chol = _cholesky(instance.psi, tol)
+    chol = _chol(instance, tol, spec)
     u1 = chol[:a, :].T         # n x a
     u2 = chol[n - b :, :].T    # n x b
     scale = max(1.0, float(np.abs(chol).max()))
@@ -228,16 +239,17 @@ def realize_spans(spans: CodeSpans, instance: ProblemInstance,
 
 
 def utilities(code: ButterflyCode, instance: ProblemInstance,
-              tol: ToleranceConfig = DEFAULT_TOL):
+              tol: ToleranceConfig = DEFAULT_TOL, spec: TaskSpectrum | None = None):
     """(u56, u13, u24): captured task energy per link.
 
     u56 is the trace of S3 + S4 over the relay span. u13 is the trace of S3
     over the orthogonal complement of the relay span inside sink 3's combined
     received span (so the three utilities never double-count a direction);
-    u24 is symmetric.
+    u24 is symmetric. `spec`, the instance's spectrum if the caller holds
+    it, supplies L, S3 and S4.
     """
-    spans = flow_spans(code, instance, tol)
-    _, s3, s4 = _task_grams(instance, tol)
+    spans = flow_spans(code, instance, tol, spec)
+    s3, s4 = _task_grams(instance, tol)[1:] if spec is None else (spec.s3, spec.s4)
 
     def subspace_trace(s, basis):
         if basis.dim == 0:

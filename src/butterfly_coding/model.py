@@ -188,23 +188,23 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
     )
 
 
-def _tail(w: np.ndarray, n: int, z: int, tol: ToleranceConfig) -> float:
-    """Sum past index 2Z of the descending eigenvalues w, cut or padded with
-    zeros to length n. Eigenvalues at or below rank_tol * max(1, w[0]), the
-    relative rule of the eigengap flags, count as zero: on a rank-deficient
-    Gram they are rounding noise, and dropping them can only lower the
-    bound."""
+def _tail(w: np.ndarray, n: int, cut: int, tol: ToleranceConfig) -> float:
+    """Sum past index `cut` of the descending eigenvalues w, truncated or
+    padded with zeros to length n. Eigenvalues at or below rank_tol * max(1, w[0]),
+    the relative rule of the eigengap flags, count as zero: on a
+    rank-deficient Gram they are rounding noise, and dropping them can only
+    lower the loss they sum to."""
     padded = np.zeros(n)
     padded[: min(w.size, n)] = w[:n]
     floor = tol.rank_tol * max(1.0, float(w[0])) if w.size else 0.0
     padded[padded <= floor] = 0.0
-    return float(padded[2 * z :].sum())
+    return float(padded[cut:].sum())
 
 
 def lower_bound(spec: TaskSpectrum, z: int, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Sum of both tasks' eigenvalues past index 2Z, each task's noise floor
     counted as zero (see _tail). Zero when 2Z >= n."""
-    return _tail(spec.mu3, spec.n, z, tol) + _tail(spec.mu4, spec.n, z, tol)
+    return _tail(spec.mu3, spec.n, 2 * z, tol) + _tail(spec.mu4, spec.n, 2 * z, tol)
 
 
 def lower_bound_of(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -215,7 +215,7 @@ def lower_bound_of(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL
     Cholesky factor.
     """
     return sum(_tail(np.linalg.eigvalsh(k @ instance.psi @ k.T)[::-1], instance.n,
-                     instance.z, tol)
+                     2 * instance.z, tol)
                for k in (instance.k3, instance.k4))
 
 
@@ -225,7 +225,8 @@ def task_pca(k: np.ndarray, psi: np.ndarray, z: int,
 
     The encoder projects onto the top-Z eigenvectors of the Gram matrix in
     whitened coordinates; the decoder is the closed-form least-squares inverse.
-    The loss is the sum of the trailing eigenvalues.
+    The loss is the sum of the trailing eigenvalues, the noise floor
+    counted as zero (see _tail).
     """
     k = np.atleast_2d(np.asarray(k, dtype=float))
     psi = np.asarray(psi, dtype=float)
@@ -236,7 +237,7 @@ def task_pca(k: np.ndarray, psi: np.ndarray, z: int,
     # encoder = U_Z^T L^{-1}; solve L^T X = U_Z instead of forming the inverse
     enc = solve_triangular(chol, uz, lower=True, trans="T").T
     dec = chol @ uz
-    loss = float(np.clip(mu[z:], 0.0, None).sum())
+    loss = _tail(mu, mu.size, z, tol)
     return enc, dec, loss
 
 

@@ -246,13 +246,23 @@ def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
     twice: the second pass restores orthogonality to rounding after the
     first has normalized what it left (Gram-Schmidt "twice is enough",
     Parlett, The Symmetric Eigenvalue Problem, 1980).
+
+    A contained basis skips the SVD. Every sine is a singular value of the
+    residual, so none exceeds its Frobenius norm, and intersect's test
+    passes every sine up to rank_tol, as
+    rank_tol * sqrt((1 + cos(theta)) * (1 + cos(theta_1))) >= rank_tol.
+    So when ||(I - G G^T) S||_F <= rank_tol no angle fails, and join returns
+    G, which is exactly what the SVD path returns with no directions to add
+    (at rank_tol = 0, only an exactly zero residual qualifies).
     """
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return b if a.dim == 0 else a
     _, resid, rank = _residual(a, b)
-    u, _, keep = _sine_test(resid, rank, tol)
     g = b.vectors if a.dim <= b.dim else a.vectors
+    if np.linalg.norm(resid) <= tol.rank_tol:
+        return Basis(a.ambient_dim, g.copy())
+    u, _, keep = _sine_test(resid, rank, tol)
     new = u[:, :int(np.count_nonzero(~keep))]
     for _ in range(2):
         new = np.linalg.qr(new - g @ (g.T @ new))[0]

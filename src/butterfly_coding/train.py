@@ -168,7 +168,7 @@ def greedy_benchmark_code(instance: ProblemInstance,
         phi24=side(spec.obs2, spec.s4),
         phi56=phi56,
     )
-    return realize_spans(spans, instance, tol)
+    return realize_spans(spans, instance, tol, spec)
 
 
 @dataclass(frozen=True)

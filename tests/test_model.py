@@ -355,6 +355,20 @@ class TestTaskPCA:
         assert abs(loss - gd_loss) <= 1e-6 * (1 + gd_loss)
         assert loss <= gd_loss + 1e-6
 
+    def test_rank_z_task_has_a_zero_loss(self):
+        # the whitened Gram has rank 16, so its eigenvalues past 16 are
+        # rounding noise, which the floor of the bound's tail counts as zero
+        for seed in range(5):
+            inst = gen_synthetic(SyntheticSpec(n=64, z=8, a=48, b=48, r_plus_target=24,
+                                               seed=seed))
+            assert task_pca(inst.k3, inst.psi, 16)[2] == 0.0
+
+    def test_task_of_rank_above_z_reports_its_tail(self):
+        inst = gen_synthetic(SyntheticSpec(n=64, z=8, a=48, b=48, r_plus_target=24, seed=0))
+        want = float(spectrum(inst).mu3[12:16].sum())
+        loss = task_pca(inst.k3, inst.psi, 12)[2]
+        assert want > 0.5 and abs(loss - want) <= 1e-12 * want
+
     def test_reconstruction_residual_matches_loss(self):
         rng = np.random.default_rng(19)
         n = 5

@@ -14,11 +14,14 @@ from butterfly_coding import (
     ProblemInstance,
     SyntheticSpec,
     exact_loss,
+    flow_spans,
     gen_synthetic,
     lower_bound,
     lower_bound_of,
+    realize_spans,
     spectrum,
     sufficient_report,
+    utilities,
     validate,
     with_optimal_decoders,
 )
@@ -159,3 +162,39 @@ def test_reparameterizing_the_observations_keeps_bound_report_and_loss(spec, see
                                e56=code.e56, d3=t @ code.d3, d4=t @ code.d4)
     for got, want in zip(exact_loss(moved_code, moved), exact_loss(code, inst)):
         assert abs(got - want) <= 1e-9 * (1 + want)
+
+
+def _bits(value) -> bytes:
+    """The bytes of every float a result holds, for bitwise comparison."""
+    if isinstance(value, tuple):
+        return b"".join(_bits(v) for v in value)
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return b"".join(np.ascontiguousarray(getattr(value, name)).tobytes()
+                    for name in value.__dataclass_fields__)
+
+
+@PROPERTY
+@given(spec=synthetic_specs(), seed=SEEDS)
+def test_evaluation_on_the_callers_spectrum_is_bitwise_the_same(spec, seed):
+    # the spectrum supplies L, S3 and S4, which the evaluation would compute
+    # itself the same way; psi = I makes L exactly I, so the reparameterized
+    # instance with psi = T T^T checks that the right factor is read
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    n, a, b = inst.n, inst.a, inst.b
+    t = block_diagonal(rng, (n - b, a + b - n, n - a))
+    moved = validate(ProblemInstance(n=n, psi=t @ inst.psi @ t.T, a=a, b=b, z=inst.z,
+                                     k3=inst.k3 @ np.linalg.inv(t),
+                                     k4=inst.k4 @ np.linalg.inv(t)))
+    for case in (inst, moved):
+        cell = spectrum(case)
+        code = random_code(case, rng)
+        spans = flow_spans(code, case)
+        assert _bits(flow_spans(code, case, spec=cell)) == _bits(spans)
+        assert _bits(utilities(code, case, spec=cell)) == _bits(utilities(code, case))
+        assert (_bits(realize_spans(spans, case, spec=cell))
+                == _bits(realize_spans(spans, case)))

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from butterfly_coding import (
     orthonormal_basis,
     rank_of,
 )
-from butterfly_coding.subspace import _greedy_pick
+from butterfly_coding import SyntheticSpec, analytic, gen_synthetic, spectrum
+from butterfly_coding.subspace import _greedy_pick, _residual, _sine_test
 
 
 def span(*cols, n=None):
@@ -503,3 +506,125 @@ def test_join_stays_orthonormal_on_rounding_level_sines():
         sup = join(a, b, tol)
         assert sup.dim == a.dim + b.dim - intersect(a, b, tol).dim
         assert np.abs(sup.vectors.T @ sup.vectors - np.eye(sup.dim)).max() <= 1e-13
+
+
+def _join_by_sines(a, b, tol=DEFAULT_TOL):
+    """Reference join that always factors the residual: the larger basis
+    followed by the residual's left singular vectors whose sines fail
+    intersect's test, re-orthogonalized against it twice."""
+    if a.dim == 0 or b.dim == 0:
+        return b if a.dim == 0 else a
+    _, resid, rank = _residual(a, b)
+    u, _, keep = _sine_test(resid, rank, tol)
+    g = b.vectors if a.dim <= b.dim else a.vectors
+    new = u[:, :int(np.count_nonzero(~keep))]
+    for _ in range(2):
+        new = np.linalg.qr(new - g @ (g.T @ new))[0]
+    return Basis(a.ambient_dim, np.hstack([g, new]))
+
+
+def assert_bitwise_equal(got, want):
+    assert got.vectors.shape == want.vectors.shape
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+@contextmanager
+def counting_svd():
+    """A one-item list holding the number of np.linalg.svd calls made so far
+    in the block."""
+    calls = [0]
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    np.linalg.svd = counted
+    try:
+        yield calls
+    finally:
+        np.linalg.svd = real
+
+
+JOIN_TOLS = (ToleranceConfig(), ToleranceConfig(1e-7), ToleranceConfig(0.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), data=st.data(),
+       tol=st.sampled_from(JOIN_TOLS))
+def test_join_of_a_contained_basis_equals_the_svd_path(seed, n, data, tol):
+    # S = G Q, re-orthonormalized, lies in span(G) up to rounding: at a
+    # nonzero rank_tol join takes the shortcut, at 0 the SVD path, and
+    # either way it returns what the always-SVD join returns, bit for bit
+    rng = np.random.default_rng(seed)
+    g = orthonormal_basis(rng.normal(size=(n, data.draw(st.integers(1, n)))), ambient_dim=n)
+    k = data.draw(st.integers(1, g.dim))
+    s = Basis(n, np.linalg.qr(g.vectors @ rng.normal(size=(g.dim, k)))[0])
+    for x, y in ((s, g), (g, s)):
+        assert_bitwise_equal(join(x, y, tol), _join_by_sines(x, y, tol))
+
+
+@pytest.mark.parametrize("tol", JOIN_TOLS, ids=lambda t: f"{t.rank_tol:g}")
+def test_join_of_coordinate_axes_takes_the_shortcut(tol):
+    # the residual of axes against a superset of axes is exactly zero, so
+    # even rank_tol 0 skips the SVD
+    eye = np.eye(6)
+    for k, m in ((1, 4), (3, 4), (4, 4)):
+        small, large = Basis(6, eye[:, :k]), Basis(6, eye[:, :m])
+        for x, y in ((small, large), (large, small)):
+            with counting_svd() as calls:
+                got = join(x, y, tol)
+            assert calls == [0]
+            assert_bitwise_equal(got, _join_by_sines(x, y, tol))
+            assert np.array_equal(got.vectors, eye[:, :m])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), extra=st.integers(0, 4),
+       tol=st.sampled_from(EDGE_TOLS))
+def test_join_below_the_threshold_factors_and_adds_nothing(seed, k, extra, tol):
+    # k principal angles, all equal, with sines at 0.9 x intersect's
+    # threshold rank_tol (1 + cos(theta)): tan(theta / 2) = 0.9 rank_tol.
+    # Their residual's Frobenius norm is 1.8 rank_tol sqrt(k) or so, past
+    # the shortcut's bound, so the SVD runs, and no angle fails the test
+    rng = np.random.default_rng(seed)
+    n = 2 * k + extra
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    theta = 2.0 * np.arctan(0.9 * tol.rank_tol)
+    g = Basis(n, q[:, :k + extra])
+    s = Basis(n, np.cos(theta) * q[:, :k] + np.sin(theta) * q[:, k + extra:])
+    assert np.linalg.norm(_residual(s, g)[1]) > tol.rank_tol
+    for x, y in ((s, g), (g, s)):
+        with counting_svd() as calls:
+            got = join(x, y, tol)
+        assert calls == [1]
+        # the larger basis, B on a tie, and nothing more
+        assert_bitwise_equal(got, y if x.dim <= y.dim else x)
+
+
+@pytest.mark.parametrize("r_plus", [16, 20, 24])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_analyze_on_a_nested_cell_makes_no_svd_in_join(r_plus, seed, monkeypatch):
+    # the generator keeps the task intersection inside the observation
+    # overlap, so i34 lies in i13 and in i24 and both coverage joins are
+    # containments
+    inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=r_plus,
+                                       seed=seed))
+    spec = spectrum(inst)
+    in_join = []
+    real_join = analytic.join
+
+    def counted_join(*args, **kwargs):
+        before = calls[0]
+        result = real_join(*args, **kwargs)
+        in_join.append(calls[0] - before)
+        return result
+
+    monkeypatch.setattr(analytic, "join", counted_join)
+    with counting_svd() as calls:
+        _, (_, _, i13, i24, i34, j13, j24) = analytic._analyze(spec, inst, DEFAULT_TOL)
+    assert is_subspace_of(i34, i13) and is_subspace_of(i34, i24)
+    assert in_join == [0, 0]
+    # the counter sees the analysis's other SVDs
+    assert calls[0] > 0
+    assert j13.dim == i13.dim and j24.dim == i24.dim
