@@ -22,7 +22,6 @@ from .analytic import PreconditionNotMet, construct_lb_code, sufficient_report
 from .code import exact_loss, utilities, code_to_json
 from .model import (
     ProblemInstance,
-    TaskSpectrum,
     covariance_from_samples,
     load_samples_csv,
     lower_bound,
@@ -336,8 +335,8 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     per_cell = approaches + (["analytic_construction"] if auto_construct else [])
 
     records: list[ResultRecord] = []
-    # (record arguments, the cell's spectrum, job)
-    trained: list[tuple[tuple, TaskSpectrum, TrainJob]] = []
+    # (record arguments, job); each job carries its cell's spectrum
+    trained: list[tuple[tuple, TrainJob]] = []
     for value in values:
         swept = ({"r_plus_target": value} if param == "r_plus"
                  else {"a": value, "b": value})
@@ -354,8 +353,9 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                 continue
             for approach in per_cell:
                 if approach != "analytic_construction":
-                    trained.append(((approach, param, value, seed, lb), spec_obj, TrainJob(
-                        instance, replace(base_cfg, mode=approach, seed=seed))))
+                    trained.append(((approach, param, value, seed, lb), TrainJob(
+                        instance, replace(base_cfg, mode=approach, seed=seed),
+                        spectrum=spec_obj)))
                     continue
                 t0 = time.perf_counter()
                 try:
@@ -369,16 +369,16 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                             approach, param, value, seed, lb, exc))
 
     t0 = time.perf_counter()
-    results = train_lockstep([job for _, _, job in trained], tol)
+    results = train_lockstep([job for _, job in trained], tol)
     share = (time.perf_counter() - t0) / max(1, len(trained))
-    for (args, spec_obj, job), result in zip(trained, results):
+    for (args, job), result in zip(trained, results):
         if isinstance(result, Exception):
             records.append(_failed_record(*args, result))
             continue
         code, trace = result
         try:
             records.append(_ok_record(
-                *args, code, job.instance, spec_obj, trace.shape[0],
+                *args, code, job.instance, job.spectrum, trace.shape[0],
                 time.perf_counter(), tol, share))
         except _SWEEP_ERRORS as exc:
             records.append(_failed_record(*args, exc))

@@ -6,25 +6,31 @@ rule. Modes restrict which matrices move or which objective drives them
 (task_agnostic_coding descends on the identity task, K = I); the loss trace
 always reports the true task losses.
 
-One batched kernel does all training: every array carries a leading member
-axis, so many runs step in lockstep, and the two sinks' arrays stack on one
-more leading axis, so each product serves both. `train_lockstep` owns the
-batching: it takes any list of jobs, such as every trained cell of a sweep,
-groups them by shape and schedule, and caps each batch at _LOCKSTEP_BYTES;
-`train` is the batch of one. Each member's code is one row of a
-preallocated array, in code.py's layout (`_offsets`), so that its
-matrices are views into the encoder maps the products need. The kernel
-works on each task's thin factor C, the R of a QR of K (min(rows, n) x n),
-and never forms the n x n residual R = I - DA: ||K R||^2 = ||C R||^2 =
-||C - (C D) A||^2. Members that descend on the identity task keep R dense.
-One epoch loop steps the whole batch: the encoder maps, the relay chain, the
-trace, the divergence check and the update run once over all members, and
-the residual products once per group of members that share a factor height
-and descent kind. The update is one masked multiply-add over the batch:
-each member's step is 2 * learning_rate on the matrices its mode trains and
-0 elsewhere. The batch keeps its shape for the whole run: a member that
-diverges is retired in place and comes back as its error. Members never
-mix, so each one's arithmetic, and result, is the same in any batch.
+One batched kernel does all training: every array carries a leading
+descent axis, so many runs step in lockstep, and the two sinks' arrays stack
+on one more leading axis, so each product serves both. `train_lockstep` owns
+the batching: it takes any list of jobs, such as every trained cell of a
+sweep, groups them by shape and schedule, and caps each batch at
+_LOCKSTEP_BYTES; `train` is the batch of one. A descent is one code that
+steps, and a view is one job that reads it. A task_agnostic_coding code
+never reads its tasks, so such jobs whose descents read byte-equal inputs
+(factor height, learning rate, psi, start matrices and, for the empirical
+gradient, the seed) share one descent, with one view each; every other job
+is a descent with one view. Each descent's code is one row of a
+preallocated array, in code.py's layout (`_offsets`), so that its matrices
+are views into the encoder maps the products need. The kernel works on each
+task's thin factor C, the R of a QR of K (min(rows, n) x n), and never forms
+the n x n residual R = I - DA: ||K R||^2 = ||C R||^2 = ||C - (C D) A||^2.
+Descents on the identity task keep R dense. One epoch loop steps the whole
+batch: the encoder maps, the relay chain, the descent directions and the
+update run once per descent, and each view keeps its own thin loss pass,
+trace row and divergence check against its own initial loss. The update is
+one masked multiply-add over the batch: each descent's step is
+2 * learning_rate on the matrices its mode trains and 0 elsewhere. The batch
+keeps its shape for the whole run: a view that diverges comes back as its
+error, and a descent is retired in place once all of its views have.
+Descents never mix, so each job's arithmetic, and result, is the same in
+any batch.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .code import (
     check_code_shapes,
     realize_spans,
 )
-from .model import ProblemInstance, spectrum
+from .model import ProblemInstance, TaskSpectrum, spectrum
 from .subspace import (
     DEFAULT_TOL,
     InfeasibleExtension,
@@ -134,11 +140,14 @@ def _selection_e56(z: int) -> np.ndarray:
 
 
 def greedy_benchmark_code(instance: ProblemInstance,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> ButterflyCode:
+                          tol: ToleranceConfig = DEFAULT_TOL,
+                          spec: TaskSpectrum | None = None) -> ButterflyCode:
     """Relay carries the top-Z directions of the summed task Gram matrix;
     each direct link then adds its task's best directions from what its
-    source can see beyond the relay's columns."""
-    spec = spectrum(instance, tol)
+    source can see beyond the relay's columns. `spec`, the instance's
+    spectrum if the caller holds it, is used instead of computing it."""
+    if spec is None:
+        spec = spectrum(instance, tol)
     n, z = instance.n, instance.z
     w, v = np.linalg.eigh(spec.s3 + spec.s4)
     order = np.argsort(w)[::-1]
@@ -173,11 +182,14 @@ def greedy_benchmark_code(instance: ProblemInstance,
 
 @dataclass(frozen=True)
 class TrainJob:
-    """One run of `train`, as a member of a lockstep batch."""
+    """One run of `train`, as a member of a lockstep batch. `spectrum`, the
+    instance's spectrum if the caller holds it, saves the coding_benchmark
+    start from computing it again."""
 
     instance: ProblemInstance
     config: TrainConfig
     init: ButterflyCode | None = None
+    spectrum: TaskSpectrum | None = None
 
 
 # errors that fail one member while its start point is built; the rest of
@@ -223,7 +235,7 @@ def _start(job: TrainJob, tol: ToleranceConfig):
         mats["e56"] = _selection_e56(instance.z)
         trained = tuple(name for name in _MATRIX_FIELDS if name != "e56")
     elif config.mode == "coding_benchmark":
-        bench = greedy_benchmark_code(instance, tol)
+        bench = greedy_benchmark_code(instance, tol, job.spectrum)
         for name in ("e13", "e15", "e24", "e25", "e56"):
             mats[name] = np.asarray(getattr(bench, name), dtype=float)
         trained = ("d3", "d4")
@@ -234,60 +246,92 @@ def _start(job: TrainJob, tol: ToleranceConfig):
     return mats, trained, colour, _factors(instance.k3, instance.k4, instance.n)
 
 
-def _work(agnostic: bool, count: int, h: int, weighted: bool, dims) -> dict:
-    """The work arrays of one group of `count` members, of factor height h,
-    that multiplies by a psi other than I if `weighted`: cd (2, Bg, h, 2Z)
-    holds C D, later M A^T; p holds P; s the products (P psi) * P; q holds
-    P psi, later M; and for members that descend on the identity task, r a
-    dense R and m its M."""
+def _descent_key(i: int, job: TrainJob):
+    """What a job's descent reads beyond its shape and schedule. Equal keys
+    mean bit-identical descents: task_agnostic_coding jobs that share the
+    task factor height (as _factors pads it), the step, psi, the start
+    matrices (the seed and init_scale, or an explicit init) and, for the
+    empirical gradient, the seed's sample stream. Every other job reads its
+    own task factors and keys alone, by its index, as does a job whose
+    fields do not read as arrays (its start reports the error)."""
+    config, instance = job.config, job.instance
+    if config.mode != "task_agnostic_coding":
+        return i
+    try:
+        rows = max(len(np.atleast_2d(np.asarray(k, dtype=float)))
+                   for k in (instance.k3, instance.k4))
+        start = ((config.seed, float(config.init_scale)) if job.init is None else
+                 tuple(np.asarray(getattr(job.init, name), dtype=float).tobytes()
+                       for name in _MATRIX_FIELDS))
+        psi = _sym(instance.psi).tobytes()
+    except (TypeError, ValueError):
+        return i
+    sampled = config.seed if config.gradient == "empirical_batch" else None
+    return min(rows, instance.n), float(2.0 * config.learning_rate), psi, start, sampled
+
+
+def _work(agnostic: bool, count: int, views: int, h: int, weighted: bool, dims) -> dict:
+    """The work arrays of one group of `count` descents with `views` views
+    each, of factor height h, that multiplies by a psi other than I if
+    `weighted`: cd (2, Bg, V, h, 2Z) holds C D, later M A^T; p holds P; s
+    the products (P psi) * P; q holds P psi, later M; and for descents on
+    the identity task, r a dense R and m its M, one per descent."""
     n, _, _, z = dims
-    thin = (2, count, h, n)
-    work = {"cd": np.empty((2, count, h, 2 * z)), "p": np.empty(thin), "s": np.empty(thin)}
+    thin = (2, count, views, h, n)
+    work = {"cd": np.empty((2, count, views, h, 2 * z)), "p": np.empty(thin),
+            "s": np.empty(thin)}
     if weighted:
         work["q"] = np.empty(thin)
     if agnostic:
-        work["r"] = np.empty((2, count, n, n))
+        work["r"] = np.empty((2, count, 1, n, n))
         if weighted:
-            work["m"] = np.empty((2, count, n, n))
+            work["m"] = np.empty((2, count, 1, n, n))
     return work
 
 
 @dataclass
 class _Batch:
-    """Stacked state of a lockstep run. Axis 0 runs over members, sorted
-    into groups (contiguous slices of one factor height and descent kind),
-    and keeps every member to the end: one that diverges is retired in
-    place, as a zero code that no longer moves. Arrays of both sinks carry
-    the sink on a leading axis of 2 before the member axis. Every array a
-    pass writes is allocated here, once."""
+    """Stacked state of a lockstep run. A descent is one code that steps;
+    a view is one job that reads it, with its own task factors, loss trace
+    and divergence check. Only task_agnostic_coding descents have more than
+    one view. Axis 0 of the code arrays runs over descents, sorted into
+    groups (contiguous slices of one factor height, descent kind and view
+    count), and keeps every descent to the end: one whose views have all
+    diverged is retired in place, as a zero code that no longer moves. The
+    view arrays run over views, descent by descent. Arrays of both sinks
+    carry the sink on a leading axis of 2. Every array a pass writes is
+    allocated here, once."""
 
-    ids: np.ndarray                # job index of each member
-    rows: np.ndarray               # (B, P) each member's code, laid out as in _offsets
+    ids: np.ndarray                # (W,) job index of each view
+    owner: np.ndarray              # (W,) descent of each view
+    rows: np.ndarray               # (B, P) each descent's code, laid out as in _offsets
     grad: np.ndarray               # (B, P) descent directions, same layout
-    # (B, P) 2 * learning_rate where a member's trained matrices sit, 0
+    # (B, P) 2 * learning_rate where a descent's trained matrices sit, 0
     # elsewhere: outside the link blocks, on A's relay rows, on the
-    # matrices its mode freezes and on a retired member's row
+    # matrices its mode freezes and on a retired descent's row
     step: np.ndarray
     maps: dict[str, np.ndarray]    # _views of rows
     dirs: dict[str, np.ndarray]    # _views of grad
-    # per group of members that share a factor height and descent kind, one
-    # contiguous slice of the batch: agnostic (members descend on the
-    # identity task); psi, (Bg, n, n), or None when every psi is exactly I,
-    # as for every synthetic instance (x @ I == x bitwise for finite x, so
-    # skipping the product changes no result; it made a paper-scale sweep
-    # (n=32) a fifth faster); C (2, Bg, h, n), the thin task factors; d and A,
-    # its slices of the maps, and y and dd, their directions; loss (2, Bg);
-    # psi_step, its batch estimates of psi for the empirical gradient; the
-    # work arrays (_work); and transposes (Ct, dt, At, cdt) and a reshape (s2)
+    # per group of descents that share a factor height, descent kind and
+    # view count V, one contiguous slice of the descents and of the views:
+    # agnostic (descents on the identity task); psi, (Bg, 1, n, n), or None
+    # when every psi is exactly I, as for every synthetic instance (x @ I ==
+    # x bitwise for finite x, so skipping the product changes no result; it
+    # made a paper-scale sweep (n=32) a fifth faster); C (2, Bg, V, h, n),
+    # the views' thin task factors; d and A, its slices of the maps, and y
+    # and dd, their directions, each with a view axis of length 1 that
+    # broadcasts over the views; loss (2, Bg, V); psi_step, its batch
+    # estimates of psi for the empirical gradient; the work arrays (_work);
+    # and transposes (Ct, dt, At, cdt) and a reshape (s2)
     groups: list[dict]
     relay: np.ndarray              # (B, Z, n) e56 @ into5, then the relay's direction
-    losses: np.ndarray             # (2, B) task losses of the last pass
+    losses: np.ndarray             # (2, W) task losses of the last pass
     # empirical gradient only: the F with psi = F F^T that colours each
-    # member's samples, (B, n, n); the members' batch streams; the noise and
-    # samples, (B, batch, n); and their psi estimates, (B, n, n)
+    # descent's samples, (B, n, n); the descents' batch streams; the noise
+    # and samples, (B, batch, n); and their psi estimates, (B, n, n)
     samples: tuple
-    trace: np.ndarray              # (B, epochs, 3)
-    initial: np.ndarray            # (B,) total loss before the first update
+    trace: np.ndarray              # (W, epochs, 3)
+    initial: np.ndarray            # (W,) total loss before the first update
 
 
 def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
@@ -295,64 +339,77 @@ def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
 
 
 def _stack(jobs: list[TrainJob], started: list) -> _Batch:
-    """The batch of the started members, sorted into groups of one factor
-    height and descent kind. Empties `started` as it copies each member in,
-    so that no member's arrays outlive their copy."""
-    config = jobs[started[0][0]].config
-    dims = _dims(jobs[started[0][0]].instance)
+    """The batch of the started descents, each the list of its started
+    views in job order, sorted into groups of one factor height, descent
+    kind and view count. A descent's code, step and colour come from its
+    first view; its other views' starts are byte-equal and only their task
+    factors are read. Empties `started` as it copies each descent in, so
+    that no member's arrays outlive their copy."""
+    lead = started[0][0][0]
+    config = jobs[lead].config
+    dims = _dims(jobs[lead].instance)
     n, _, _, z = dims
 
-    def key(member):
-        i, *_, factors = member
-        return factors.shape[1], jobs[i].config.mode == "task_agnostic_coding"
+    def key(views):
+        i, *_, factors = views[0]
+        return factors.shape[1], jobs[i].config.mode == "task_agnostic_coding", len(views)
 
     started.sort(key=key)
     count = len(started)
-    keys = [key(member) for member in started]
+    keys = [key(views) for views in started]
     cuts = [j for j in range(1, count) if keys[j] != keys[j - 1]]
     bounds = list(zip([0, *cuts], [*cuts, count]))
-    ids = np.array([i for i, *_ in started])
+    leads = [views[0][0] for views in started]
+    ids = np.array([view[0] for views in started for view in views])
+    owner = np.repeat(np.arange(count), [len(views) for views in started])
     sampled = config.gradient == "empirical_batch"
     rows = np.zeros((count, _offsets(dims)["end"]))
     step = np.zeros_like(rows)
     maps, steps = _views(rows, dims), _views(step, dims)
-    factors = [np.empty((2, hi - lo, keys[lo][0], n)) for lo, hi in bounds]
+    factors = [np.empty((2, hi - lo, keys[lo][2], keys[lo][0], n)) for lo, hi in bounds]
     colour = np.empty((count, n, n)) if sampled else None
     for (lo, hi), c in zip(bounds, factors):
         for j in range(lo, hi):
-            i, mats, trained, col, c[:, j - lo] = started[j]   # the factors go to c
-            started[j] = None
+            views, started[j] = started[j], None
+            i, mats, trained, col, _ = views[0]
             for name in _MATRIX_FIELDS:
                 maps[name][j] = mats[name]
             for name in trained:
                 steps[name][j] = 2.0 * jobs[i].config.learning_rate
             if sampled:
                 colour[j] = col
+            for k, view in enumerate(views):
+                c[:, j - lo, k] = view[-1]
     grad = np.zeros_like(rows)
     dirs = _views(grad, dims)
-    losses = np.empty((2, count))
-    samples = (colour, [_philox(jobs[i].config.seed, _BATCH_STREAM) for i in ids],
+    losses = np.empty((2, len(ids)))
+    samples = (colour, [_philox(jobs[i].config.seed, _BATCH_STREAM) for i in leads],
                np.empty((count, config.batch_size, n)),
                np.empty((count, config.batch_size, n)),
                np.empty((count, n, n))) if sampled else ()
     eye = np.eye(n)
     groups = []
+    seen = 0                       # views of the groups before this one
     for (lo, hi), c in zip(bounds, factors):
-        members, (h, agnostic) = slice(lo, hi), keys[lo]
-        psis = [_sym(jobs[i].instance.psi) for i in ids[members]]
-        psi = None if all(np.all(p == eye) for p in psis) else np.stack(psis)
-        v = _work(agnostic, hi - lo, h, sampled or psi is not None, dims)
-        v.update(agnostic=agnostic, psi=psi, C=c, d=maps["d"][:, members],
-                 A=maps["amap"][:, members], y=dirs["amap"][:, members],
-                 dd=dirs["d"][:, members], loss=losses[:, members], eye=eye)
+        descents, (h, agnostic, width) = slice(lo, hi), keys[lo]
+        viewed = slice(seen, seen + (hi - lo) * width)
+        seen = viewed.stop
+        psis = [_sym(jobs[i].instance.psi) for i in leads[descents]]
+        psi = None if all(np.all(p == eye) for p in psis) else np.stack(psis)[:, None]
+        v = _work(agnostic, hi - lo, width, h, sampled or psi is not None, dims)
+        v.update(agnostic=agnostic, psi=psi, C=c, d=maps["d"][:, descents, None],
+                 A=maps["amap"][:, descents, None], y=dirs["amap"][:, descents, None],
+                 dd=dirs["d"][:, descents, None],
+                 loss=losses[:, viewed].reshape(2, hi - lo, width), eye=eye)
         v.update(Ct=_t(c), dt=_t(v["d"]), At=_t(v["A"]), cdt=_t(v["cd"]),
-                 s2=v["s"].reshape(2, hi - lo, -1))
+                 s2=v["s"].reshape(2, hi - lo, width, -1))
         if sampled:
-            v["psi_step"] = samples[4][members]
+            v["psi_step"] = samples[4][descents, None]
         groups.append(v)
     maps.update(e56t=_t(maps["e56"]), into5t=_t(maps["into5"]))
     return _Batch(
         ids=ids,
+        owner=owner,
         rows=rows,
         grad=grad,
         step=step,
@@ -362,19 +419,20 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
         relay=np.empty((count, z, n)),
         losses=losses,
         samples=samples,
-        trace=np.zeros((count, config.epochs, 3)),
-        initial=np.zeros(count),
+        trace=np.zeros((len(ids), config.epochs, 3)),
+        initial=np.zeros(len(ids)),
     )
 
 
 def _evaluate(bt: _Batch, directions: bool = False) -> np.ndarray:
     """One residual pass; returns the true task losses Tr(K_i R_i psi R_i^T
-    K_i^T) per member, (2, B). It completes the encoder maps A_i (their
-    relay rows are e56 @ into5), then, group by group, forms the thin
-    residuals P_i = C_i R_i = C_i - (C_i D_i) A_i of R_i = I - D_i A_i with
-    their products P_i psi, and sums the losses as (P psi) * P so that they
-    stay accurate, and nonnegative for psi = I, down to zero loss. With
-    `directions` it also writes the descent directions into bt.grad."""
+    K_i^T) per view, (2, W). It completes the encoder maps A_i (their relay
+    rows are e56 @ into5), then, group by group, forms each view's thin
+    residuals P_i = C_i R_i = C_i - (C_i D_i) A_i of its descent's R_i =
+    I - D_i A_i with their products P_i psi, and sums the losses as
+    (P psi) * P so that they stay accurate, and nonnegative for psi = I,
+    down to zero loss. With `directions` it also writes each descent's
+    directions into bt.grad."""
     maps, dirs = bt.maps, bt.dirs
     np.matmul(maps["e56"], maps["into5"], out=bt.relay)
     np.copyto(maps["relay"], bt.relay)
@@ -384,7 +442,7 @@ def _evaluate(bt: _Batch, directions: bool = False) -> np.ndarray:
         np.subtract(v["C"], v["p"], out=v["p"])
         q = v["p"] if v["psi"] is None else np.matmul(v["p"], v["psi"], out=v["q"])
         np.multiply(q, v["p"], out=v["s"])
-        np.add.reduce(v["s2"], axis=2, out=v["loss"])
+        np.add.reduce(v["s2"], axis=3, out=v["loss"])
         if directions:
             _directions(v, q)
     if directions:
@@ -398,10 +456,10 @@ def _evaluate(bt: _Batch, directions: bool = False) -> np.ndarray:
 def _directions(v: dict, q: np.ndarray) -> None:
     """Descent directions X = -grad / 2 of one group's sink maps and decoders
     for the objective sum_i Tr(F_i R_i psi R_i^T F_i^T), with F_i the task
-    factor C_i, or I for members that descend on the identity task (they
-    keep R_i dense), and psi the batch estimate for the empirical gradient.
-    With M_i = F_i R_i psi, the sink maps get (F_i D_i)^T M_i and the
-    decoders F_i^T (M_i A_i^T)."""
+    factor C_i of the descent's one view, or I for descents on the identity
+    task (they keep R_i dense), and psi the batch estimate for the empirical
+    gradient. With M_i = F_i R_i psi, the sink maps get (F_i D_i)^T M_i and
+    the decoders F_i^T (M_i A_i^T)."""
     psi = v.get("psi_step", v["psi"])
     if v["agnostic"]:
         np.matmul(v["d"], v["A"], out=v["r"])
@@ -418,7 +476,7 @@ def _directions(v: dict, q: np.ndarray) -> None:
 
 
 def _sample_psi(bt: _Batch, batch_size: int) -> None:
-    """Each member's batch estimate of psi, from its own stream."""
+    """Each descent's batch estimate of psi, from its own stream."""
     colour, rngs, noise, x, psi = bt.samples
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=noise[j])
@@ -428,14 +486,17 @@ def _sample_psi(bt: _Batch, batch_size: int) -> None:
 
 
 def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
-    """Plain simultaneous gradient descent on every member at once. Pass t
-    evaluates the code after t updates: its losses are the trace row of
-    epoch t-1 and its residuals give the gradient of epoch t, so a run makes
-    epochs + 1 residual passes. The update is one masked multiply-add,
-    rows += step * grad. A member that diverges is retired in place: its
-    error goes to `out`, and its row, directions and step to zero. Overflow
-    in a diverging member is expected and only its non-finite total is
-    read, so numpy's floating-point warnings are off for the loop."""
+    """Plain simultaneous gradient descent on every descent at once. Pass t
+    evaluates the codes after t updates: its losses are the views' trace
+    row of epoch t-1 and its residuals give the gradient of epoch t, so a
+    run makes epochs + 1 residual passes. The update is one masked
+    multiply-add, rows += step * grad. Each view checks its own total
+    against its own initial loss; a view that diverges gets its error in
+    `out`, and its descent steps on for the views left. A descent none of
+    whose views is left is retired in place: its row, directions and step
+    go to zero. Overflow in a diverging descent is expected and only its
+    views' non-finite totals are read, so numpy's floating-point warnings
+    are off for the loop."""
     live = np.ones(len(bt.ids), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(epochs + 1):
@@ -456,31 +517,35 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
                             f"L_total={float(total[j]):.6g} exceeded 10x initial "
                             f"{float(bt.initial[j]):.6g} at epoch {t - 1}; "
                             f"reduce learning_rate")
-                        bt.rows[j] = bt.grad[j] = bt.step[j] = 0.0
                     live &= ~failed
                     if not live.any():
                         return
+                    retired = np.ones(len(bt.rows), dtype=bool)
+                    retired[bt.owner[live]] = False
+                    bt.rows[retired] = bt.grad[retired] = bt.step[retired] = 0.0
             if not descend:
                 break
             np.multiply(bt.grad, bt.step, out=bt.grad)
             bt.rows += bt.grad
     for j in np.flatnonzero(live):
-        code = ButterflyCode(**{name: bt.maps[name][j].copy() for name in _MATRIX_FIELDS})
+        code = ButterflyCode(**{name: bt.maps[name][bt.owner[j]].copy()
+                                for name in _MATRIX_FIELDS})
         out[bt.ids[j]] = (code, bt.trace[j])
 
 
-# Cap on the members trained at once, counted as 8 n^2 bytes, one n x n
-# float64 matrix, per member. A member's working set grows as n^2 and is
+# Cap on the descents trained at once, counted as 8 n^2 bytes, one n x n
+# float64 matrix, per descent. A descent's working set grows as n^2 and is
 # about twelve such matrices on a synthetic instance (Z = n/4, h = n/2 task
 # rows): its code row, direction row and step row, 2.6 n^2 floats each, and
-# its task factors and thin residual work arrays, (2, h, n) = n^2 floats each.
+# its task factors and thin residual work arrays, (2, h, n) = n^2 floats each;
+# each further view of a task_agnostic_coding descent adds about four more.
 # Batching pays while per-call overhead dominates an epoch and stops paying
 # once a batch outgrows the cache: measured on one thread of a 2-vCPU Xeon
 # (the four modes in turn, best of 5 runs), the per-member epoch time at
 # n=32 fell from 0.04 ms alone to 0.02-0.03 ms at 8-48 members, lowest at
 # 16-24; at n=64 it was 0.09-0.12 ms alone, 0.07-0.10 ms at 2 members and
 # 0.11-0.17 ms at 3-16; at n=128 0.52-0.56 ms alone and at 2, 1.1 ms at 4-8.
-# 192 KiB gives 24 members at n=32, 6 at n=64 and 1 from n=128 up.
+# 192 KiB gives 24 descents at n=32, 6 at n=64 and 1 from n=128 up.
 _LOCKSTEP_BYTES = 192 * 2**10
 
 
@@ -488,34 +553,47 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Train every job with one batched loss-and-gradient kernel.
 
     Jobs may mix shapes and schedules. They are grouped by the instance
-    dimensions (n, a, b, z) and the epochs, gradient and batch_size settings,
-    in first-seen order, and each group is cut into batches of at most
-    _LOCKSTEP_BYTES // (8 n^2) members; instances, inits, modes, seeds and
-    learning rates may differ within a batch. Returns one entry per job, in
-    job order: the (code, trace) pair `train` would return, or the exception
-    that stopped that job alone -- DivergenceDetected, or an error building
-    its start point. One epoch loop steps each batch: each pass forms the
-    encoder maps, the relay chain and the update for the whole batch, and
-    the residual products per group of members that share a task factor
-    height and descent kind, so each member's arithmetic is the same as when
-    it trains alone, and its result does not depend on the rest of the batch.
+    dimensions (n, a, b, z) and the epochs, gradient and batch_size
+    settings, in first-seen order. Within a group, task_agnostic_coding
+    jobs whose descents read byte-equal inputs (_descent_key: the task
+    factor height, learning rate, psi, start matrices and, for the
+    empirical gradient, the seed) share one descent, since their code does
+    not depend on their tasks; every other job is a descent of its own.
+    Each group's descents are cut into batches of at most
+    _LOCKSTEP_BYTES // (8 n^2) descents, with all of a descent's views in
+    its batch; instances, inits, modes, seeds and learning rates may differ
+    within a batch. Returns one entry per job, in job order: the (code,
+    trace) pair `train` would return, or the exception that stopped that
+    job alone -- DivergenceDetected, or an error building its start point.
+    One epoch loop steps each batch: each pass forms the encoder maps, the
+    relay chain, the descent directions and the update once per descent,
+    and each view's thin loss pass, trace row and divergence check on its
+    own task factors. The residual products run per group of descents that
+    share a task factor height, descent kind and view count, so each job's
+    arithmetic is the same as when it trains alone, and its result does not
+    depend on the rest of the batch.
     """
     jobs = list(jobs)
     out: list = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict] = {}
     for i, job in enumerate(jobs):
         c = job.config
         key = (*_dims(job.instance), c.epochs, c.gradient, c.batch_size)
-        groups.setdefault(key, []).append(i)
-    for (n, _, _, _, epochs, _, batch_size), members in groups.items():
+        groups.setdefault(key, {}).setdefault(_descent_key(i, job), []).append(i)
+    for (n, _, _, _, epochs, _, batch_size), descents in groups.items():
+        descents = list(descents.values())
         size = max(1, _LOCKSTEP_BYTES // (8 * n * n))
-        for lo in range(0, len(members), size):
+        for lo in range(0, len(descents), size):
             started = []
-            for i in members[lo:lo + size]:
-                try:
-                    started.append((i, *_start(jobs[i], tol)))
-                except _MEMBER_ERRORS as exc:
-                    out[i] = exc
+            for views in descents[lo:lo + size]:
+                begun = []
+                for i in views:
+                    try:
+                        begun.append((i, *_start(jobs[i], tol)))
+                    except _MEMBER_ERRORS as exc:
+                        out[i] = exc
+                if begun:
+                    started.append(begun)
             if started:
                 # _stack empties `started`, and the batch is dropped as soon
                 # as it has trained, before the next one is built
@@ -540,7 +618,7 @@ def _single(mats, k3, k4, psi, dims) -> _Batch:
     n, a, b, z = dims
     job = TrainJob(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4),
                    TrainConfig(epochs=1))
-    return _stack([job], [(0, mats, _MATRIX_FIELDS, None, _factors(k3, k4, n))])
+    return _stack([job], [[(0, mats, _MATRIX_FIELDS, None, _factors(k3, k4, n))]])
 
 
 def _true_losses(mats, k3, k4, psi, n, a, b, z) -> tuple[float, float]:

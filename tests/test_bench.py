@@ -372,6 +372,35 @@ class TestLockstepSweep:
         assert calls == [2 * 2 * len(ALL_TRAINED)]
         assert all(r.status == "ok" for r in records)
 
+    def test_one_spectrum_per_trained_cell(self, monkeypatch):
+        # the coding_benchmark start reads the cell's spectrum off its job
+        calls = []
+        for module in (bench_module, train_module):
+            monkeypatch.setattr(module, "spectrum", lambda *args, _spectrum=module.spectrum:
+                                calls.append(1) or _spectrum(*args))
+        config = small_sweep_config(seeds=[0, 1])
+        config["sweep"]["approaches"] = ALL_TRAINED
+        records = run_sweep(config)
+        assert all(r.status == "ok" for r in records)
+        assert len(calls) == 2 * 2
+
+    def test_agnostic_cells_share_a_descent(self, monkeypatch):
+        # each seed's agnostic cells share one descent across the values;
+        # the sweep equals its one-value sweeps, which share nothing
+        rows = []
+        descend = train_module._descend
+        monkeypatch.setattr(train_module, "_descend",
+                            lambda bt, *args: rows.append(len(bt.rows)) or descend(bt, *args))
+        config = small_sweep_config(seeds=[0, 1])
+        config["sweep"]["approaches"] = ALL_TRAINED
+        whole = [non_timing(r) for r in run_sweep(config)]
+        assert rows == [2 * 2 * len(ALL_TRAINED) - 2]
+        parts = []
+        for value in config["sweep"]["values"]:
+            config["sweep"]["values"] = [value]
+            parts += [non_timing(r) for r in run_sweep(config)]
+        assert whole == parts
+
     def test_diverging_member_fails_alone(self):
         # steep eigenvalues make the task-aware objective diverge at this
         # rate while the identity objective of the agnostic mode stays calm

@@ -16,6 +16,7 @@ from butterfly_coding import (
     exact_loss,
     flow_spans,
     gen_synthetic,
+    greedy_benchmark_code,
     lower_bound,
     lower_bound_of,
     realize_spans,
@@ -164,6 +165,16 @@ def test_reparameterizing_the_observations_keeps_bound_report_and_loss(spec, see
         assert abs(got - want) <= 1e-9 * (1 + want)
 
 
+def reparameterized(inst: ProblemInstance, rng) -> ProblemInstance:
+    """The instance in coordinates x' = T x, T random and block-diagonal over
+    the coordinates private to node 1, shared, and private to node 2."""
+    n, a, b = inst.n, inst.a, inst.b
+    t = block_diagonal(rng, (n - b, a + b - n, n - a))
+    t_inv = np.linalg.inv(t)
+    return validate(ProblemInstance(n=n, psi=t @ inst.psi @ t.T, a=a, b=b, z=inst.z,
+                                    k3=inst.k3 @ t_inv, k4=inst.k4 @ t_inv))
+
+
 def _bits(value) -> bytes:
     """The bytes of every float a result holds, for bitwise comparison."""
     if isinstance(value, tuple):
@@ -185,11 +196,7 @@ def test_evaluation_on_the_callers_spectrum_is_bitwise_the_same(spec, seed):
     except InfeasibleSpec:
         assume(False)
     rng = np.random.default_rng(seed)
-    n, a, b = inst.n, inst.a, inst.b
-    t = block_diagonal(rng, (n - b, a + b - n, n - a))
-    moved = validate(ProblemInstance(n=n, psi=t @ inst.psi @ t.T, a=a, b=b, z=inst.z,
-                                     k3=inst.k3 @ np.linalg.inv(t),
-                                     k4=inst.k4 @ np.linalg.inv(t)))
+    moved = reparameterized(inst, rng)
     for case in (inst, moved):
         cell = spectrum(case)
         code = random_code(case, rng)
@@ -198,3 +205,19 @@ def test_evaluation_on_the_callers_spectrum_is_bitwise_the_same(spec, seed):
         assert _bits(utilities(code, case, spec=cell)) == _bits(utilities(code, case))
         assert (_bits(realize_spans(spans, case, spec=cell))
                 == _bits(realize_spans(spans, case)))
+
+
+@PROPERTY
+@given(spec=synthetic_specs(), seed=SEEDS)
+def test_greedy_benchmark_on_the_callers_spectrum_is_bitwise_the_same(spec, seed):
+    # the benchmark reads the spectrum it would compute itself; on the
+    # reparameterized instance psi = T T^T != I, so L is a real factor
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    moved = reparameterized(inst, rng)
+    for case in (inst, moved):
+        assert (_bits(greedy_benchmark_code(case, spec=spectrum(case)))
+                == _bits(greedy_benchmark_code(case)))

@@ -1,11 +1,13 @@
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from butterfly_coding import (
     BadDimensions,
+    ButterflyCode,
     DivergenceDetected,
     ProblemInstance,
     SyntheticSpec,
@@ -26,7 +28,7 @@ from butterfly_coding import (
     utilities,
     validate,
 )
-from butterfly_coding.code import _encoder_maps
+from butterfly_coding.code import _MATRIX_FIELDS as FIELDS, _encoder_maps
 from butterfly_coding.train import _gradients, _selection_e56, _true_losses
 
 from conftest import calm_instance, greedy_trap_instance, random_pd_instance
@@ -552,6 +554,152 @@ class TestLockstep:
 
     def test_empty_batch(self):
         assert train_lockstep([]) == []
+
+
+def shared_psi_instances(rng, count, psi, n=5, a=4, b=3, z=2):
+    """Random instances of one shape and one psi whose tasks differ, with
+    (m3, m4) = (2, 3) task rows, so their task factors have one height."""
+    out = []
+    for _ in range(count):
+        k3, k4 = rng.normal(size=(2, n)), rng.normal(size=(3, n))
+        scale = np.sqrt(np.sum(k3 ** 2) + np.sum(k4 ** 2))
+        out.append(validate(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z,
+                                            k3=k3 / scale, k4=k4 / scale)))
+    return out
+
+
+def random_spd(rng, n=5):
+    f = rng.normal(size=(n, n))
+    return f @ f.T / n + 0.5 * np.eye(n)
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Per batch trained, the job indices that read each descent row."""
+    kernel = sys.modules["butterfly_coding.train"]
+    seen = []
+    descend = kernel._descend
+
+    def spy(bt, *args):
+        seen.append(sorted(bt.ids[bt.owner == row].tolist() for row in range(len(bt.rows))))
+        return descend(bt, *args)
+
+    monkeypatch.setattr(kernel, "_descend", spy)
+    return seen
+
+
+AGNOSTIC = "task_agnostic_coding"
+
+
+class TestSharedDescents:
+    @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_merged_descents_equal_training_alone(self, descents, gradient, weighted):
+        # three agnostic jobs on different tasks share one descent; the
+        # task-aware jobs between them have the same seed, rate and psi and
+        # still descend alone, as they read their tasks
+        rng = np.random.default_rng(40)
+        psi = random_spd(rng) if weighted else np.eye(5)
+        insts = shared_psi_instances(rng, 3, psi)
+        jobs = [TrainJob(inst, TrainConfig(epochs=40, learning_rate=0.02, seed=2, mode=mode,
+                                           gradient=gradient, batch_size=16))
+                for inst in insts for mode in MODES]
+        results = train_lockstep(jobs)
+        agnostic = [i for i, job in enumerate(jobs) if job.config.mode == AGNOSTIC]
+        assert descents == [sorted([agnostic] + [[i] for i in range(len(jobs))
+                                                 if i not in agnostic])]
+        for job, got in zip(jobs, results):
+            assert_same_run(got, train(job.instance, job.config))
+
+    @pytest.mark.parametrize("change, gradient, merged", [
+        ("seed", "exact_expectation", False),
+        ("init_scale", "exact_expectation", False),
+        ("learning_rate", "exact_expectation", False),
+        ("psi", "exact_expectation", False),
+        ("init", "exact_expectation", False),
+        ("task_rows", "exact_expectation", False),
+        ("seed_beside_init", "empirical_batch", False),
+        ("seed_beside_init", "exact_expectation", True),
+        ("init_copy", "empirical_batch", True),
+    ])
+    def test_what_merges(self, descents, change, gradient, merged):
+        # two agnostic jobs on different tasks that differ in one descent
+        # input get a descent each; an explicit init counts by its bytes,
+        # and the seed, beside one, only by the empirical gradient's samples
+        rng = np.random.default_rng(41)
+        first, second = shared_psi_instances(rng, 2, random_spd(rng))
+        config = TrainConfig(epochs=30, learning_rate=0.02, seed=2, mode=AGNOSTIC,
+                             gradient=gradient, batch_size=16)
+        init = init_code(first, 5) if change in ("init", "seed_beside_init", "init_copy") else None
+        other_config, other_init = config, init
+        if change in ("seed", "seed_beside_init"):
+            other_config = replace(config, seed=3)
+        elif change in ("init_scale", "learning_rate"):
+            other_config = replace(config, **{change: 2 * getattr(config, change)})
+        elif change == "psi":
+            second = replace(second, psi=2.0 * second.psi)
+        elif change == "init":
+            other_init = init_code(first, 6)
+        elif change == "task_rows":
+            second = replace(second, k4=np.vstack([second.k4, second.k3]))
+        elif change == "init_copy":
+            other_init = ButterflyCode(**{name: getattr(init, name).copy()
+                                          for name in FIELDS})
+        jobs = [TrainJob(first, config, init), TrainJob(second, other_config, other_init)]
+        results = train_lockstep(jobs)
+        assert descents == [[[0, 1]] if merged else [[0], [1]]]
+        for job, got in zip(jobs, results):
+            assert_same_run(got, train(job.instance, job.config, job.init))
+
+    def test_views_diverge_alone(self, descents):
+        # the start code reconstructs psi's least-variance direction v0; the
+        # identity-task descent gives v0 up for directions of larger
+        # variance, so a task's loss rises from its start the more the task
+        # leans on v0: two views cross 10x their initial loss at different
+        # epochs while the third descends to the end. Beside it, a descent
+        # at a larger rate loses every view and is retired
+        rng = np.random.default_rng(5)
+        psi = random_spd(rng)
+        v = np.linalg.eigh(psi)[1]
+
+        def along(k):
+            return validate(ProblemInstance(n=5, psi=psi, a=4, b=3, z=2,
+                                            k3=k[None], k4=k[None]))
+
+        start, _ = train(along(v[:, 0]), TrainConfig(epochs=800, learning_rate=0.05, seed=1))
+        insts = [along(v[:, 0] + mix * v[:, 4]) for mix in (0.01, 0.03, 1.0)]
+        jobs = [TrainJob(inst, TrainConfig(epochs=60, learning_rate=lr, seed=1, mode=AGNOSTIC),
+                         start)
+                for lr in (0.02, 0.5) for inst in insts]
+        results = train_lockstep(jobs)
+        assert descents[-1] == [[0, 1, 2], [3, 4, 5]]
+        for job, got in zip(jobs, results):
+            if job is jobs[2]:
+                assert_same_run(got, train(job.instance, job.config, start))
+                continue
+            with pytest.raises(DivergenceDetected) as alone:
+                train(job.instance, job.config, start)
+            assert isinstance(got, DivergenceDetected)
+            assert str(got) == str(alone.value)
+        assert len({str(r).split(" at epoch ")[1] for r in results[:2]}) == 2
+
+    def test_unreadable_task_fails_alone(self):
+        # a ragged task matrix keys no descent; the job fails at its start
+        # while an agnostic job of the same seed beside it trains
+        good = simple_instance()
+        bad = replace(good, k3=[[1.0, 2.0, 3.0], [1.0, 2.0]])
+        config = TrainConfig(epochs=3, mode=AGNOSTIC)
+        results = train_lockstep([TrainJob(bad, config), TrainJob(good, config)])
+        assert isinstance(results[0], ValueError)
+        assert_same_run(results[1], train(good, config))
+
+    def test_cap_counts_descents(self, descents):
+        # thirty agnostic jobs of one seed are one descent, so the first
+        # batch holds 24 descents and 53 views
+        jobs = [TrainJob(simple_instance(n=32, a=32, b=32, z=1), TrainConfig(epochs=1, mode=mode))
+                for _ in range(30) for mode in ("task_aware_coding", AGNOSTIC)]
+        train_lockstep(jobs)
+        assert [(len(batch), sum(map(len, batch))) for batch in descents] == [(24, 53), (7, 7)]
 
 
 class TestTraceExport:
