@@ -104,6 +104,15 @@ def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> P
         raise BadDimensions(
             f"task matrices must have {n} columns, got {k3.shape} and {k4.shape}"
         )
+    # ||K L||_F^2 <= rows * n * max|K|^2 * n * max|psi| (with psi = L L^T)
+    # bounds every partial sum of the Gram products L^T K^T K L and the
+    # zero code's loss; a bound past the float range may overflow them
+    top = float(np.abs(psi).max())
+    for name, k in (("k3", k3), ("k4", k4)):
+        big = float(np.abs(k).max(initial=0.0))
+        if not np.isfinite(float(k.shape[0] * int(n) ** 2) * top * big * big):
+            raise BadDimensions(f"{name} entries up to {big:.6g} with psi entries up to "
+                                f"{top:.6g} overflow the task's Gram products")
     if a < 0 or b < 0 or max(a, b) > n or n > a + b:
         raise ObservationConstraintViolated(
             f"need max(a, b) <= n <= a + b, got a={a}, b={b}, n={n}"

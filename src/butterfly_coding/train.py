@@ -16,7 +16,9 @@ steps, and a view is one job that reads it. A task_agnostic_coding code
 never reads its tasks, so such jobs whose descents read byte-equal inputs
 (factor height, learning rate, psi, start matrices and, for the empirical
 gradient, the seed) share one descent, with one view each; every other job
-is a descent with one view. Each descent's code is one row of a
+is a descent with one view. A descent starts once (`_start`: its matrices,
+the names of those it trains and its colour), on the first of its jobs whose
+start succeeds, and each view brings only its task factors. Each descent's code is one row of a
 preallocated array, in code.py's layout (`_offsets`), so that its matrices
 are views into the encoder maps the products need. The kernel works on each
 task's thin factor C, the R of a QR of K (min(rows, n) x n), and never forms
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +107,7 @@ class TrainConfig:
             raise ValueError(f"unknown gradient {self.gradient!r}; expected one of {GRADIENTS}")
         if not self.init_scale > 0:
             raise ValueError(f"init_scale must be positive, got {self.init_scale}")
+        _check_draw_range(self.init_scale)
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -116,11 +120,21 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 _BATCH_STREAM = 10_000
 
 
+def _check_draw_range(init_scale) -> None:
+    """The start draw is uniform on [-init_scale, init_scale]; its range,
+    2 * init_scale, must be a finite float."""
+    if not init_scale <= sys.float_info.max / 2:
+        raise ValueError(f"init_scale must be at most {sys.float_info.max / 2:.6g}, "
+                         f"so that the draw's range 2 * init_scale is finite, "
+                         f"got {init_scale}")
+
+
 def init_code(instance: ProblemInstance, seed: int, init_scale: float = 0.1) -> ButterflyCode:
     """Uniform random code; one counter-based stream per matrix so any single
     matrix replays independently of the others."""
-    if init_scale < 0:
+    if not init_scale >= 0:
         raise ValueError(f"init_scale must be nonnegative, got {init_scale}")
+    _check_draw_range(init_scale)
     shapes = _field_shapes(instance.n, instance.a, instance.b, instance.z)
     mats = {name: _philox(seed, idx).uniform(-init_scale, init_scale, shapes[name])
             for idx, name in enumerate(_MATRIX_FIELDS)}
@@ -220,9 +234,9 @@ def _factors(k3, k4, n: int) -> np.ndarray:
 
 
 def _start(job: TrainJob, tol: ToleranceConfig):
-    """A member's starting matrices, the names of those it trains, for the
-    empirical gradient the factor F with psi = F F^T that colours its sample
-    batches, and its task factors."""
+    """A descent's starting matrices, the names of those it trains and, for
+    the empirical gradient, the factor F with psi = F F^T that colours its
+    sample batches. Its views bring their own task factors (_factors)."""
     instance, config = job.instance, job.config
     if job.init is None:
         init = init_code(instance, config.seed, config.init_scale)
@@ -243,15 +257,21 @@ def _start(job: TrainJob, tol: ToleranceConfig):
     if config.gradient == "empirical_batch":
         w, v = np.linalg.eigh(_sym(instance.psi))
         colour = v * np.sqrt(np.clip(w, 0.0, None))
-    return mats, trained, colour, _factors(instance.k3, instance.k4, instance.n)
+    return mats, trained, colour
+
+
+def _bytes(x) -> tuple:
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
 
 
 def _descent_key(i: int, job: TrainJob):
     """What a job's descent reads beyond its shape and schedule. Equal keys
-    mean bit-identical descents: task_agnostic_coding jobs that share the
-    task factor height (as _factors pads it), the step, psi, the start
-    matrices (the seed and init_scale, or an explicit init) and, for the
-    empirical gradient, the seed's sample stream. Every other job reads its
+    mean bit-identical descents, so one start serves them all:
+    task_agnostic_coding jobs that share the task factor height (as _factors
+    pads it), the step, psi, the start matrices (the seed and init_scale, or
+    an explicit init; arrays by shape and bytes) and, for the empirical
+    gradient, the seed's sample stream. Every other job reads its
     own task factors and keys alone, by its index, as does a job whose
     fields do not read as arrays (its start reports the error)."""
     config, instance = job.config, job.instance
@@ -261,32 +281,12 @@ def _descent_key(i: int, job: TrainJob):
         rows = max(len(np.atleast_2d(np.asarray(k, dtype=float)))
                    for k in (instance.k3, instance.k4))
         start = ((config.seed, float(config.init_scale)) if job.init is None else
-                 tuple(np.asarray(getattr(job.init, name), dtype=float).tobytes()
-                       for name in _MATRIX_FIELDS))
-        psi = _sym(instance.psi).tobytes()
+                 tuple(_bytes(getattr(job.init, name)) for name in _MATRIX_FIELDS))
+        psi = _bytes(_sym(instance.psi))
     except (TypeError, ValueError):
         return i
     sampled = config.seed if config.gradient == "empirical_batch" else None
     return min(rows, instance.n), float(2.0 * config.learning_rate), psi, start, sampled
-
-
-def _work(agnostic: bool, count: int, views: int, h: int, weighted: bool, dims) -> dict:
-    """The work arrays of one group of `count` descents with `views` views
-    each, of factor height h, that multiplies by a psi other than I if
-    `weighted`: cd (2, Bg, V, h, 2Z) holds C D, later M A^T; p holds P; s
-    the products (P psi) * P; q holds P psi, later M; and for descents on
-    the identity task, r a dense R and m its M, one per descent."""
-    n, _, _, z = dims
-    thin = (2, count, views, h, n)
-    work = {"cd": np.empty((2, count, views, h, 2 * z)), "p": np.empty(thin),
-            "s": np.empty(thin)}
-    if weighted:
-        work["q"] = np.empty(thin)
-    if agnostic:
-        work["r"] = np.empty((2, count, 1, n, n))
-        if weighted:
-            work["m"] = np.empty((2, count, 1, n, n))
-    return work
 
 
 @dataclass
@@ -299,8 +299,9 @@ class _Batch:
     count), and keeps every descent to the end: one whose views have all
     diverged is retired in place, as a zero code that no longer moves. The
     view arrays run over views, descent by descent. Arrays of both sinks
-    carry the sink on a leading axis of 2. Every array a pass writes is
-    allocated here, once."""
+    carry the sink on a leading axis of 2. A descent's code, step and
+    colour come from its one start, and each view brings its task factors.
+    `_stack` allocates every array a pass writes, once."""
 
     ids: np.ndarray                # (W,) job index of each view
     owner: np.ndarray              # (W,) descent of each view
@@ -321,8 +322,10 @@ class _Batch:
     # the views' thin task factors; d and A, its slices of the maps, and y
     # and dd, their directions, each with a view axis of length 1 that
     # broadcasts over the views; loss (2, Bg, V); psi_step, its batch
-    # estimates of psi for the empirical gradient; the work arrays (_work);
-    # and transposes (Ct, dt, At, cdt) and a reshape (s2)
+    # estimates of psi for the empirical gradient; the work arrays cd
+    # (2, Bg, V, h, 2Z), p, s and q (2, Bg, V, h, n) and, for descents on the
+    # identity task, r and m (2, Bg, 1, n, n); and transposes (Ct, dt, At,
+    # cdt) and a reshape (s2)
     groups: list[dict]
     relay: np.ndarray              # (B, Z, n) e56 @ into5, then the relay's direction
     losses: np.ndarray             # (2, W) task losses of the last pass
@@ -339,70 +342,67 @@ def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
 
 
 def _stack(jobs: list[TrainJob], started: list) -> _Batch:
-    """The batch of the started descents, each the list of its started
-    views in job order, sorted into groups of one factor height, descent
-    kind and view count. A descent's code, step and colour come from its
-    first view; its other views' starts are byte-equal and only their task
-    factors are read. Empties `started` as it copies each descent in, so
-    that no member's arrays outlive their copy."""
-    lead = started[0][0][0]
-    config = jobs[lead].config
-    dims = _dims(jobs[lead].instance)
+    """The batch of the started descents, each its start and the (job index,
+    task factors) of its views in job order, sorted into groups of one
+    factor height, descent kind and view count. One pass over the groups
+    allocates each group's arrays and copies its descents in: codes, steps,
+    colours and factors. It empties `started` as it goes, so that no start
+    outlives its copy."""
+    first = jobs[started[0][1][0][0]]
+    config, dims = first.config, _dims(first.instance)
     n, _, _, z = dims
 
-    def key(views):
-        i, *_, factors = views[0]
-        return factors.shape[1], jobs[i].config.mode == "task_agnostic_coding", len(views)
+    def key(descent):
+        i, factors = descent[1][0]
+        return factors.shape[1], jobs[i].config.mode == "task_agnostic_coding", len(descent[1])
 
     started.sort(key=key)
     count = len(started)
-    keys = [key(views) for views in started]
+    keys = [key(descent) for descent in started]
     cuts = [j for j in range(1, count) if keys[j] != keys[j - 1]]
-    bounds = list(zip([0, *cuts], [*cuts, count]))
-    leads = [views[0][0] for views in started]
-    ids = np.array([view[0] for views in started for view in views])
-    owner = np.repeat(np.arange(count), [len(views) for views in started])
+    ids = np.array([i for _, views in started for i, _ in views])
+    owner = np.repeat(np.arange(count), [len(views) for _, views in started])
     sampled = config.gradient == "empirical_batch"
     rows = np.zeros((count, _offsets(dims)["end"]))
-    step = np.zeros_like(rows)
-    maps, steps = _views(rows, dims), _views(step, dims)
-    factors = [np.empty((2, hi - lo, keys[lo][2], keys[lo][0], n)) for lo, hi in bounds]
-    colour = np.empty((count, n, n)) if sampled else None
-    for (lo, hi), c in zip(bounds, factors):
-        for j in range(lo, hi):
-            views, started[j] = started[j], None
-            i, mats, trained, col, _ = views[0]
-            for name in _MATRIX_FIELDS:
-                maps[name][j] = mats[name]
-            for name in trained:
-                steps[name][j] = 2.0 * jobs[i].config.learning_rate
-            if sampled:
-                colour[j] = col
-            for k, view in enumerate(views):
-                c[:, j - lo, k] = view[-1]
-    grad = np.zeros_like(rows)
-    dirs = _views(grad, dims)
+    grad, step = np.zeros_like(rows), np.zeros_like(rows)
+    maps, dirs, steps = _views(rows, dims), _views(grad, dims), _views(step, dims)
     losses = np.empty((2, len(ids)))
-    samples = (colour, [_philox(jobs[i].config.seed, _BATCH_STREAM) for i in leads],
-               np.empty((count, config.batch_size, n)),
+    samples = (np.empty((count, n, n)), [], np.empty((count, config.batch_size, n)),
                np.empty((count, config.batch_size, n)),
                np.empty((count, n, n))) if sampled else ()
     eye = np.eye(n)
     groups = []
     seen = 0                       # views of the groups before this one
-    for (lo, hi), c in zip(bounds, factors):
-        descents, (h, agnostic, width) = slice(lo, hi), keys[lo]
+    for lo, hi in zip([0, *cuts], [*cuts, count]):
+        (h, agnostic, width), descents = keys[lo], slice(lo, hi)
         viewed = slice(seen, seen + (hi - lo) * width)
         seen = viewed.stop
-        psis = [_sym(jobs[i].instance.psi) for i in leads[descents]]
-        psi = None if all(np.all(p == eye) for p in psis) else np.stack(psis)[:, None]
-        v = _work(agnostic, hi - lo, width, h, sampled or psi is not None, dims)
-        v.update(agnostic=agnostic, psi=psi, C=c, d=maps["d"][:, descents, None],
-                 A=maps["amap"][:, descents, None], y=dirs["amap"][:, descents, None],
-                 dd=dirs["d"][:, descents, None],
-                 loss=losses[:, viewed].reshape(2, hi - lo, width), eye=eye)
-        v.update(Ct=_t(c), dt=_t(v["d"]), At=_t(v["A"]), cdt=_t(v["cd"]),
+        c, psis = np.empty((2, hi - lo, width, h, n)), []
+        for j in range(lo, hi):
+            ((mats, trained, colour), views), started[j] = started[j], None
+            lead = jobs[views[0][0]]
+            for name in _MATRIX_FIELDS:
+                maps[name][j] = mats[name]
+            for name in trained:
+                steps[name][j] = 2.0 * lead.config.learning_rate
+            if sampled:
+                samples[0][j] = colour
+                samples[1].append(_philox(lead.config.seed, _BATCH_STREAM))
+            psis.append(_sym(lead.instance.psi))
+            for k, (_, factors) in enumerate(views):
+                c[:, j - lo, k] = factors
+        thin = (2, hi - lo, width, h, n)
+        v = dict(agnostic=agnostic, eye=eye, C=c, Ct=_t(c),
+                 psi=None if all(np.all(p == eye) for p in psis) else np.stack(psis)[:, None],
+                 cd=np.empty((2, hi - lo, width, h, 2 * z)), p=np.empty(thin),
+                 s=np.empty(thin), q=np.empty(thin),
+                 d=maps["d"][:, descents, None], A=maps["amap"][:, descents, None],
+                 y=dirs["amap"][:, descents, None], dd=dirs["d"][:, descents, None],
+                 loss=losses[:, viewed].reshape(2, hi - lo, width))
+        v.update(dt=_t(v["d"]), At=_t(v["A"]), cdt=_t(v["cd"]),
                  s2=v["s"].reshape(2, hi - lo, width, -1))
+        if agnostic:
+            v["r"], v["m"] = np.empty((2, 2, hi - lo, 1, n, n))
         if sampled:
             v["psi_step"] = samples[4][descents, None]
         groups.append(v)
@@ -586,14 +586,17 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         for lo in range(0, len(descents), size):
             started = []
             for views in descents[lo:lo + size]:
-                begun = []
+                start, begun = None, []
                 for i in views:
+                    instance = jobs[i].instance
                     try:
-                        begun.append((i, *_start(jobs[i], tol)))
+                        if start is None:
+                            start = _start(jobs[i], tol)
+                        begun.append((i, _factors(instance.k3, instance.k4, instance.n)))
                     except _MEMBER_ERRORS as exc:
                         out[i] = exc
                 if begun:
-                    started.append(begun)
+                    started.append((start, begun))
             if started:
                 # _stack empties `started`, and the batch is dropped as soon
                 # as it has trained, before the next one is built
@@ -618,7 +621,7 @@ def _single(mats, k3, k4, psi, dims) -> _Batch:
     n, a, b, z = dims
     job = TrainJob(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4),
                    TrainConfig(epochs=1))
-    return _stack([job], [[(0, mats, _MATRIX_FIELDS, None, _factors(k3, k4, n))]])
+    return _stack([job], [((mats, _MATRIX_FIELDS, None), [(0, _factors(k3, k4, n))])])
 
 
 def _true_losses(mats, k3, k4, psi, n, a, b, z) -> tuple[float, float]:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -644,6 +645,27 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f'error: "{key}" '), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("train", {"synthetic": {"n": 8, "z": 2, "a": 6, "b": 6, "r_plus_target": 6},
+                   "train": {"epochs": 5, "init_scale": 1e308}},
+         "init_scale must be at most"),
+        *[(command, {"instance": {"n": 2, "a": 2, "b": 2, "z": 1, "psi": [[1, 0], [0, 1]],
+                                  "k3": [[1e308, 0]], "k4": [[0, 1]]}},
+           "k3 entries up to 1e+308")
+          for command in ("analyze", "construct", "pca", "train")],
+    ], ids=["init_scale", "analyze", "construct", "pca", "train"])
+    def test_out_of_range_input_is_an_error(self, tmp_path, capsys, command, config,
+                                            message):
+        # a start draw of range 2 * 1e308, and task Gram products that
+        # overflow, each fail as a domain error, with warnings as errors
+        cfg = write_config(tmp_path, "big.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ") and message in err, err
         assert "Traceback" not in err
 
     def test_sweep_writes_csv(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,24 @@ class TestValidate:
         psi[0, 0] = bad
         with pytest.raises(NotPSD, match="non-finite"):
             validate(simple_instance(psi=psi))
+
+    @pytest.mark.parametrize("field", ["k3", "k4"])
+    def test_task_magnitude_whose_grams_overflow_rejected(self, field):
+        k = np.eye(3)
+        k[1, 2] = 1e308
+        with pytest.raises(BadDimensions, match=f"{field} entries up to 1e\\+308"):
+            validate(simple_instance(**{field: k}))
+
+    def test_covariance_magnitude_counts_toward_the_gram_bound(self):
+        # entries of 1e150 square to 1e300; a covariance of 1e10 takes the
+        # bound on L^T K^T K L past the float range
+        big = simple_instance(k3=1e150 * np.eye(3), psi=1e10 * np.eye(3))
+        with pytest.raises(BadDimensions, match="k3 entries up to 1e\\+150"):
+            validate(big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = spectrum(validate(replace(big, psi=np.eye(3))))
+        assert np.all(np.isfinite(spec.s3)) and spec.mu3[0] == pytest.approx(1e300)
 
     def test_non_integer_capacity_rejected(self):
         with pytest.raises(BadDimensions, match="z must be an integer"):

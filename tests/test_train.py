@@ -67,6 +67,9 @@ class TestTrainConfig:
         dict(learning_rate=0.05 + 0j),
         dict(init_scale=True),
         dict(init_scale="0.1"),
+        dict(init_scale=1e308),
+        dict(init_scale=float("inf")),
+        dict(init_scale=2**1100),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -107,6 +110,17 @@ class TestInitCode:
         inst = random_pd_instance(np.random.default_rng(3))
         with pytest.raises(ValueError):
             init_code(inst, 0, init_scale=-0.1)
+
+    def test_scale_past_half_the_float_range_rejected(self):
+        # the draw is uniform on [-s, s], whose range 2 s must be finite
+        inst = random_pd_instance(np.random.default_rng(3))
+        for scale in (1e308, np.inf, np.nan):
+            with pytest.raises(ValueError, match="init_scale"):
+                init_code(inst, 0, init_scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = init_code(inst, 0, init_scale=sys.float_info.max / 2)
+        assert all(np.all(np.isfinite(getattr(code, name))) for name in FIELDS)
 
     def test_entries_within_scale(self):
         inst = random_pd_instance(np.random.default_rng(4))
@@ -588,6 +602,16 @@ def descents(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def starts(monkeypatch):
+    """The job of each `_start` call, in call order."""
+    kernel = sys.modules["butterfly_coding.train"]
+    seen = []
+    start = kernel._start
+    monkeypatch.setattr(kernel, "_start", lambda job, tol: seen.append(job) or start(job, tol))
+    return seen
+
+
 AGNOSTIC = "task_agnostic_coding"
 
 
@@ -692,6 +716,50 @@ class TestSharedDescents:
         results = train_lockstep([TrainJob(bad, config), TrainJob(good, config)])
         assert isinstance(results[0], ValueError)
         assert_same_run(results[1], train(good, config))
+
+    @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
+    def test_one_start_per_descent(self, starts, descents, gradient):
+        # three agnostic jobs of one seed share one start, read on the
+        # descent's first job; each task-aware job beside them starts alone
+        rng = np.random.default_rng(42)
+        insts = shared_psi_instances(rng, 3, random_spd(rng))
+        jobs = [TrainJob(inst, TrainConfig(epochs=20, learning_rate=0.02, seed=2, mode=mode,
+                                           gradient=gradient, batch_size=16))
+                for inst in insts for mode in ("task_aware_coding", AGNOSTIC)]
+        results = train_lockstep(jobs)
+        rows, = descents
+        assert sorted(views[0] for views in rows) == [0, 1, 2, 4]
+        assert [id(job) for job in starts] == [id(jobs[i]) for i in (0, 1, 2, 4)]
+        for job, got in zip(jobs, results):
+            assert_same_run(got, train(job.instance, job.config))
+
+    def test_failed_start_is_tried_on_each_view(self, starts):
+        # two agnostic jobs that share an init of the wrong shape key one
+        # descent; its start fails on each of them, so each gets its own
+        # error, while a descent whose start succeeds starts once. An init
+        # of the same bytes in other shapes keys a descent of its own
+        rng = np.random.default_rng(43)
+        first, second = shared_psi_instances(rng, 2, np.eye(5))
+        wrong = init_code(simple_instance(n=3, a=2, b=2, z=1), 0)
+        good = init_code(first, 5)
+        turned = replace(good, e13=good.e13.reshape(good.e13.shape[::-1]))
+        config = TrainConfig(epochs=20, learning_rate=0.02, mode=AGNOSTIC)
+        jobs = [TrainJob(first, config, wrong), TrainJob(second, config, wrong),
+                TrainJob(first, config, good), TrainJob(second, config, good),
+                TrainJob(second, config, turned)]
+        key = sys.modules["butterfly_coding.train"]._descent_key
+        keys = [key(i, job) for i, job in enumerate(jobs)]
+        assert keys[0] == keys[1] and keys[2] == keys[3] != keys[4]
+        results = train_lockstep(jobs)
+        assert [id(job) for job in starts] == [id(jobs[i]) for i in (0, 1, 2, 4)]
+        assert results[0] is not results[1]
+        for i in (0, 1, 4):
+            with pytest.raises(BadDimensions) as alone:
+                train(jobs[i].instance, config, jobs[i].init)
+            assert isinstance(results[i], BadDimensions)
+            assert str(results[i]) == str(alone.value)
+        for i in (2, 3):
+            assert_same_run(results[i], train(jobs[i].instance, config, good))
 
     def test_cap_counts_descents(self, descents):
         # thirty agnostic jobs of one seed are one descent, so the first
