@@ -54,7 +54,7 @@ class ConditionReport:
         return asdict(self)
 
 
-def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
+def _analyze(spec: TaskSpectrum,
              tol: ToleranceConfig) -> tuple[ConditionReport, tuple[Basis, ...]]:
     """The condition report and the bases it was decided on:
     (b3, b4, i13, i24, i34, j13, j24), where j13 = i13 + i34 and
@@ -63,6 +63,7 @@ def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
     L is lower-triangular, so node 1's observation span is exactly the first
     a whitened axes: it is never factored, and its intersections are
     coordinate cuts."""
+    instance = spec.instance
     n, a, z = instance.n, instance.a, instance.z
     b2 = orthonormal_basis(spec.obs2, tol, ambient_dim=n)
     b3, b4 = task_bases(spec)
@@ -97,7 +98,7 @@ def _analyze(spec: TaskSpectrum, instance: ProblemInstance,
     return report, (b3, b4, i13, i24, i34, j13, j24)
 
 
-def sufficient_report(spec: TaskSpectrum, instance: ProblemInstance,
+def sufficient_report(spec: TaskSpectrum,
                       tol: ToleranceConfig = DEFAULT_TOL) -> ConditionReport:
     """Rank and span-coverage conditions for achievability. necessary_ok is
     advisory when an eigen-gap flag is false (the underlying assumption
@@ -105,7 +106,7 @@ def sufficient_report(spec: TaskSpectrum, instance: ProblemInstance,
     2Z > n uniformly: there both task spans fill R^n, so the coverage
     conditions hold trivially and the rank conditions reduce to a >= n - Z
     and b >= n - Z."""
-    return _analyze(spec, instance, tol)[0]
+    return _analyze(spec, tol)[0]
 
 
 necessary_report = sufficient_report
@@ -149,8 +150,7 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
     return CodeSpans(phi13=phi13, phi24=phi24, phi56=phi56)
 
 
-def _construct_large_capacity(spec: TaskSpectrum, instance: ProblemInstance,
-                              tol: ToleranceConfig) -> CodeSpans:
+def _construct_large_capacity(spec: TaskSpectrum) -> CodeSpans:
     """Span construction for 2Z > n.
 
     Rows of L indexed below n-b are private to node 1, from a on private to
@@ -159,6 +159,7 @@ def _construct_large_capacity(spec: TaskSpectrum, instance: ProblemInstance,
     recover both by subtraction; the unpaired private rows of the node that
     has more of them and the mutual rows fill the remaining columns.
     """
+    instance = spec.instance
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
     cols = spec.cholesky_l.T
     p = min(n - a, n - b)
@@ -175,20 +176,20 @@ def _construct_large_capacity(spec: TaskSpectrum, instance: ProblemInstance,
     return CodeSpans(phi13=phi13, phi24=phi24, phi56=phi56)
 
 
-def construct_lb_code(spec: TaskSpectrum, instance: ProblemInstance,
+def construct_lb_code(spec: TaskSpectrum,
                       tol: ToleranceConfig = DEFAULT_TOL) -> ButterflyCode:
     """A code achieving the lower bound, when the sufficient conditions hold.
 
     Raises PreconditionNotMet otherwise; callers fall back to training.
     """
-    report, bases = _analyze(spec, instance, tol)
+    report, bases = _analyze(spec, tol)
     if not report.sufficient_ok:
         raise PreconditionNotMet(
             f"sufficient conditions fail: necessary_ok={report.necessary_ok}, "
             f"sf1_ok={report.sf1_ok}, sf2_ok={report.sf2_ok}"
         )
-    if 2 * instance.z <= instance.n:
-        spans = _construct_small_capacity(bases, instance, tol)
+    if 2 * spec.z <= spec.n:
+        spans = _construct_small_capacity(bases, spec.instance, tol)
     else:
-        spans = _construct_large_capacity(spec, instance, tol)
-    return realize_spans(spans, instance, tol, spec)
+        spans = _construct_large_capacity(spec)
+    return realize_spans(spans, spec, tol)

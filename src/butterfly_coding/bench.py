@@ -22,6 +22,7 @@ from .analytic import PreconditionNotMet, construct_lb_code, sufficient_report
 from .code import exact_loss, utilities, code_to_json
 from .model import (
     ProblemInstance,
+    _non_reals,
     covariance_from_samples,
     load_samples_csv,
     lower_bound,
@@ -232,12 +233,8 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _numbers(value) -> bool:
-    """An array, or a list whose entries are real numbers or such lists."""
-    return isinstance(value, np.ndarray) or isinstance(value, list) and all(
-        _numbers(v) if isinstance(v, list) else _real(v) for v in value)
-
-
+# what next() returns once _non_reals runs out; it may yield {}, False or None
+_END = object()
 # the JSON values a config field takes, by its declared type (a string, as
 # in _FIELD_PARSERS); a bool is never a number
 _JSON_TYPES = {
@@ -246,7 +243,8 @@ _JSON_TYPES = {
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a boolean"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
-    "np.ndarray": (_numbers, "a nested number list"),
+    "np.ndarray": (lambda v: isinstance(v, (list, np.ndarray))
+                   and next(_non_reals(v), _END) is _END, "a nested number list"),
     "tuple | str | None": (
         lambda v: (v == FLAT_TAIL) if isinstance(v, str) else (
             v is None or isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v))),
@@ -285,13 +283,13 @@ class _TrainBlock(TrainConfig):
     trace_csv: str | None = None
 
 
-def _ok_record(approach, param, value, seed, lb, code, instance, spec_obj,
+def _ok_record(approach, param, value, seed, lb, code, spec_obj,
                epochs_run, started, tol, shared_s=0.0) -> ResultRecord:
     """The record of a finished cell, evaluated now on the cell's spectrum
     `spec_obj`; its wall time runs from `started`, plus `shared_s`, its
     share of the training before that."""
-    l3, l4, total = exact_loss(code, instance)
-    u56, u13, u24 = utilities(code, instance, tol, spec_obj)
+    l3, l4, total = exact_loss(code, spec_obj.instance)
+    u56, u13, u24 = utilities(code, spec_obj, tol)
     return ResultRecord(
         approach=approach,
         sweep_param_name=param,
@@ -359,10 +357,9 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                     continue
                 t0 = time.perf_counter()
                 try:
-                    code = construct_lb_code(spec_obj, instance, tol)
+                    code = construct_lb_code(spec_obj, tol)
                     records.append(_ok_record(
-                        approach, param, value, seed, lb, code, instance, spec_obj,
-                        0, t0, tol))
+                        approach, param, value, seed, lb, code, spec_obj, 0, t0, tol))
                 except _SWEEP_ERRORS as exc:
                     if not (auto_construct and isinstance(exc, PreconditionNotMet)):
                         records.append(_failed_record(
@@ -378,8 +375,8 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
         code, trace = result
         try:
             records.append(_ok_record(
-                *args, code, job.instance, job.spectrum, trace.shape[0],
-                time.perf_counter(), tol, share))
+                *args, code, job.spectrum, trace.shape[0], time.perf_counter(), tol,
+                share))
         except _SWEEP_ERRORS as exc:
             records.append(_failed_record(*args, exc))
     records.sort(key=_record_order)
@@ -493,7 +490,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_analyze(config, out, tol) -> int:
     instance = _instance_from_config(config, tol)
-    report = sufficient_report(spectrum(instance, tol), instance, tol)
+    report = sufficient_report(spectrum(instance, tol), tol)
     _emit(json.dumps(report.to_dict(), indent=2), out)
     return 0
 
@@ -501,7 +498,7 @@ def _cmd_analyze(config, out, tol) -> int:
 def _cmd_construct(config, out, tol) -> int:
     instance = _instance_from_config(config, tol)
     spec = spectrum(instance, tol)
-    code = construct_lb_code(spec, instance, tol)
+    code = construct_lb_code(spec, tol)
     _, _, total = exact_loss(code, instance)
     _emit(code_to_json(code), out)
     print(f"L_total={float(total)!r} "

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import (BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance,
-                    _cholesky, _non_reals, _task_grams)
+from .model import BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance, _non_reals
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
 
 
@@ -24,7 +23,7 @@ class InvalidSpan(ValueError):
     """A direct-link span leaves the sending node's observation span."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButterflyCode:
     e13: np.ndarray   # Z x a
     e15: np.ndarray   # Z x a
@@ -35,7 +34,7 @@ class ButterflyCode:
     d4: np.ndarray    # n x 2Z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpans:
     """Link coefficient matrices in whitened coordinates, one column per dimension."""
 
@@ -141,20 +140,11 @@ def with_optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
     return ButterflyCode(code.e13, code.e15, code.e24, code.e25, code.e56, d3, d4)
 
 
-def _chol(instance: ProblemInstance, tol: ToleranceConfig,
-          spec: TaskSpectrum | None) -> np.ndarray:
-    """The Cholesky factor L of psi: the caller's spectrum's, when it holds
-    one, as spectrum computes it the same way."""
-    return _cholesky(instance.psi, tol) if spec is None else spec.cholesky_l
-
-
-def flow_spans(code: ButterflyCode, instance: ProblemInstance,
-               tol: ToleranceConfig = DEFAULT_TOL,
-               spec: TaskSpectrum | None = None) -> CodeSpans:
-    """Express each link signal as Phi^T L^{-1} x and return the Phi matrices.
-    `spec`, the instance's spectrum if the caller holds it, supplies L."""
+def flow_spans(code: ButterflyCode, spec: TaskSpectrum) -> CodeSpans:
+    """Express each link signal as Phi^T L^{-1} x and return the Phi
+    matrices, with L the Cholesky factor of the spectrum's instance."""
+    instance, chol = spec.instance, spec.cholesky_l
     check_code_shapes(code, instance)
-    chol = _chol(instance, tol, spec)
     a, b, n = instance.a, instance.b, instance.n
     rows1 = chol[:a, :]        # a x n, the observed rows of L
     rows2 = chol[n - b :, :]
@@ -179,9 +169,8 @@ def _fit_node1(chol: np.ndarray, a: int, targets: np.ndarray):
     return coeff, np.linalg.norm(targets[a:], axis=0)
 
 
-def realize_spans(spans: CodeSpans, instance: ProblemInstance,
-                  tol: ToleranceConfig = DEFAULT_TOL,
-                  spec: TaskSpectrum | None = None) -> ButterflyCode:
+def realize_spans(spans: CodeSpans, spec: TaskSpectrum,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> ButterflyCode:
     """Encoders whose flow spans reproduce the given Phi matrices columnwise,
     with decoders filled in by optimal_decoders.
 
@@ -189,10 +178,10 @@ def realize_spans(spans: CodeSpans, instance: ProblemInstance,
     (InvalidSpan otherwise). Each phi56 column is assigned wholly to the
     observation span that contains it, node 1's when both do; columns in
     neither span alone are split across both by minimum-norm least squares.
-    `spec`, the instance's spectrum if the caller holds it, supplies L.
+    The spans are in the whitened coordinates of the spectrum's instance.
     """
+    instance, chol = spec.instance, spec.cholesky_l
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
-    chol = _chol(instance, tol, spec)
     u1 = chol[:a, :].T         # n x a
     u2 = chol[n - b :, :].T    # n x b
     scale = max(1.0, float(np.abs(chol).max()))
@@ -238,28 +227,27 @@ def realize_spans(spans: CodeSpans, instance: ProblemInstance,
     return with_optimal_decoders(code, instance, tol)
 
 
-def utilities(code: ButterflyCode, instance: ProblemInstance,
-              tol: ToleranceConfig = DEFAULT_TOL, spec: TaskSpectrum | None = None):
+def utilities(code: ButterflyCode, spec: TaskSpectrum,
+              tol: ToleranceConfig = DEFAULT_TOL):
     """(u56, u13, u24): captured task energy per link.
 
     u56 is the trace of S3 + S4 over the relay span. u13 is the trace of S3
     over the orthogonal complement of the relay span inside sink 3's combined
     received span (so the three utilities never double-count a direction);
-    u24 is symmetric. `spec`, the instance's spectrum if the caller holds
-    it, supplies L, S3 and S4.
+    u24 is symmetric. S3 and S4 are the spectrum's whitened task Grams.
     """
-    spans = flow_spans(code, instance, tol, spec)
-    s3, s4 = _task_grams(instance, tol)[1:] if spec is None else (spec.s3, spec.s4)
+    spans = flow_spans(code, spec)
+    s3, s4, n = spec.s3, spec.s4, spec.n
 
     def subspace_trace(s, basis):
         if basis.dim == 0:
             return 0.0
         return float(np.sum((s @ basis.vectors) * basis.vectors))
 
-    xi = orthonormal_basis(spans.phi56, tol, ambient_dim=instance.n)
+    xi = orthonormal_basis(spans.phi56, tol, ambient_dim=n)
     u56 = subspace_trace(s3 + s4, xi)
-    b135 = orthonormal_basis(np.hstack([spans.phi13, spans.phi56]), tol, ambient_dim=instance.n)
-    b245 = orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol, ambient_dim=instance.n)
+    b135 = orthonormal_basis(np.hstack([spans.phi13, spans.phi56]), tol, ambient_dim=n)
+    b245 = orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol, ambient_dim=n)
     u13 = subspace_trace(s3, b135) - subspace_trace(s3, xi)
     u24 = subspace_trace(s4, b245) - subspace_trace(s4, xi)
     return u56, u13, u24

@@ -48,7 +48,7 @@ class CholeskyFailed(ValueError):
     """Covariance is not positive definite at the working tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     n: int
     psi: np.ndarray   # n x n covariance
@@ -140,17 +140,9 @@ def _descending_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), _fix_signs(v[:, ::-1].copy())
 
 
-def _task_grams(instance: ProblemInstance, tol: ToleranceConfig):
-    """Cholesky factor L of psi and the whitened task Grams
-    S_i = L^T K_i^T K_i L."""
-    chol = _cholesky(instance.psi, tol)
-    return (chol,
-            chol.T @ instance.k3.T @ instance.k3 @ chol,
-            chol.T @ instance.k4.T @ instance.k4 @ chol)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskSpectrum:
+    instance: ProblemInstance  # what spectrum(instance, tol) was computed from
     cholesky_l: np.ndarray   # psi = L L^T
     s3: np.ndarray           # L^T K3^T K3 L
     s4: np.ndarray
@@ -164,11 +156,14 @@ class TaskSpectrum:
     obs2: np.ndarray
     eigengap3: float         # mu_m - mu_{m+1} at m = min{2Z, n} (mu_m itself if m = n)
     eigengap4: float
-    z: int
 
     @property
     def n(self) -> int:
-        return self.cholesky_l.shape[0]
+        return self.instance.n
+
+    @property
+    def z(self) -> int:
+        return self.instance.z
 
 
 def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> TaskSpectrum:
@@ -178,13 +173,16 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
     first.
     """
     inst = instance
-    chol, s3, s4 = _task_grams(inst, tol)
+    chol = _cholesky(inst.psi, tol)
+    s3 = chol.T @ inst.k3.T @ inst.k3 @ chol
+    s4 = chol.T @ inst.k4.T @ inst.k4 @ chol
     mu3, u3 = _descending_eigh(s3)
     mu4, u4 = _descending_eigh(s4)
     m = min(2 * inst.z, inst.n)
     gap3 = float(mu3[m - 1] - (mu3[m] if m < inst.n else 0.0))
     gap4 = float(mu4[m - 1] - (mu4[m] if m < inst.n else 0.0))
     return TaskSpectrum(
+        instance=inst,
         cholesky_l=chol,
         s3=s3, s4=s4,
         mu3=mu3, mu4=mu4,
@@ -193,7 +191,6 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
         obs1=chol[: inst.a, :].T.copy(),
         obs2=chol[inst.n - inst.b :, :].T.copy(),
         eigengap3=gap3, eigengap4=gap4,
-        z=inst.z,
     )
 
 
@@ -250,7 +247,7 @@ def task_pca(k: np.ndarray, psi: np.ndarray, z: int,
     return enc, dec, loss
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhitenedInstance:
     """Full-rank reparameterization preserving both task losses.
 

@@ -77,7 +77,7 @@ def _fix_signs(m: np.ndarray) -> np.ndarray:
     return m * signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
     """Orthonormal column basis of a subspace of R^n. k = 0 is a valid empty basis."""
 

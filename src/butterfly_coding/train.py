@@ -153,16 +153,12 @@ def _selection_e56(z: int) -> np.ndarray:
     return e56
 
 
-def greedy_benchmark_code(instance: ProblemInstance,
-                          tol: ToleranceConfig = DEFAULT_TOL,
-                          spec: TaskSpectrum | None = None) -> ButterflyCode:
+def greedy_benchmark_code(spec: TaskSpectrum,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> ButterflyCode:
     """Relay carries the top-Z directions of the summed task Gram matrix;
     each direct link then adds its task's best directions from what its
-    source can see beyond the relay's columns. `spec`, the instance's
-    spectrum if the caller holds it, is used instead of computing it."""
-    if spec is None:
-        spec = spectrum(instance, tol)
-    n, z = instance.n, instance.z
+    source can see beyond the relay's columns."""
+    n, z = spec.n, spec.z
     w, v = np.linalg.eigh(spec.s3 + spec.s4)
     order = np.argsort(w)[::-1]
     t56 = min(z, n)
@@ -191,14 +187,14 @@ def greedy_benchmark_code(instance: ProblemInstance,
         phi24=side(spec.obs2, spec.s4),
         phi56=phi56,
     )
-    return realize_spans(spans, instance, tol, spec)
+    return realize_spans(spans, spec, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainJob:
     """One run of `train`, as a member of a lockstep batch. `spectrum`, the
     instance's spectrum if the caller holds it, saves the coding_benchmark
-    start from computing it again."""
+    start (_start) from computing it."""
 
     instance: ProblemInstance
     config: TrainConfig
@@ -249,7 +245,8 @@ def _start(job: TrainJob, tol: ToleranceConfig):
         mats["e56"] = _selection_e56(instance.z)
         trained = tuple(name for name in _MATRIX_FIELDS if name != "e56")
     elif config.mode == "coding_benchmark":
-        bench = greedy_benchmark_code(instance, tol, job.spectrum)
+        spec = spectrum(instance, tol) if job.spectrum is None else job.spectrum
+        bench = greedy_benchmark_code(spec, tol)
         for name in ("e13", "e15", "e24", "e25", "e56"):
             mats[name] = np.asarray(getattr(bench, name), dtype=float)
         trained = ("d3", "d4")

@@ -107,10 +107,10 @@ def test_02_whitening_preserves_losses():
 
 def _construction_gap(inst, tol_scaled):
     spec = spectrum(inst)
-    rep = sufficient_report(spec, inst)
+    rep = sufficient_report(spec)
     if not rep.sufficient_ok:
         return None
-    code = construct_lb_code(spec, inst)
+    code = construct_lb_code(spec)
     lb = lower_bound(spec, inst.z)
     total = exact_loss(code, inst)[2]
     return (total - lb) / (1.0 + lb)
@@ -185,7 +185,7 @@ def test_04_achievability_dichotomy():
     t0 = time.perf_counter()
     bad = unachievable_dichotomy_instance()
     bad_spec = spectrum(bad)
-    bad_rep = sufficient_report(bad_spec, bad)
+    bad_rep = sufficient_report(bad_spec)
     flags_ok = bad_rep.necessary_ok and not bad_rep.sf1_ok
 
     lb_bad = lower_bound(bad_spec, bad.z)
@@ -200,7 +200,7 @@ def test_04_achievability_dichotomy():
 
     good = achievable_dichotomy_instance()
     good_spec = spectrum(good)
-    code = construct_lb_code(good_spec, good)
+    code = construct_lb_code(good_spec)
     lb_good = lower_bound(good_spec, good.z)
     gap = abs(exact_loss(code, good)[2] - lb_good)
 
@@ -221,7 +221,7 @@ def test_05_joint_rank_sweep_at_full_scale():
     for r_plus in range(16, 25):
         inst = gen_synthetic(SyntheticSpec(n=n, z=z, a=a, b=a,
                                            r_plus_target=r_plus, seed=0))
-        code = construct_lb_code(spectrum(inst), inst)
+        code = construct_lb_code(spectrum(inst))
         worst_gap = max(worst_gap, exact_loss(code, inst)[2])
     construct_ok = worst_gap <= 1e-8
 
@@ -230,7 +230,7 @@ def test_05_joint_rank_sweep_at_full_scale():
         inst = gen_synthetic(SyntheticSpec(n=n, z=z, a=a, b=a,
                                            r_plus_target=r_plus, seed=0))
         with pytest.raises(PreconditionNotMet):
-            construct_lb_code(spectrum(inst), inst)
+            construct_lb_code(spectrum(inst))
         rejected += 1
 
     seeds = range(6)
@@ -278,10 +278,10 @@ def test_06_observation_sweep_at_full_scale():
             n=n, z=z, a=a, b=a, r_plus_target=r_plus,
             eig_profile=profile, keep_sf3=False, seed=0))
         spec = spectrum(inst)
-        rep = sufficient_report(spec, inst)
+        rep = sufficient_report(spec)
         if not rep.sufficient_ok:
             continue
-        code = construct_lb_code(spec, inst)
+        code = construct_lb_code(spec)
         wide_gaps[a] = exact_loss(code, inst)[2] - lower_bound(spec, z)
     wide_ok = all(a in wide_gaps and wide_gaps[a] <= 1e-6
                   for a in range(24, 33, 2))
@@ -291,7 +291,7 @@ def test_06_observation_sweep_at_full_scale():
         inst = gen_synthetic(SyntheticSpec(
             n=n, z=z, a=16, b=16, r_plus_target=r_plus,
             eig_profile=profile, keep_sf3=False, seed=seed))
-        rep = sufficient_report(spectrum(inst), inst)
+        rep = sufficient_report(spectrum(inst))
         assert not rep.necessary_ok
         _, trace = train(inst, TrainConfig(seed=seed))
         finals.append(trace[-1, 2])
@@ -314,16 +314,16 @@ def test_07_greedy_benchmark():
     for _ in range(100):
         inst = random_pd_instance(rng, n_max=10)
         spec = spectrum(inst)
-        code = greedy_benchmark_code(inst)
-        u56 = utilities(code, inst)[0]
+        code = greedy_benchmark_code(spec)
+        u56 = utilities(code, spec)[0]
         mu = np.linalg.eigvalsh(spec.s3 + spec.s4)[::-1]
         want = float(mu[: min(inst.z, inst.n)].sum())
         worst = max(worst, abs(u56 - want) / (1.0 + abs(want)))
     relay_ok = worst <= 1e-9
 
     trap = greedy_trap_instance()
-    greedy_total = exact_loss(greedy_benchmark_code(trap), trap)[2]
-    best_total = exact_loss(construct_lb_code(spectrum(trap), trap), trap)[2]
+    greedy_total = exact_loss(greedy_benchmark_code(spectrum(trap)), trap)[2]
+    best_total = exact_loss(construct_lb_code(spectrum(trap)), trap)[2]
     witness_gap = greedy_total - best_total
     witness_ok = witness_gap >= 1e-3
 

@@ -76,7 +76,7 @@ class TestGenSynthetic:
         assert np.allclose(inst.psi, np.eye(32))
         # r_plus equals the rank of the stacked task matrices exactly
         assert rank_of(np.vstack([inst.k3, inst.k4]).T) == 16
-        rep = sufficient_report(spectrum(inst), inst)
+        rep = sufficient_report(spectrum(inst))
         assert rep.r_plus_34 == 16
         assert rep.sf1_ok and rep.sf2_ok and rep.necessary_ok
 
@@ -84,7 +84,7 @@ class TestGenSynthetic:
         spec = SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=24, seed=1)
         inst = gen_synthetic(spec)
         assert rank_of(np.vstack([inst.k3, inst.k4]).T) == 24
-        rep = sufficient_report(spectrum(inst), inst)
+        rep = sufficient_report(spectrum(inst))
         assert rep.sufficient_ok
         # default eigenvalues vanish past index 2Z, so the bound is zero
         assert lower_bound_of(inst) == 0.0
@@ -94,7 +94,7 @@ class TestGenSynthetic:
             spec = SyntheticSpec(n=32, z=8, a=24, b=24,
                                  r_plus_target=target, seed=2)
             inst = gen_synthetic(spec)
-            rep = sufficient_report(spectrum(inst), inst)
+            rep = sufficient_report(spectrum(inst))
             assert rep.necessary_ok == want, target
             assert rep.sf1_ok and rep.sf2_ok
 
@@ -104,13 +104,13 @@ class TestGenSynthetic:
         small = gen_synthetic(SyntheticSpec(
             n=32, z=8, a=16, b=16, r_plus_target=18,
             eig_profile=prof, keep_sf3=False, seed=0))
-        rep = sufficient_report(spectrum(small), small)
+        rep = sufficient_report(spectrum(small))
         assert not rep.necessary_ok
         assert rep.sf1_ok and rep.sf2_ok
         wide = gen_synthetic(SyntheticSpec(
             n=32, z=8, a=24, b=24, r_plus_target=18,
             eig_profile=prof, keep_sf3=False, seed=0))
-        rep = sufficient_report(spectrum(wide), wide)
+        rep = sufficient_report(spectrum(wide))
         assert rep.sufficient_ok
 
     def test_target_out_of_range(self):

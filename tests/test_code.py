@@ -142,7 +142,7 @@ class TestFlowSpans:
         code = zero_code(inst)
         code = ButterflyCode(np.array([[1.0, 0.0]]), code.e15, code.e24,
                              code.e25, code.e56, code.d3, code.d4)
-        spans = flow_spans(code, inst)
+        spans = flow_spans(code, spectrum(inst))
         # with psi = I the observed row of L is the coordinate axis itself
         assert np.allclose(spans.phi13[:, 0], [1.0, 0.0, 0.0])
 
@@ -153,14 +153,14 @@ class TestFlowSpans:
             e24=np.zeros((1, 1)), e25=np.array([[1.0]]),
             e56=np.array([[1.0, 1.0]]),
             d3=np.zeros((2, 2)), d4=np.zeros((2, 2)))
-        spans = flow_spans(code, inst)
+        spans = flow_spans(code, spectrum(inst))
         assert np.allclose(spans.phi56[:, 0], [1.0, 1.0])
 
     def test_signal_identity_on_samples(self):
         rng = np.random.default_rng(4)
         inst = random_pd_instance(rng, n_max=4)
         code = random_code(inst, rng)
-        spans = flow_spans(code, inst)
+        spans = flow_spans(code, spectrum(inst))
         chol = np.linalg.cholesky(inst.psi)
         x = chol @ rng.normal(size=(inst.n, 25))
         h = np.linalg.solve(chol, x)
@@ -216,8 +216,8 @@ class TestRealizeSpans:
                 phi24=u2 @ rng.normal(size=(inst.b, z)),
                 phi56=np.hstack([u1, u2]) @ rng.normal(size=(inst.a + inst.b, z)),
             )
-            code = realize_spans(spans, inst)
-            back = flow_spans(code, inst)
+            code = realize_spans(spans, spectrum(inst))
+            back = flow_spans(code, spectrum(inst))
             for want, got in ((spans.phi13, back.phi13),
                               (spans.phi24, back.phi24),
                               (spans.phi56, back.phi56)):
@@ -234,7 +234,7 @@ class TestRealizeSpans:
             spans = CodeSpans(phi13=np.zeros((inst.n, inst.z)),
                               phi24=np.zeros((inst.n, inst.z)),
                               phi56=np.column_stack(relay))
-            code = realize_spans(spans, inst)
+            code = realize_spans(spans, spectrum(inst))
             want15, want25 = _relay_fit_by_column(spans, inst)
             assert np.allclose(code.e15, want15, rtol=0, atol=1e-12)
             assert np.allclose(code.e25, want25, rtol=0, atol=1e-12)
@@ -248,7 +248,7 @@ class TestRealizeSpans:
             phi24=np.array([[0.0], [0.0], [1.0]]),
             phi56=np.array([[1.0], [0.0], [0.0]]),
         )
-        code = realize_spans(spans, inst)
+        code = realize_spans(spans, spectrum(inst))
         assert np.allclose(code.e25, 0.0)
         assert not np.allclose(code.e15, 0.0)
 
@@ -261,8 +261,8 @@ class TestRealizeSpans:
             phi24=np.array([[0.0], [0.0], [1.0]]),
             phi56=np.array([[1.0], [0.0], [-1.0]]),
         )
-        code = realize_spans(spans, inst)
-        back = flow_spans(code, inst)
+        code = realize_spans(spans, spectrum(inst))
+        back = flow_spans(code, spectrum(inst))
         assert np.allclose(back.phi56, spans.phi56, atol=1e-9)
         assert not np.allclose(code.e15, 0.0)
         assert not np.allclose(code.e25, 0.0)
@@ -278,12 +278,12 @@ class TestRealizeSpans:
             phi24=np.column_stack([e[:, 2], e[:, 1], e[:, 2], e[:, 1]]),
             phi56=np.column_stack([e[:, 0], e[:, 2], e[:, 0] - e[:, 2], e[:, 1]]),
         )
-        code = realize_spans(spans, inst)
+        code = realize_spans(spans, spectrum(inst))
         sends1 = np.any(code.e15 != 0.0, axis=1)
         sends2 = np.any(code.e25 != 0.0, axis=1)
         assert list(sends1) == [True, False, True, True]
         assert list(sends2) == [False, True, True, False]
-        back = flow_spans(code, inst)
+        back = flow_spans(code, spectrum(inst))
         for want, got in ((spans.phi13, back.phi13),
                           (spans.phi24, back.phi24),
                           (spans.phi56, back.phi56)):
@@ -297,7 +297,7 @@ class TestRealizeSpans:
             phi56=np.array([[0.0], [1.0], [0.0]]),
         )
         with pytest.raises(InvalidSpan):
-            realize_spans(spans, inst)
+            realize_spans(spans, spectrum(inst))
 
 
 class TestUtilities:
@@ -308,7 +308,7 @@ class TestUtilities:
         code = ButterflyCode(code.e13, np.zeros_like(code.e15), code.e24,
                              np.zeros_like(code.e25), np.zeros_like(code.e56),
                              code.d3, code.d4)
-        u56, u13, u24 = utilities(code, inst)
+        u56, u13, u24 = utilities(code, spectrum(inst))
         assert u56 == 0.0
         assert u13 >= -1e-12 and u24 >= -1e-12
 
@@ -336,7 +336,7 @@ class TestUtilities:
             inst = random_pd_instance(rng, n_max=6)
             spec = spectrum(inst)
             code = random_code(inst, rng)
-            u56, u13, u24 = utilities(code, inst)
+            u56, u13, u24 = utilities(code, spec)
             cap = np.trace(spec.s3 + spec.s4)
             assert -1e-9 <= u56 <= cap + 1e-8
             assert u13 >= -1e-9 and u24 >= -1e-9
@@ -355,8 +355,8 @@ class TestUtilities:
         chol = np.linalg.cholesky(inst.psi)
         code = realize_spans(CodeSpans(
             phi13=chol.T @ np.eye(n), phi24=chol.T @ np.eye(n),
-            phi56=chol.T @ np.eye(n)), inst)
-        u56, u13, u24 = utilities(code, inst)
+            phi56=chol.T @ np.eye(n)), spec)
+        u56, u13, u24 = utilities(code, spec)
         cap = np.trace(spec.s3 + spec.s4)
         assert abs(u56 + u13 + u24 - cap) <= 1e-8 * (1 + cap)
 
@@ -367,8 +367,8 @@ class TestUtilities:
         for _ in range(20):
             inst = random_pd_instance(rng, n_max=8)
             code = random_code(inst, rng)
-            spans = flow_spans(code, inst)
             spec = spectrum(inst)
+            spans = flow_spans(code, spec)
 
             def trace(s, cols):
                 basis = orthonormal_basis(cols, ambient_dim=inst.n)
@@ -379,13 +379,13 @@ class TestUtilities:
             want = (trace(spec.s3 + spec.s4, relay),
                     trace(spec.s3, np.hstack([spans.phi13, relay])) - trace(spec.s3, relay),
                     trace(spec.s4, np.hstack([spans.phi24, relay])) - trace(spec.s4, relay))
-            cases.append((code, inst, want))
+            cases.append((code, spec, want))
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
-        for code, inst, want in cases:
-            assert utilities(code, inst) == want
+        for code, spec, want in cases:
+            assert utilities(code, spec) == want
         assert not calls
 
 
@@ -403,7 +403,8 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         inst = random_pd_instance(rng, n_max=5)
         code = with_optimal_decoders(random_code(inst, rng), inst)
-        rebuilt = realize_spans(flow_spans(code, inst), inst)
+        spec = spectrum(inst)
+        rebuilt = realize_spans(flow_spans(code, spec), spec)
         l1 = exact_loss(code, inst)[2]
         l2 = exact_loss(rebuilt, inst)[2]
         assert abs(l1 - l2) <= 1e-8 * (1 + l1)

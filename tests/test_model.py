@@ -273,6 +273,22 @@ class TestSpectrum:
         with pytest.raises(CholeskyFailed, match="rank-deficient"):
             spectrum(inst)
 
+    def test_holds_its_instance(self):
+        inst = random_pd_instance(np.random.default_rng(14))
+        spec = spectrum(inst)
+        assert spec.instance is inst
+        assert (spec.n, spec.z) == (inst.n, inst.z)
+
+
+class TestIdentity:
+    def test_equal_values_built_twice_are_unequal(self):
+        # dataclasses that hold arrays compare by identity, so comparing two
+        # separately built, equal values answers False instead of raising
+        assert (simple_instance() == simple_instance()) is False
+        inst = validate(simple_instance())
+        assert inst == inst
+        assert (spectrum(inst) == spectrum(inst)) is False
+
 
 class TestLowerBound:
     def test_zero_tail(self):

@@ -622,7 +622,7 @@ def test_analyze_on_a_nested_cell_makes_no_svd_in_join(r_plus, seed, monkeypatch
 
     monkeypatch.setattr(analytic, "join", counted_join)
     with counting_svd() as calls:
-        _, (_, _, i13, i24, i34, j13, j24) = analytic._analyze(spec, inst, DEFAULT_TOL)
+        _, (_, _, i13, i24, i34, j13, j24) = analytic._analyze(spec, DEFAULT_TOL)
     assert is_subspace_of(i34, i13) and is_subspace_of(i34, i24)
     assert in_join == [0, 0]
     # the counter sees the analysis's other SVDs

@@ -17,11 +17,13 @@ from butterfly_coding import (
     exact_loss,
     export_trace_csv,
     flat_tail_profile,
+    flow_spans,
     gen_synthetic,
     greedy_benchmark_code,
     init_code,
     lower_bound,
     lower_bound_of,
+    realize_spans,
     spectrum,
     train,
     train_lockstep,
@@ -33,6 +35,7 @@ from butterfly_coding.train import _gradients, _selection_e56, _true_losses
 
 from conftest import calm_instance, greedy_trap_instance, random_pd_instance
 from test_model import simple_instance
+from test_properties import block_diagonal
 
 
 def tiny_instance():
@@ -249,7 +252,7 @@ class TestModes:
 
     def test_benchmark_mode_keeps_greedy_encoders(self):
         inst = calm_instance(np.random.default_rng(13), n_max=5)
-        bench = greedy_benchmark_code(inst)
+        bench = greedy_benchmark_code(spectrum(inst))
         cfg = TrainConfig(epochs=50, learning_rate=0.01, seed=5,
                           mode="coding_benchmark")
         code, _ = train(inst, cfg)
@@ -395,6 +398,12 @@ def assert_same_run(got, want):
 
 
 class TestLockstep:
+    def test_jobs_index_finds_each_job(self):
+        # two separately built, equal jobs and codes compare without raising
+        jobs = [TrainJob(tiny_instance(), TrainConfig()) for _ in range(2)]
+        assert [jobs.index(job) for job in jobs] == [0, 1]
+        assert (init_code(tiny_instance(), 0) == init_code(tiny_instance(), 0)) is False
+
     @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
     def test_member_equals_training_alone(self, gradient):
         insts = same_dims_instances(np.random.default_rng(20), 3)
@@ -799,8 +808,8 @@ class TestGreedyBenchmark:
         for _ in range(5):
             inst = random_pd_instance(rng, n_max=6)
             spec = spectrum(inst)
-            code = greedy_benchmark_code(inst)
-            u56, _, _ = utilities(code, inst)
+            code = greedy_benchmark_code(spec)
+            u56, _, _ = utilities(code, spec)
             mu = np.linalg.eigvalsh(spec.s3 + spec.s4)[::-1]
             want = mu[: min(inst.z, inst.n)].sum()
             assert abs(u56 - want) <= 1e-8 * (1 + abs(want))
@@ -813,7 +822,7 @@ class TestGreedyBenchmark:
         inst = validate(ProblemInstance(
             n=n, psi=f @ f.T + 0.3 * np.eye(n), a=n, b=n, z=2,
             k3=k, k4=k.copy()))
-        code = greedy_benchmark_code(inst)
+        code = greedy_benchmark_code(spectrum(inst))
         lb = lower_bound_of(inst)
         total = exact_loss(code, inst)[2]
         assert total <= lb + 1e-8 * (1 + lb)
@@ -821,9 +830,44 @@ class TestGreedyBenchmark:
     def test_greedy_not_globally_optimal(self):
         inst = greedy_trap_instance()
         spec = spectrum(inst)
-        greedy_total = exact_loss(greedy_benchmark_code(inst), inst)[2]
-        best = exact_loss(construct_lb_code(spec, inst), inst)[2]
+        greedy_total = exact_loss(greedy_benchmark_code(spec), inst)[2]
+        best = exact_loss(construct_lb_code(spec), inst)[2]
         assert greedy_total - best >= 1e-3
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("coloured", [False, True], ids=["psi_eye", "psi_spd"])
+    def test_evaluators_do_not_factor_psi_again(self, monkeypatch, seed, coloured):
+        # every evaluator reads L off the spectrum, so once the spectrum is
+        # computed no Cholesky factorization runs
+        inst = gen_synthetic(SyntheticSpec(n=8, z=2, a=6, b=6, r_plus_target=6, seed=seed))
+        if coloured:
+            # x' = T x, T random and block-diagonal over the coordinates
+            # private to node 1, shared and private to node 2: psi' = T T^T,
+            # and the construction's conditions still hold
+            n, a, b = inst.n, inst.a, inst.b
+            t = block_diagonal(np.random.default_rng(seed), (n - b, a + b - n, n - a))
+            t_inv = np.linalg.inv(t)
+            inst = validate(ProblemInstance(n=n, psi=t @ inst.psi @ t.T, a=a, b=b,
+                                            z=inst.z, k3=inst.k3 @ t_inv,
+                                            k4=inst.k4 @ t_inv))
+        spec = spectrum(inst)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda *args, **kw: calls.append(1) or cholesky(*args, **kw))
+        code = construct_lb_code(spec)
+        spans = flow_spans(code, spec)
+        realize_spans(spans, spec)
+        utilities(code, spec)
+        greedy_benchmark_code(spec)
+        job = TrainJob(inst, TrainConfig(epochs=3, mode="coding_benchmark"), spectrum=spec)
+        (result,) = train_lockstep([job])
+        assert not isinstance(result, Exception)
+        assert calls == []
+        spectrum(inst)             # the spy sees the one factorization there is
+        assert calls == [1]
 
 
 class TestFullScale:
