@@ -22,8 +22,8 @@ from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
     _coordinate_cut,
-    _extend,
     _greedy_pick,
+    extend_from_pool,
     intersect,
     is_subspace_of,
     join,
@@ -65,7 +65,7 @@ def _analyze(spec: TaskSpectrum,
     coordinate cuts."""
     instance = spec.instance
     n, a, z = instance.n, instance.a, instance.z
-    b2 = orthonormal_basis(spec.obs2, tol, ambient_dim=n)
+    b2 = orthonormal_basis(spec.obs2, tol)
     b3, b4 = task_bases(spec)
     i34 = intersect(b3, b4, tol)
     i13 = _coordinate_cut(b3, a, tol)
@@ -130,8 +130,8 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
     if r34 < z:
         # impossible under r+ <= 3Z since r+ + r- = 4Z here
         raise PreconditionNotMet(f"task intersection dimension {r34} below Z={z}")
-    excl3 = _extend(i34, i13, b3, j13, tol)
-    excl4 = _extend(i34, i24, b4, j24, tol)
+    excl3 = extend_from_pool(i34, i13, b3, tol, cover=j13)
+    excl4 = extend_from_pool(i34, i24, b4, tol, cover=j24)
     i234 = intersect(i24, b3, tol)
     i1234 = _coordinate_cut(i234, a, tol)
     k_both = min(i1234.dim, r34 - z)

@@ -163,7 +163,7 @@ def gen_synthetic(spec: SyntheticSpec,
                         k3=root[:, None] * u3.T, k4=root[:, None] * u4.T),
         tol,
     )
-    got = join(Basis(n, u3), Basis(n, u4), tol).dim
+    got = join(Basis(u3), Basis(u4), tol).dim
     if got != spec.r_plus_target:
         raise InfeasibleSpec(
             f"generated spectrum has joint task rank {got}, "
@@ -586,6 +586,6 @@ def main(argv=None) -> int:
             tol = ToleranceConfig(rank_tol=args.tol)
         return _COMMANDS[args.command](config, args.out, tol)
     except (ConfigError, InfeasibleSpec, PreconditionNotMet,
-            DivergenceDetected, OSError, ValueError) as exc:
+            DivergenceDetected, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

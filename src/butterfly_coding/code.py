@@ -237,17 +237,17 @@ def utilities(code: ButterflyCode, spec: TaskSpectrum,
     u24 is symmetric. S3 and S4 are the spectrum's whitened task Grams.
     """
     spans = flow_spans(code, spec)
-    s3, s4, n = spec.s3, spec.s4, spec.n
+    s3, s4 = spec.s3, spec.s4
 
     def subspace_trace(s, basis):
         if basis.dim == 0:
             return 0.0
         return float(np.sum((s @ basis.vectors) * basis.vectors))
 
-    xi = orthonormal_basis(spans.phi56, tol, ambient_dim=n)
+    xi = orthonormal_basis(spans.phi56, tol)
     u56 = subspace_trace(s3 + s4, xi)
-    b135 = orthonormal_basis(np.hstack([spans.phi13, spans.phi56]), tol, ambient_dim=n)
-    b245 = orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol, ambient_dim=n)
+    b135 = orthonormal_basis(np.hstack([spans.phi13, spans.phi56]), tol)
+    b245 = orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol)
     u13 = subspace_trace(s3, b135) - subspace_trace(s3, xi)
     u24 = subspace_trace(s4, b245) - subspace_trace(s4, xi)
     return u56, u13, u24

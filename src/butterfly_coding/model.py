@@ -25,8 +25,8 @@ from .subspace import (
     Basis,
     DEFAULT_TOL,
     ToleranceConfig,
-    _extend,
     _fix_signs,
+    extend_from_pool,
     intersect,
     orthonormal_basis,
 )
@@ -299,12 +299,12 @@ def whiten(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> Whi
     theta = (qp * root).T            # n_tilde x n, theta^T theta = psi restricted
     theta1 = theta[:, :a]
     theta2 = theta[:, n - b :]
-    b1 = orthonormal_basis(theta1, tol, ambient_dim=n_t)
-    b2 = orthonormal_basis(theta2, tol, ambient_dim=n_t)
+    b1 = orthonormal_basis(theta1, tol)
+    b2 = orthonormal_basis(theta2, tol)
     a_t, b_t = b1.dim, b2.dim
     shared = intersect(b1, b2, tol)
-    omega = np.hstack([_extend(shared, b1, b1, None, tol), shared.vectors,
-                       _extend(shared, b2, b2, None, tol)])
+    omega = np.hstack([extend_from_pool(shared, b1, b1, tol), shared.vectors,
+                       extend_from_pool(shared, b2, b2, tol)])
     if omega.shape != (n_t, n_t):
         raise BadDimensions(
             f"whitening basis came out {omega.shape}, expected ({n_t}, {n_t})"
@@ -337,19 +337,9 @@ def whiten(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> Whi
     )
 
 
-def observation_bases(spec: TaskSpectrum, tol: ToleranceConfig = DEFAULT_TOL):
-    """Orthonormal bases of the two observation spans in whitened coordinates."""
-    n = spec.n
-    return (
-        orthonormal_basis(spec.obs1, tol, ambient_dim=n),
-        orthonormal_basis(spec.obs2, tol, ambient_dim=n),
-    )
-
-
 def task_bases(spec: TaskSpectrum) -> tuple[Basis, Basis]:
     """The two top eigenvector blocks as Basis values."""
-    n = spec.n
-    return Basis(n, spec.top3.copy()), Basis(n, spec.top4.copy())
+    return Basis(spec.top3.copy()), Basis(spec.top4.copy())
 
 
 def instance_to_json(instance: ProblemInstance) -> str:

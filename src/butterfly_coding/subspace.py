@@ -8,6 +8,7 @@ whole library shares one rank knob.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -32,32 +33,27 @@ class ToleranceConfig:
     def __post_init__(self):
         if isinstance(self.rank_tol, bool) or not isinstance(self.rank_tol, numbers.Real):
             raise ValueError(f"rank_tol must be a real number, got {self.rank_tol!r}")
-        if not (0.0 <= self.rank_tol < 1.0):
-            raise ValueError(f"rank_tol must lie in [0, 1), got {self.rank_tol}")
+        # rank_tol < 1/sqrt(2) in floating point iff rank_tol * sqrt(2) < 1
+        if not (0.0 <= self.rank_tol < 1.0 / math.sqrt(2.0)):
+            raise ValueError(f"rank_tol must lie in [0, 1/sqrt(2)), where intersect's test "
+                             f"still refuses orthogonal directions; got {self.rank_tol}")
 
 
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
-    """Coerce a (n, k) array or a sequence of length-n vectors to a float matrix."""
-    if isinstance(vectors, np.ndarray):
-        m = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if vectors.ndim == 1:
-            m = m.T
-    else:
-        cols = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-        if not cols:
-            if ambient_dim is None:
-                raise DimensionMismatch("empty vector list needs an explicit ambient_dim")
-            return np.zeros((ambient_dim, 0))
-        n = cols[0].shape[0]
-        for c in cols:
-            if c.shape[0] != n:
-                raise DimensionMismatch("vectors have mixed lengths")
-        m = np.column_stack(cols)
-    if ambient_dim is not None and m.shape[0] != ambient_dim:
-        raise DimensionMismatch(f"expected ambient dimension {ambient_dim}, got {m.shape[0]}")
+def _require_matrix(vectors) -> None:
+    """Raise unless `vectors` is a 2-D array: the (n, k) matrix of k column vectors."""
+    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
+        got = (f"shape {vectors.shape}" if isinstance(vectors, np.ndarray)
+               else type(vectors).__name__)
+        raise DimensionMismatch(f"expected an (n, k) array of column vectors, got {got}")
+
+
+def _as_matrix(vectors) -> np.ndarray:
+    """The (n, k) array of column vectors as a float matrix with finite entries."""
+    _require_matrix(vectors)
+    m = np.asarray(vectors, dtype=float)
     bad = ~np.isfinite(m)
     if bad.any():
         rows, cols = np.nonzero(bad)
@@ -79,19 +75,19 @@ def _fix_signs(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Orthonormal column basis of a subspace of R^n. k = 0 is a valid empty basis."""
+    """Orthonormal column basis of a subspace of R^n: the (n, k) matrix of
+    its k basis vectors. k = 0 is a valid empty basis."""
 
-    ambient_dim: int
-    vectors: np.ndarray  # shape (ambient_dim, k)
+    vectors: np.ndarray
 
     def __post_init__(self):
-        v = self.vectors
-        if v.ndim != 2 or v.shape[0] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"basis matrix shape {v.shape} does not match ambient_dim {self.ambient_dim}"
-            )
-        if v.shape[1] > self.ambient_dim:
+        _require_matrix(self.vectors)
+        if self.dim > self.ambient_dim:
             raise DimensionMismatch("more basis vectors than ambient dimensions")
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.vectors.shape[0]
 
     @property
     def dim(self) -> int:
@@ -99,16 +95,15 @@ class Basis:
 
     @staticmethod
     def empty(ambient_dim: int) -> "Basis":
-        return Basis(ambient_dim, np.zeros((ambient_dim, 0)))
+        return Basis(np.zeros((ambient_dim, 0)))
 
 
-def orthonormal_basis(vectors, tol: ToleranceConfig = DEFAULT_TOL, ambient_dim=None) -> Basis:
-    """Orthonormal basis of the span; the column count equals the numerical rank.
-
-    Accepts a (n, k) array or any sequence of length-n vectors. Columns come out
-    ordered by descending singular value with a deterministic sign convention.
+def orthonormal_basis(vectors: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
+    """Orthonormal basis of the span of a (n, k) array's columns; the column
+    count equals the numerical rank. Columns come out ordered by descending
+    singular value with a deterministic sign convention.
     """
-    m = _as_matrix(vectors, ambient_dim)
+    m = _as_matrix(vectors)
     n = m.shape[0]
     if m.shape[1] == 0:
         return Basis.empty(n)
@@ -116,18 +111,7 @@ def orthonormal_basis(vectors, tol: ToleranceConfig = DEFAULT_TOL, ambient_dim=N
     if s.size == 0 or s[0] <= 0.0:
         return Basis.empty(n)
     rank = int(np.sum(s > tol.rank_tol * s[0]))
-    return Basis(n, _fix_signs(u[:, :rank]))
-
-
-def rank_of(vectors, tol: ToleranceConfig = DEFAULT_TOL, ambient_dim=None) -> int:
-    """Count of singular values above the relative threshold."""
-    m = _as_matrix(vectors, ambient_dim)
-    if m.shape[1] == 0 or m.shape[0] == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+    return Basis(_fix_signs(u[:, :rank]))
 
 
 def _check_same_ambient(a: Basis, b: Basis):
@@ -180,7 +164,7 @@ def _residual(a: Basis, b: Basis) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _unit_basis(vectors: np.ndarray) -> Basis:
     """Basis of mutually orthogonal nonzero columns, scaled to unit length."""
-    return Basis(vectors.shape[0], _fix_signs(vectors / np.linalg.norm(vectors, axis=0)))
+    return Basis(_fix_signs(vectors / np.linalg.norm(vectors, axis=0)))
 
 
 def intersect(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
@@ -261,12 +245,12 @@ def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
     _, resid, rank = _residual(a, b)
     g = b.vectors if a.dim <= b.dim else a.vectors
     if np.linalg.norm(resid) <= tol.rank_tol:
-        return Basis(a.ambient_dim, g.copy())
+        return Basis(g.copy())
     u, _, keep = _sine_test(resid, rank, tol)
     new = u[:, :int(np.count_nonzero(~keep))]
     for _ in range(2):
         new = np.linalg.qr(new - g @ (g.T @ new))[0]
-    return Basis(a.ambient_dim, np.hstack([g, new]))
+    return Basis(np.hstack([g, new]))
 
 
 def is_subspace_of(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -307,21 +291,17 @@ def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
 
 
 def extend_from_pool(core: Basis, pool: Basis, target: Basis,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Vectors from the pool that extend the core to a basis of the target.
+                     tol: ToleranceConfig = DEFAULT_TOL,
+                     cover: Basis | None = None) -> np.ndarray:
+    """The (n, target.dim - core.dim) matrix of pool vectors that extend the
+    core to a basis of the target.
 
-    Returns exactly target.dim - core.dim vectors. The core must lie inside the
-    target; the pool need not, in which case selection happens inside
-    pool intersect target (by modularity this preserves feasibility whenever
-    span(core union pool) covers the target).
+    The core must lie inside the target; the pool need not, in which case
+    selection happens inside pool intersect target (by modularity this
+    preserves feasibility whenever span(core union pool) covers the target).
+    `cover` is join(core, pool) when the caller has already built it (None
+    builds it).
     """
-    return list(_extend(core, pool, target, None, tol).T)
-
-
-def _extend(core: Basis, pool: Basis, target: Basis, cover: Basis | None,
-            tol: ToleranceConfig) -> np.ndarray:
-    """extend_from_pool's vectors as an (n, k) matrix, with `cover` =
-    join(core, pool) when the caller has already built it (None builds it)."""
     _check_same_ambient(core, pool)
     _check_same_ambient(core, target)
     if not is_subspace_of(core, target, tol):

@@ -59,7 +59,7 @@ from .subspace import (
     DEFAULT_TOL,
     InfeasibleExtension,
     ToleranceConfig,
-    _extend,
+    extend_from_pool,
     orthonormal_basis,
 )
 
@@ -164,20 +164,20 @@ def greedy_benchmark_code(spec: TaskSpectrum,
     t56 = min(z, n)
     phi56 = np.zeros((n, z))
     phi56[:, :t56] = v[:, order[:t56]]
-    b56 = orthonormal_basis(phi56, tol, ambient_dim=n)
+    b56 = orthonormal_basis(phi56, tol)
 
     def side(obs: np.ndarray, gram: np.ndarray) -> np.ndarray:
-        pool = orthonormal_basis(obs, tol, ambient_dim=n)
+        pool = orthonormal_basis(obs, tol)
         # one SVD of the stack, not join: the picks below follow this
         # basis's rotation, and the trained loss follows the picks (CHANGES.md,
         # FOUND 16)
-        joint = orthonormal_basis(np.hstack([b56.vectors, pool.vectors]), tol, ambient_dim=n)
+        joint = orthonormal_basis(np.hstack([b56.vectors, pool.vectors]), tol)
         resid = joint.vectors - b56.vectors @ (b56.vectors.T @ joint.vectors)
-        comp = orthonormal_basis(resid, tol, ambient_dim=n)
+        comp = orthonormal_basis(resid, tol)
         mw, mv = np.linalg.eigh(comp.vectors.T @ gram @ comp.vectors)
         tilde = comp.vectors @ mv[:, np.argsort(mw)[::-1][:z]]
-        target = orthonormal_basis(np.hstack([tilde, phi56[:, :t56]]), tol, ambient_dim=n)
-        picked = _extend(b56, pool, target, joint, tol)
+        target = orthonormal_basis(np.hstack([tilde, phi56[:, :t56]]), tol)
+        picked = extend_from_pool(b56, pool, target, tol, cover=joint)
         direct = np.zeros((n, z))
         direct[:, :picked.shape[1]] = picked
         return direct

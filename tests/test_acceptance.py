@@ -394,11 +394,9 @@ def test_09_subspace_algebra():
         c = int(rng.integers(0, n + 1))
         common = rng.normal(size=(n, c))
         a = orthonormal_basis(
-            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]),
-            ambient_dim=n)
+            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]))
         b = orthonormal_basis(
-            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]),
-            ambient_dim=n)
+            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]))
         met = intersect(a, b)
         sup = join(a, b)
         if a.dim + b.dim != met.dim + sup.dim:
@@ -408,19 +406,17 @@ def test_09_subspace_algebra():
         if not (is_subspace_of(a, sup) and is_subspace_of(b, sup)):
             violations += 1
         kp = int(rng.integers(0, n + 1))
-        pool = (orthonormal_basis(rng.normal(size=(n, kp)), ambient_dim=n)
+        pool = (orthonormal_basis(rng.normal(size=(n, kp)))
                 if kp else Basis.empty(n))
         target = join(a, pool)
         ext = extend_from_pool(a, pool, target)
-        if len(ext) != target.dim - a.dim:
+        if ext.shape != (n, target.dim - a.dim):
             violations += 1
-        elif ext:
-            grown = orthonormal_basis(
-                np.hstack([a.vectors, np.column_stack(ext)]), ambient_dim=n)
+        elif ext.shape[1]:
+            grown = orthonormal_basis(np.hstack([a.vectors, ext]))
             if grown.dim != target.dim:
                 violations += 1
-            if not is_subspace_of(
-                    orthonormal_basis(np.column_stack(ext), ambient_dim=n), pool):
+            if not is_subspace_of(orthonormal_basis(ext), pool):
                 violations += 1
     report(9, "subspace algebra holds on 1000 randomized cases",
            violations == 0, f"{violations} violations",

@@ -19,7 +19,6 @@ from butterfly_coding import (
     lower_bound,
     lower_bound_of,
     necessary_report,
-    observation_bases,
     orthonormal_basis,
     spectrum,
     sufficient_report,
@@ -225,12 +224,12 @@ class TestConstruction:
             built += 1
             code = construct_lb_code(spec)
             spans = flow_spans(code, spec)
-            u1 = orthonormal_basis(spec.obs1, ambient_dim=inst.n)
-            u2 = orthonormal_basis(spec.obs2, ambient_dim=inst.n)
+            u1 = orthonormal_basis(spec.obs1)
+            u2 = orthonormal_basis(spec.obs2)
             assert is_subspace_of(
-                orthonormal_basis(spans.phi13, ambient_dim=inst.n), u1)
+                orthonormal_basis(spans.phi13), u1)
             assert is_subspace_of(
-                orthonormal_basis(spans.phi24, ambient_dim=inst.n), u2)
+                orthonormal_basis(spans.phi24), u2)
 
     def test_random_sufficient_instances_achieve_bound(self):
         rng = np.random.default_rng(5)
@@ -317,7 +316,7 @@ def reference_report(spec, inst, tol=DEFAULT_TOL):
     [A | -B], node 1's span factored like node 2's and r+ a rank of
     [b3 | b4]."""
     n, z = inst.n, inst.z
-    b1, b2 = observation_bases(spec, tol)
+    b1, b2 = orthonormal_basis(spec.obs1, tol), orthonormal_basis(spec.obs2, tol)
     b3, b4 = task_bases(spec)
     i34 = _intersect_by_null_space(b3, b4, tol)
     i13 = _intersect_by_null_space(b1, b3, tol)

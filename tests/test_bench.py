@@ -25,7 +25,7 @@ from butterfly_coding import (
     instance_to_json,
     lower_bound_of,
     main,
-    rank_of,
+    orthonormal_basis,
     read_config,
     read_csv,
     run_sweep,
@@ -75,7 +75,7 @@ class TestGenSynthetic:
         assert inst.n == 32 and inst.a == 24
         assert np.allclose(inst.psi, np.eye(32))
         # r_plus equals the rank of the stacked task matrices exactly
-        assert rank_of(np.vstack([inst.k3, inst.k4]).T) == 16
+        assert orthonormal_basis(np.vstack([inst.k3, inst.k4]).T).dim == 16
         rep = sufficient_report(spectrum(inst))
         assert rep.r_plus_34 == 16
         assert rep.sf1_ok and rep.sf2_ok and rep.necessary_ok
@@ -83,7 +83,7 @@ class TestGenSynthetic:
     def test_full_scale_with_exclusives(self):
         spec = SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=24, seed=1)
         inst = gen_synthetic(spec)
-        assert rank_of(np.vstack([inst.k3, inst.k4]).T) == 24
+        assert orthonormal_basis(np.vstack([inst.k3, inst.k4]).T).dim == 24
         rep = sufficient_report(spectrum(inst))
         assert rep.sufficient_ok
         # default eigenvalues vanish past index 2Z, so the bound is zero
@@ -655,11 +655,26 @@ class TestCli:
                                   "k3": [[1e308, 0]], "k4": [[0, 1]]}},
            "k3 entries up to 1e+308")
           for command in ("analyze", "construct", "pca", "train")],
-    ], ids=["init_scale", "analyze", "construct", "pca", "train"])
+        # 1e13 epochs or samples ask for hundreds of TiB, past any address space
+        *[(command, {**small_sweep_config(), "train": train_block,
+                     "synthetic": {"n": 8, "z": 2, "a": 6, "b": 6, "r_plus_target": 6}},
+           "Unable to allocate")
+          for train_block in ({"epochs": 10**13},
+                              {"epochs": 5, "gradient": "empirical_batch",
+                               "batch_size": 10**13})
+          for command in ("train", "sweep")],
+        ("analyze", {"instance": instance_payload(achievable_dichotomy_instance()),
+                     "tolerances": {"rank_tol": 0.9}},
+         "1/sqrt(2)"),
+    ], ids=["init_scale", "analyze", "construct", "pca", "train",
+            "epochs_train", "epochs_sweep", "batch_size_train", "batch_size_sweep",
+            "rank_tol"])
     def test_out_of_range_input_is_an_error(self, tmp_path, capsys, command, config,
                                             message):
-        # a start draw of range 2 * 1e308, and task Gram products that
-        # overflow, each fail as a domain error, with warnings as errors
+        # a start draw of range 2 * 1e308, task Gram products that overflow,
+        # a training run too large to allocate, and a rank_tol at which the
+        # intersections would normalize zero vectors each fail as a domain
+        # error, with warnings as errors
         cfg = write_config(tmp_path, "big.json", config)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -667,6 +682,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error: ") and message in err, err
         assert "Traceback" not in err
+
+    def test_tol_flag_below_one_over_sqrt_two(self, tmp_path, capsys):
+        # from rank_tol * sqrt(2) = 1 on, intersect's test passes orthogonal
+        # directions; just below, analyze runs cleanly
+        cfg = write_config(tmp_path, "t.json", {
+            "instance": instance_payload(achievable_dichotomy_instance())})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--config", cfg, "--tol", "0.7071067811865474"]) == 0
+            capsys.readouterr()
+            assert main(["analyze", "--config", cfg, "--tol", "0.75"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1/sqrt(2)" in err, err
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

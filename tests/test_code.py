@@ -371,7 +371,7 @@ class TestUtilities:
             spans = flow_spans(code, spec)
 
             def trace(s, cols):
-                basis = orthonormal_basis(cols, ambient_dim=inst.n)
+                basis = orthonormal_basis(cols)
                 return 0.0 if basis.dim == 0 else float(
                     np.sum((s @ basis.vectors) * basis.vectors))
 

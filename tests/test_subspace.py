@@ -17,14 +17,13 @@ from butterfly_coding import (
     is_subspace_of,
     join,
     orthonormal_basis,
-    rank_of,
 )
 from butterfly_coding import SyntheticSpec, analytic, gen_synthetic, spectrum
 from butterfly_coding.subspace import _greedy_pick, _residual, _sine_test
 
 
-def span(*cols, n=None):
-    return orthonormal_basis(np.column_stack(cols), ambient_dim=n)
+def span(*cols):
+    return orthonormal_basis(np.column_stack(cols))
 
 
 def test_tolerance_config_rejects_bad_range():
@@ -33,6 +32,12 @@ def test_tolerance_config_rejects_bad_range():
     with pytest.raises(ValueError):
         ToleranceConfig(rank_tol=1.0)
     assert ToleranceConfig(rank_tol=0.0).rank_tol == 0.0
+    # from rank_tol * sqrt(2) = 1 on, which the second value already reaches,
+    # intersect's test keeps a sine of 1 and normalizes a zero vector
+    for value in (0.75, 0.7071067811865475):
+        with pytest.raises(ValueError, match=r"1/sqrt\(2\)"):
+            ToleranceConfig(rank_tol=value)
+    assert ToleranceConfig(rank_tol=0.7071067811865474).rank_tol == 0.7071067811865474
 
 
 @pytest.mark.parametrize("value", ["1e-10", None, True, [1e-10]])
@@ -49,7 +54,7 @@ def test_orthonormal_basis_collinear_collapses():
 
 
 def test_orthonormal_basis_empty():
-    b = orthonormal_basis([], ambient_dim=4)
+    b = orthonormal_basis(np.zeros((4, 0)))
     assert b.dim == 0 and b.ambient_dim == 4
 
 
@@ -64,7 +69,7 @@ def test_orthonormal_basis_dimension_mismatch():
         orthonormal_basis([np.ones(3), np.ones(4)])
 
 
-@pytest.mark.parametrize("fn", [orthonormal_basis, rank_of], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [orthonormal_basis], ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_entries_rejected(fn, value):
     # an SVD would read inf as rank 0 and fail to converge on nan
@@ -75,25 +80,19 @@ def test_non_finite_entries_rejected(fn, value):
 VECTOR_LIST = [[1.0, 1, 3], [4.0, -7, 1], [2.0, 2, 6]]
 
 
-@pytest.mark.parametrize("vectors, stacked, rank", [
-    (VECTOR_LIST, np.column_stack(VECTOR_LIST), 2),
-    (np.array([3.0, 4.0]), np.array([[3.0], [4.0]]), 1),
-    ([np.ones(3), np.ones(4)], None, DimensionMismatch),
-    ([], None, DimensionMismatch),
-], ids=["vector_list", "one_d_array", "mixed_lengths", "empty_list_no_ambient_dim"])
-def test_sequence_input(vectors, stacked, rank):
-    # a list of vectors is the matrix of those columns, and a 1-D array one
-    # column; a list whose lengths differ, or an empty list with no
-    # ambient_dim, gives no matrix
-    if rank is DimensionMismatch:
-        for fn in (orthonormal_basis, rank_of):
-            with pytest.raises(DimensionMismatch):
-                fn(vectors)
-        return
-    got, want = orthonormal_basis(vectors), orthonormal_basis(stacked)
-    assert got.ambient_dim == want.ambient_dim == stacked.shape[0]
-    assert np.array_equal(got.vectors, want.vectors)
-    assert rank_of(vectors) == rank_of(stacked) == want.dim == rank
+@pytest.mark.parametrize("vectors", [
+    [np.array(v) for v in VECTOR_LIST],
+    VECTOR_LIST,
+    np.array([3.0, 4.0]),
+    [np.ones(3), np.ones(4)],
+    [],
+], ids=["vector_list", "nested_list", "one_d_array", "mixed_lengths", "empty_list"])
+def test_sequence_input(vectors):
+    # a set of vectors is an (n, k) array only: a list would be read as rows
+    # by np.asarray, and a 1-D array or an empty list has no (n, k) shape
+    for fn in (orthonormal_basis, Basis):
+        with pytest.raises(DimensionMismatch, match=r"expected an \(n, k\) array"):
+            fn(vectors)
 
 
 def test_basis_orthonormality_invariant():
@@ -101,7 +100,7 @@ def test_basis_orthonormality_invariant():
     for _ in range(50):
         n = int(rng.integers(1, 9))
         k = int(rng.integers(0, n + 2))
-        b = orthonormal_basis(rng.normal(size=(n, k)), ambient_dim=n)
+        b = orthonormal_basis(rng.normal(size=(n, k)))
         gram = b.vectors.T @ b.vectors
         assert np.allclose(gram, np.eye(b.dim), atol=1e-10)
         assert b.dim <= n
@@ -109,18 +108,18 @@ def test_basis_orthonormality_invariant():
 
 def test_rank_of_dependent_triple():
     e = np.eye(3)
-    assert rank_of(np.column_stack([e[:, 0], e[:, 1], e[:, 0] + e[:, 1]])) == 2
+    assert orthonormal_basis(np.column_stack([e[:, 0], e[:, 1], e[:, 0] + e[:, 1]])).dim == 2
 
 
 def test_rank_of_joint_task_blocks():
     # two rank-2 task bases sharing e2: stacked rank 3
     e = np.eye(3)
     stacked = np.column_stack([e[:, 1], e[:, 2], e[:, 1], e[:, 0]])
-    assert rank_of(stacked) == 3
+    assert orthonormal_basis(stacked).dim == 3
 
 
 def test_rank_of_zero_matrix():
-    assert rank_of(np.zeros((5, 3))) == 0
+    assert orthonormal_basis(np.zeros((5, 3))).dim == 0
 
 
 def test_intersect_adjacent_coordinate_planes():
@@ -142,7 +141,7 @@ def test_intersect_rotated_plane_with_coordinate_plane():
 
 def test_intersect_self_is_identity_span():
     rng = np.random.default_rng(3)
-    a = orthonormal_basis(rng.normal(size=(6, 3)), ambient_dim=6)
+    a = orthonormal_basis(rng.normal(size=(6, 3)))
     same = intersect(a, a)
     assert same.dim == a.dim
     assert is_subspace_of(same, a) and is_subspace_of(a, same)
@@ -150,7 +149,7 @@ def test_intersect_self_is_identity_span():
 
 def test_join_disjoint_axes():
     e = np.eye(2)
-    assert join(span(e[:, 0], n=2), span(e[:, 1], n=2)).dim == 2
+    assert join(span(e[:, 0]), span(e[:, 1])).dim == 2
 
 
 def test_join_task_spans_dim_three():
@@ -174,8 +173,8 @@ def test_extend_from_pool_picks_missing_direction():
     e = np.eye(3)
     got = extend_from_pool(span(e[:, 0]), span(e[:, 1], e[:, 2]),
                            span(e[:, 0], e[:, 1]))
-    assert len(got) == 1
-    assert abs(abs(got[0] @ e[:, 1]) - np.linalg.norm(got[0])) < 1e-10
+    assert got.shape == (3, 1)
+    assert abs(abs(got[:, 0] @ e[:, 1]) - np.linalg.norm(got[:, 0])) < 1e-10
 
 
 def test_extend_from_pool_completes_task_span():
@@ -183,8 +182,8 @@ def test_extend_from_pool_completes_task_span():
     w = np.array([1.0, -2, 0]) / np.sqrt(5)
     target = span(u13, np.array([4.0, -7, 1]) / np.sqrt(66))
     got = extend_from_pool(span(u13), span(w), target)
-    assert len(got) == 1
-    joined = orthonormal_basis(np.column_stack([u13, got[0]]), ambient_dim=3)
+    assert got.shape == (3, 1)
+    joined = orthonormal_basis(np.column_stack([u13, got[:, 0]]))
     assert is_subspace_of(target, joined) and is_subspace_of(joined, target)
 
 
@@ -209,36 +208,50 @@ def test_property_battery():
         c = int(rng.integers(0, n + 1))
         common = rng.normal(size=(n, c))
         a = orthonormal_basis(
-            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]),
-            ambient_dim=n)
+            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]))
         b = orthonormal_basis(
-            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]),
-            ambient_dim=n)
+            np.hstack([common, rng.normal(size=(n, int(rng.integers(0, n - c + 1))))]))
         met = intersect(a, b)
         sup = join(a, b)
         assert a.dim + b.dim == met.dim + sup.dim
         assert is_subspace_of(met, a) and is_subspace_of(met, b)
         assert is_subspace_of(a, sup) and is_subspace_of(b, sup)
 
-        again = orthonormal_basis(a.vectors, ambient_dim=n)
+        again = orthonormal_basis(a.vectors)
         assert is_subspace_of(again, a) and is_subspace_of(a, again)
 
         m = rng.normal(size=(n, int(rng.integers(1, n + 1))))
         perm = rng.permutation(m.shape[1])
         scales = rng.uniform(0.5, 2.0, m.shape[1]) * rng.choice([-1.0, 1.0], m.shape[1])
-        assert rank_of(m) == rank_of(m[:, perm] * scales[perm])
+        assert orthonormal_basis(m).dim == orthonormal_basis(m[:, perm] * scales[perm]).dim
 
         kp = int(rng.integers(0, n + 1))
-        pool = (orthonormal_basis(rng.normal(size=(n, kp)), ambient_dim=n)
+        pool = (orthonormal_basis(rng.normal(size=(n, kp)))
                 if kp else Basis.empty(n))
         target = join(a, pool)
         ext = extend_from_pool(a, pool, target)
-        assert len(ext) == target.dim - a.dim
-        if ext:
-            em = np.column_stack(ext)
-            assert is_subspace_of(orthonormal_basis(em, ambient_dim=n), pool)
-            grown = orthonormal_basis(np.hstack([a.vectors, em]), ambient_dim=n)
+        assert ext.shape == (n, target.dim - a.dim)
+        if ext.shape[1]:
+            assert is_subspace_of(orthonormal_basis(ext), pool)
+            grown = orthonormal_basis(np.hstack([a.vectors, ext]))
             assert grown.dim == target.dim
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_extend_from_pool_with_the_cover_built_equals_without(seed):
+    # a caller that holds join(core, pool) passes it as the cover, and gets
+    # the matrix extend_from_pool returns when it builds the join itself;
+    # the target takes part of the pool, so the picks come from pool ∩ target
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(0, n + 1)))))
+    pool = orthonormal_basis(rng.normal(size=(n, int(rng.integers(0, n + 1)))))
+    target = join(a, Basis(pool.vectors[:, :int(rng.integers(0, pool.dim + 1))]))
+    got = extend_from_pool(a, pool, target, cover=join(a, pool))
+    want = extend_from_pool(a, pool, target)
+    assert got.shape == want.shape == (n, target.dim - a.dim)
+    assert got.tobytes() == want.tobytes()
 
 
 def _greedy_pick_by_loop(current, pool, count, tol):
@@ -276,8 +289,7 @@ def test_greedy_pick_matches_the_loop(seed, n, data):
     inside = data.draw(st.integers(0, k), label="inside")
     outside = data.draw(st.integers(0, n - k), label="outside")
     pool = orthonormal_basis(np.hstack([core[:, :inside] @ rng.normal(size=(inside, inside)),
-                                        rng.normal(size=(n, outside))]),
-                             ambient_dim=n).vectors
+                                        rng.normal(size=(n, outside))])).vectors
     count = data.draw(st.integers(0, pool.shape[1] + 1), label="count")
     try:
         want = _greedy_pick_by_loop(core, pool, count, tol)
@@ -388,7 +400,7 @@ def planted_pair(rng, kinds, extra_a, extra_b, tol):
         return m @ np.linalg.qr(rng.normal(size=(m.shape[1],) * 2))[0]
 
     passing = sum(kind in ("exact", 0.25, 0.5) for kind in kinds)
-    return Basis(n, rotated(a)), Basis(n, rotated(b)), passing
+    return Basis(rotated(a)), Basis(rotated(b)), passing
 
 
 EDGE_TOLS = (ToleranceConfig(), ToleranceConfig(1e-7), ToleranceConfig(1e-4))
@@ -431,10 +443,8 @@ def test_intersect_counts_forced_dimensions_at_zero_tolerance():
     tol = ToleranceConfig(rank_tol=0.0)
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))),
-                              ambient_dim=n)
-        b = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))),
-                              ambient_dim=n)
+        a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))))
+        b = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))))
         forced = max(0, a.dim + b.dim - n)
         assert intersect(a, b, tol).dim == forced
         assert _intersect_by_null_space(a, b, tol).dim == forced
@@ -442,7 +452,7 @@ def test_intersect_counts_forced_dimensions_at_zero_tolerance():
 
 def _join_by_stacking(a, b, tol=DEFAULT_TOL):
     """Reference join: an orthonormal basis of the stack [A | B]."""
-    return orthonormal_basis(np.hstack([a.vectors, b.vectors]), tol, a.ambient_dim)
+    return orthonormal_basis(np.hstack([a.vectors, b.vectors]), tol)
 
 
 def max_residual(x, y):
@@ -484,10 +494,9 @@ def test_join_matches_stacking_on_empty_identical_and_nested_bases(tol):
     rng = np.random.default_rng(34)
     for _ in range(50):
         n = int(rng.integers(1, 10))
-        a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))),
-                              ambient_dim=n)
+        a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(1, n + 1)))))
         rotation = np.linalg.qr(rng.normal(size=(a.dim, a.dim)))[0]
-        inner = Basis(n, a.vectors @ rotation[:, :int(rng.integers(0, a.dim + 1))])
+        inner = Basis(a.vectors @ rotation[:, :int(rng.integers(0, a.dim + 1))])
         empty = Basis.empty(n)
         for x, y in ((a, empty), (empty, a), (empty, empty), (a, a),
                      (a, inner), (inner, a)):
@@ -520,7 +529,7 @@ def _join_by_sines(a, b, tol=DEFAULT_TOL):
     new = u[:, :int(np.count_nonzero(~keep))]
     for _ in range(2):
         new = np.linalg.qr(new - g @ (g.T @ new))[0]
-    return Basis(a.ambient_dim, np.hstack([g, new]))
+    return Basis(np.hstack([g, new]))
 
 
 def assert_bitwise_equal(got, want):
@@ -557,9 +566,9 @@ def test_join_of_a_contained_basis_equals_the_svd_path(seed, n, data, tol):
     # nonzero rank_tol join takes the shortcut, at 0 the SVD path, and
     # either way it returns what the always-SVD join returns, bit for bit
     rng = np.random.default_rng(seed)
-    g = orthonormal_basis(rng.normal(size=(n, data.draw(st.integers(1, n)))), ambient_dim=n)
+    g = orthonormal_basis(rng.normal(size=(n, data.draw(st.integers(1, n)))))
     k = data.draw(st.integers(1, g.dim))
-    s = Basis(n, np.linalg.qr(g.vectors @ rng.normal(size=(g.dim, k)))[0])
+    s = Basis(np.linalg.qr(g.vectors @ rng.normal(size=(g.dim, k)))[0])
     for x, y in ((s, g), (g, s)):
         assert_bitwise_equal(join(x, y, tol), _join_by_sines(x, y, tol))
 
@@ -570,7 +579,7 @@ def test_join_of_coordinate_axes_takes_the_shortcut(tol):
     # even rank_tol 0 skips the SVD
     eye = np.eye(6)
     for k, m in ((1, 4), (3, 4), (4, 4)):
-        small, large = Basis(6, eye[:, :k]), Basis(6, eye[:, :m])
+        small, large = Basis(eye[:, :k]), Basis(eye[:, :m])
         for x, y in ((small, large), (large, small)):
             with counting_svd() as calls:
                 got = join(x, y, tol)
@@ -591,8 +600,8 @@ def test_join_below_the_threshold_factors_and_adds_nothing(seed, k, extra, tol):
     n = 2 * k + extra
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     theta = 2.0 * np.arctan(0.9 * tol.rank_tol)
-    g = Basis(n, q[:, :k + extra])
-    s = Basis(n, np.cos(theta) * q[:, :k] + np.sin(theta) * q[:, k + extra:])
+    g = Basis(q[:, :k + extra])
+    s = Basis(np.cos(theta) * q[:, :k] + np.sin(theta) * q[:, k + extra:])
     assert np.linalg.norm(_residual(s, g)[1]) > tol.rank_tol
     for x, y in ((s, g), (g, s)):
         with counting_svd() as calls:
