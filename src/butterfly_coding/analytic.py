@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .code import ButterflyCode, CodeSpans, realize_spans
-from .model import ProblemInstance, TaskSpectrum, task_bases
+from .model import ProblemInstance, TaskSpectrum, _is_identity, task_bases
 from .subspace import (
     Basis,
     DEFAULT_TOL,
@@ -62,10 +62,14 @@ def _analyze(spec: TaskSpectrum,
 
     L is lower-triangular, so node 1's observation span is exactly the first
     a whitened axes: it is never factored, and its intersections are
-    coordinate cuts."""
+    coordinate cuts. For psi = I, L = I and node 2's span is the last b
+    axes: its basis is spec.obs2 as it stands."""
     instance = spec.instance
     n, a, z = instance.n, instance.a, instance.z
-    b2 = orthonormal_basis(spec.obs2, tol)
+    if _is_identity(instance.psi):
+        b2 = Basis(spec.obs2.copy())
+    else:
+        b2 = orthonormal_basis(spec.obs2, tol)
     b3, b4 = task_bases(spec)
     i34 = intersect(b3, b4, tol)
     i13 = _coordinate_cut(b3, a, tol)

@@ -495,15 +495,22 @@ def _cmd_analyze(config, out, tol) -> int:
     return 0
 
 
+# a construction reaches the bound when its loss exceeds it by at most this
+# times max(1, |bound|): the synthetic tasks' bound is zero up to rounding
+_BOUND_RTOL = 1e-8
+
+
 def _cmd_construct(config, out, tol) -> int:
     instance = _instance_from_config(config, tol)
     spec = spectrum(instance, tol)
     code = construct_lb_code(spec, tol)
     _, _, total = exact_loss(code, instance)
+    bound = float(lower_bound(spec, instance.z, tol))
+    losses = f"L_total={float(total)!r} lower_bound={bound!r}"
+    if not total <= bound + _BOUND_RTOL * max(1.0, abs(bound)):
+        raise ValueError(f"the construction misses the lower bound: {losses}")
     _emit(code_to_json(code), out)
-    print(f"L_total={float(total)!r} "
-          f"lower_bound={float(lower_bound(spec, instance.z, tol))!r}",
-          file=sys.stderr)
+    print(losses, file=sys.stderr)
     return 0
 
 

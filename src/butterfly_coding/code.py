@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance, _non_reals
+from .model import (BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance,
+                    _is_identity, _non_reals)
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
 
 
@@ -115,8 +116,11 @@ def exact_loss(code: ButterflyCode, instance: ProblemInstance):
     eye = np.eye(instance.n)
     m3 = instance.k3 @ (eye - code.d3 @ a3)
     m4 = instance.k4 @ (eye - code.d4 @ a4)
-    l3 = float(np.sum((m3 @ instance.psi) * m3))
-    l4 = float(np.sum((m4 @ instance.psi) * m4))
+    if _is_identity(instance.psi):
+        l3, l4 = float(np.sum(m3 * m3)), float(np.sum(m4 * m4))
+    else:
+        l3 = float(np.sum((m3 @ instance.psi) * m3))
+        l4 = float(np.sum((m4 @ instance.psi) * m4))
     return l3, l4, l3 + l4
 
 
@@ -127,10 +131,15 @@ def optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
     D = psi A^T pinv(A psi A^T) zeroes the loss gradient for every task matrix
     simultaneously; the pseudo-inverse handles rank-deficient encoders.
     """
-    out = []
+    psi, out = instance.psi, []
+    identity = _is_identity(psi)
     for am in _encoder_maps(code, instance)["amap"][:, 0]:
-        gram = am @ instance.psi @ am.T
-        out.append(instance.psi @ am.T @ np.linalg.pinv(gram, rcond=tol.rank_tol, hermitian=True))
+        # for psi = I, A psi and psi A^T are copies of A and A^T: the gram
+        # stays a product of two buffers (one buffer and its transpose go to
+        # syrk) and each left factor C-ordered, so the bits stay the same
+        gram = (am.copy() if identity else am @ psi) @ am.T
+        pinv = np.linalg.pinv(gram, rcond=tol.rank_tol, hermitian=True)
+        out.append((am.T.copy() if identity else psi @ am.T) @ pinv)
     return out[0], out[1]
 
 

@@ -8,6 +8,14 @@ Conventions fixed here and relied on everywhere else:
     (resp. last b) rows of L, i.e. columns of L^T. L is lower-triangular and
     nonsingular, so node 1's span is exactly the first a axes, span(e_1 ...
     e_a); node 2's is a general subspace.
+  - psi = I is decided by _is_identity, exactly, with no tolerance: then L = I,
+    node 2's span is the last b axes, and the closed-form path (validate,
+    spectrum, exact_loss, optimal_decoders, the analysis) neither factors psi
+    nor multiplies by it. It returns the general path's bits, except that the
+    construction's encoders can hold 0.0 where the general path's hold -0.0:
+    node 2's basis is then the axes themselves, not an SVD of them. whiten
+    keeps its tolerance-based identity pass-through, since it returns the
+    instance itself rather than a value computed from psi.
   - Eigen-decompositions are returned in descending order with each eigenvector's
     largest-magnitude entry positive.
 """
@@ -75,6 +83,16 @@ def _non_reals(value):
         yield value
 
 
+def _is_identity(psi) -> bool:
+    """True iff psi is exactly the identity matrix, with no tolerance: its
+    diagonal is all ones and it has no other nonzero entry (NaN counts as
+    nonzero). Counts in place, with no n x n temporary."""
+    psi = np.asarray(psi)
+    return (psi.ndim == 2 and psi.shape[0] == psi.shape[1]
+            and bool(np.all(np.diagonal(psi) == 1.0))
+            and np.count_nonzero(psi) == psi.shape[0])
+
+
 def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> ProblemInstance:
     """Check invariants and return the instance with a symmetrized covariance."""
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
@@ -118,13 +136,16 @@ def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> P
             f"need max(a, b) <= n <= a + b, got a={a}, b={b}, n={n}"
         )
     psi = 0.5 * (psi + psi.T)
-    w = np.linalg.eigvalsh(psi)
-    if w[0] < -tol.rank_tol * max(1.0, float(w[-1])):
-        raise NotPSD(f"covariance eigenvalue {w[0]} below tolerance")
+    if not _is_identity(psi):      # the identity's eigenvalues are all exactly 1
+        w = np.linalg.eigvalsh(psi)
+        if w[0] < -tol.rank_tol * max(1.0, float(w[-1])):
+            raise NotPSD(f"covariance eigenvalue {w[0]} below tolerance")
     return ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4)
 
 
 def _cholesky(psi: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    if _is_identity(psi):
+        return np.eye(len(psi))
     try:
         chol = np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
@@ -174,8 +195,13 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
     """
     inst = instance
     chol = _cholesky(inst.psi, tol)
-    s3 = chol.T @ inst.k3.T @ inst.k3 @ chol
-    s4 = chol.T @ inst.k4.T @ inst.k4 @ chol
+    if _is_identity(inst.psi):
+        # L = I, so S = K^T K; K^T is copied because numpy sends a product
+        # of one buffer with its own transpose to syrk, whose bits differ
+        s3, s4 = (k.T.copy() @ k for k in (inst.k3, inst.k4))
+    else:
+        s3 = chol.T @ inst.k3.T @ inst.k3 @ chol
+        s4 = chol.T @ inst.k4.T @ inst.k4 @ chol
     mu3, u3 = _descending_eigh(s3)
     mu4, u4 = _descending_eigh(s4)
     m = min(2 * inst.z, inst.n)

@@ -54,7 +54,7 @@ from .code import (
     check_code_shapes,
     realize_spans,
 )
-from .model import ProblemInstance, TaskSpectrum, spectrum
+from .model import ProblemInstance, TaskSpectrum, _is_identity, spectrum
 from .subspace import (
     DEFAULT_TOL,
     InfeasibleExtension,
@@ -390,7 +390,7 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
                 c[:, j - lo, k] = factors
         thin = (2, hi - lo, width, h, n)
         v = dict(agnostic=agnostic, eye=eye, C=c, Ct=_t(c),
-                 psi=None if all(np.all(p == eye) for p in psis) else np.stack(psis)[:, None],
+                 psi=None if all(map(_is_identity, psis)) else np.stack(psis)[:, None],
                  cd=np.empty((2, hi - lo, width, h, 2 * z)), p=np.empty(thin),
                  s=np.empty(thin), q=np.empty(thin),
                  d=maps["d"][:, descents, None], A=maps["amap"][:, descents, None],

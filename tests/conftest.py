@@ -1,5 +1,9 @@
 """Shared instance builders for the test suite."""
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 
 from butterfly_coding import ProblemInstance, validate
@@ -77,3 +81,13 @@ def calm_instance(rng, n_max=6):
     k4 = inst.k4 / np.sqrt(max(s4, 1e-12))
     return validate(ProblemInstance(n=inst.n, psi=inst.psi, a=inst.a,
                                     b=inst.b, z=inst.z, k3=k3, k4=k4))
+
+
+def readme_config(name: str) -> dict:
+    """The README's ```json block labelled `name` (e.g. "analyze.json"), the
+    config its CLI commands run on."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.finditer(r"```json\n(.*?)```", text, re.S):
+        if re.findall(r"`(\w+\.json)`", text[:block.start()])[-1] == name:
+            return json.loads(block.group(1))
+    raise KeyError(f"README has no {name} block")

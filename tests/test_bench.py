@@ -45,7 +45,8 @@ from butterfly_coding.bench import (
 )
 from butterfly_coding import code_from_json
 
-from conftest import achievable_dichotomy_instance, unachievable_dichotomy_instance
+from conftest import (achievable_dichotomy_instance, readme_config,
+                      unachievable_dichotomy_instance)
 
 # the module, which the package's `train` attribute (the function) shadows
 train_module = sys.modules["butterfly_coding.train"]
@@ -545,6 +546,23 @@ class TestCli:
                                unachievable_dichotomy_instance())})
         assert main(["construct", "--config", cfg]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol, status", [(None, 0), (0.1, 1)])
+    def test_construct_that_misses_the_bound_fails(self, tmp_path, capsys, tol, status):
+        # at rank_tol 0.1 the construction on the README's instance drops a
+        # direction that its report counted, and L_total lands near 2
+        # against a bound of 0 (CHANGES.md, FOUND 44)
+        cfg = write_config(tmp_path, "analyze.json", readme_config("analyze.json"))
+        args = ["construct", "--config", cfg, "--out", str(tmp_path / "code.json")]
+        assert main(args + ([] if tol is None else ["--tol", str(tol)])) == status
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        fields = dict(item.split("=") for item in last.split() if "=" in item)
+        assert float(fields["lower_bound"]) == 0.0
+        if status:
+            assert last.startswith("error: ") and float(fields["L_total"]) > 1.0
+            assert not (tmp_path / "code.json").exists()
+        else:
+            assert float(fields["L_total"]) <= 1e-8
 
     def test_train_with_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -28,7 +29,9 @@ from butterfly_coding import (
     with_optimal_decoders,
 )
 
-from conftest import random_pd_instance, random_rank_deficient_instance
+from butterfly_coding.model import _is_identity
+
+from conftest import random_pd_instance, random_rank_deficient_instance, readme_config
 
 
 def simple_instance(n=3, a=2, b=2, z=1, psi=None, k3=None, k4=None):
@@ -288,6 +291,60 @@ class TestIdentity:
         inst = validate(simple_instance())
         assert inst == inst
         assert (spectrum(inst) == spectrum(inst)) is False
+
+
+RANDOM_FACTOR = np.random.default_rng(3).normal(size=(3, 3))
+
+
+class TestExactIdentity:
+    """_is_identity decides psi = I exactly; only then do validate and
+    spectrum skip the eigenvalues and the Cholesky factor."""
+
+    @staticmethod
+    def factorizations(monkeypatch) -> list[str]:
+        """The names of the np.linalg cholesky and eigvalsh calls from now on."""
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+            return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        return calls
+
+    def test_identity_from_json_integers_takes_the_fast_path(self, monkeypatch):
+        doc = readme_config("analyze.json")["instance"]
+        assert doc["psi"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        calls = self.factorizations(monkeypatch)
+        inst = instance_from_json(json.dumps(doc))
+        assert _is_identity(inst.psi)
+        spec = spectrum(inst)
+        assert calls == []
+        assert np.array_equal(spec.cholesky_l, np.eye(3))
+
+    @pytest.mark.parametrize("psi", [
+        2.0 * np.eye(3),
+        np.array([[1.0, 1e-300, 0.0], [1e-300, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        RANDOM_FACTOR @ RANDOM_FACTOR.T + 0.1 * np.eye(3),
+    ], ids=["two_eye", "tiny_off_diagonal_pair", "random_spd"])
+    def test_other_covariances_take_the_general_path(self, monkeypatch, psi):
+        assert not _is_identity(psi)
+        calls = self.factorizations(monkeypatch)
+        inst = validate(simple_instance(psi=psi))
+        spectrum(inst)
+        assert calls == ["eigvalsh", "cholesky"]
+
+    @pytest.mark.parametrize("psi", [
+        np.eye(3)[:2], np.eye(3).reshape(1, 3, 3), np.diag([1.0, 1.0, np.nan]),
+        np.where(np.eye(3) == 0, np.nan, 1.0), np.eye(3)[::-1],
+    ], ids=["wide", "three_axes", "nan_diagonal", "nan_off_diagonal", "permutation"])
+    def test_near_misses_are_not_the_identity(self, psi):
+        assert not _is_identity(psi)
+
+    def test_identity_in_any_layout_is_the_identity(self):
+        assert _is_identity(np.eye(4)) and _is_identity(np.asfortranarray(np.eye(4)))
+        assert _is_identity(np.eye(8)[::2, ::2]) and _is_identity([[1, 0], [0, 1]])
 
 
 class TestLowerBound:

@@ -4,21 +4,29 @@ Hypothesis draws the seeds and sizes; `derandomize=True` fixes the examples,
 so every run checks the same instances.
 """
 
+import importlib
+
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from butterfly_coding import (
     ButterflyCode,
     InfeasibleSpec,
+    PreconditionNotMet,
     ProblemInstance,
     SyntheticSpec,
+    construct_lb_code,
     exact_loss,
     gen_synthetic,
+    greedy_benchmark_code,
     lower_bound,
     lower_bound_of,
+    optimal_decoders,
     spectrum,
     sufficient_report,
+    utilities,
     validate,
     with_optimal_decoders,
 )
@@ -160,3 +168,86 @@ def test_reparameterizing_the_observations_keeps_bound_report_and_loss(spec, see
     for got, want in zip(exact_loss(moved_code, moved), exact_loss(code, inst)):
         assert abs(got - want) <= 1e-9 * (1 + want)
 
+
+
+# the modules that bind model._is_identity; the package root re-exports a
+# function named train, so the modules are looked up by their full names
+IDENTITY_USERS = [importlib.import_module(f"butterfly_coding.{name}")
+                  for name in ("model", "code", "analytic", "train")]
+SPECTRUM_FIELDS = ("cholesky_l", "s3", "s4", "mu3", "mu4", "u3", "u4", "top3", "top4",
+                   "obs1", "obs2", "eigengap3", "eigengap4")
+CODE_FIELDS = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
+
+
+def bits(value) -> bytes:
+    """The bytes of a float or an array of floats, so -0.0 differs from 0.0."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def closed_form_outputs(inst: ProblemInstance) -> tuple[dict, dict]:
+    """Everything the closed-form path computes for one cell: the results as
+    bits, and the codes' matrices as arrays."""
+    out, matrices = {"psi": bits(validate(inst).psi)}, {}
+    spec = spectrum(inst)
+    out.update((f"spectrum.{name}", bits(getattr(spec, name))) for name in SPECTRUM_FIELDS)
+    out["report"] = sufficient_report(spec)
+    codes = {"greedy": greedy_benchmark_code(spec)}
+    try:
+        codes["construction"] = construct_lb_code(spec)
+    except PreconditionNotMet as exc:
+        out["construction"] = str(exc)
+    for name, code in codes.items():
+        matrices.update((f"{name}.{field}", getattr(code, field)) for field in CODE_FIELDS)
+        out[f"{name}.exact_loss"] = bits(exact_loss(code, inst))
+        out[f"{name}.optimal_decoders"] = bits(optimal_decoders(code, inst))
+        out[f"{name}.utilities"] = bits(utilities(code, spec))
+    return out, matrices
+
+
+def assert_identity_shortcuts_keep_the_bits(inst: ProblemInstance):
+    # the shortcuts for psi = I against the general path on the same
+    # instance, forced by a predicate that never sees the identity
+    assert IDENTITY_USERS[0]._is_identity(inst.psi)
+    fast, fast_matrices = closed_form_outputs(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in IDENTITY_USERS:
+            patch.setattr(module, "_is_identity", lambda psi: False)
+        general, general_matrices = closed_form_outputs(inst)
+    assert fast.keys() == general.keys() and fast_matrices.keys() == general_matrices.keys()
+    assert [key for key in fast if fast[key] != general[key]] == []
+    # equal values are equal bits but for the sign of a zero: the general
+    # path's basis of node 2's axes, from an SVD, holds -0.0 where the
+    # shortcut's holds 0.0, and intersect's products carry those signs into
+    # the zero rows of the construction's spans (the n=28 example below)
+    assert [key for key in fast_matrices
+            if not np.array_equal(fast_matrices[key], general_matrices[key])] == []
+
+
+@st.composite
+def identity_specs(draw):
+    n = draw(st.integers(3, 64))
+    z = draw(st.integers(1, n))
+    a = draw(st.integers((n + 1) // 2, n))
+    b = draw(st.integers(max(1, n - a), n))
+    m = min(2 * z, n)
+    return SyntheticSpec(
+        n=n, z=z, a=a, b=b, r_plus_target=draw(st.integers(m, min(2 * m, n))),
+        eig_profile=draw(st.sampled_from([None, "flat_tail"])),
+        keep_sf3=draw(st.booleans()), seed=draw(SEEDS))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=identity_specs())
+@example(spec=SyntheticSpec(n=28, z=10, a=14, b=14, r_plus_target=28, keep_sf3=False))
+def test_identity_shortcuts_return_the_general_paths_bits(spec):
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    assert_identity_shortcuts_keep_the_bits(inst)
+
+
+def test_identity_shortcuts_return_the_general_paths_bits_at_n256():
+    # a construct_large cell
+    assert_identity_shortcuts_keep_the_bits(gen_synthetic(
+        SyntheticSpec(n=256, z=64, a=192, b=192, r_plus_target=128, seed=1)))
