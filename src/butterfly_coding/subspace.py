@@ -213,54 +213,53 @@ def _coordinate_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) ->
     return _unit_basis(vecs)
 
 
-def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
-    """Basis of the sum A + B, from the principal angles that intersect
-    reads: the larger basis G (B on a tie) followed by the directions of the
+def _outside(a: Basis, b: Basis, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(G, U): the larger basis G (B on a tie) and the directions of the
     smaller basis S outside G whose angle fails intersect's test, the left
     singular vectors of the residual (I - G G^T) S with those sines.
 
-    One SVD of the n x dim S residual replaces one of the stack [A | B]. In
-    exact arithmetic both count the same dimensions (see intersect: the
-    stack's rank is dim A + dim B less the angles that pass). Here the
-    count reads the residual and the test that intersect reads, so
-    dim join = dim A + dim B - dim intersect holds in floating point too,
-    and no direction below intersect's rule enters. A left singular vector
-    of sine s is orthogonal to G only to rounding / s, so the new
-    directions are projected against G and re-orthonormalized by a QR,
-    twice: the second pass restores orthogonality to rounding after the
-    first has normalized what it left (Gram-Schmidt "twice is enough",
-    Parlett, The Symmetric Eigenvalue Problem, 1980).
-
-    A contained basis skips the SVD. Every sine is a singular value of the
-    residual, so none exceeds its Frobenius norm, and intersect's test
-    passes every sine up to rank_tol, as
+    No SVD runs when ||(I - G G^T) S||_F <= rank_tol: every sine is a
+    singular value of the residual, so none exceeds its Frobenius norm, and
+    intersect's test passes every sine up to rank_tol, as
     rank_tol * sqrt((1 + cos(theta)) * (1 + cos(theta_1))) >= rank_tol.
-    So when ||(I - G G^T) S||_F <= rank_tol no angle fails, and join returns
-    G, which is exactly what the SVD path returns with no directions to add
-    (at rank_tol = 0, only an exactly zero residual qualifies).
+    U is then empty, as the SVD would give (at rank_tol = 0, only an
+    exactly zero residual qualifies).
+    """
+    _, resid, rank = _residual(a, b)
+    g = b.vectors if a.dim <= b.dim else a.vectors
+    if np.linalg.norm(resid) <= tol.rank_tol:
+        return g, resid[:, :0]
+    u, _, keep = _sine_test(resid, rank, tol)
+    return g, u[:, :int(np.count_nonzero(~keep))]
+
+
+def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
+    """Basis of the sum A + B: the larger basis G followed by the directions
+    of the smaller basis outside it (see _outside). The count reads the
+    residual and the test that intersect reads, so dim join = dim A + dim B
+    - dim intersect holds in floating point too. A left singular vector of
+    sine s is orthogonal to G only to rounding / s, so the new directions
+    are projected against G and re-orthonormalized by a QR, twice: the
+    second pass restores orthogonality to rounding after the first has
+    normalized what it left (Gram-Schmidt "twice is enough", Parlett, The
+    Symmetric Eigenvalue Problem, 1980).
     """
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return b if a.dim == 0 else a
-    _, resid, rank = _residual(a, b)
-    g = b.vectors if a.dim <= b.dim else a.vectors
-    if np.linalg.norm(resid) <= tol.rank_tol:
+    g, new = _outside(a, b, tol)
+    if new.shape[1] == 0:
         return Basis(g.copy())
-    u, _, keep = _sine_test(resid, rank, tol)
-    new = u[:, :int(np.count_nonzero(~keep))]
     for _ in range(2):
         new = np.linalg.qr(new - g @ (g.T @ new))[0]
     return Basis(np.hstack([g, new]))
 
 
 def is_subspace_of(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff every column of A has residual <= tol after projection onto B."""
+    """True iff no direction of A lies outside B by intersect's test, i.e.
+    dim intersect(A, B) = dim A: the decision join makes (see _outside)."""
     _check_same_ambient(a, b)
-    if a.dim == 0:
-        return True
-    resid = a.vectors - b.vectors @ (b.vectors.T @ a.vectors)
-    # basis columns are unit vectors, so the relative threshold is absolute here
-    return bool(np.all(np.linalg.norm(resid, axis=0) <= max(tol.rank_tol, 1e-14)))
+    return a.dim == 0 or (a.dim <= b.dim and _outside(a, b, tol)[1].shape[1] == 0)
 
 
 def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,

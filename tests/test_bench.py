@@ -564,6 +564,24 @@ class TestCli:
         else:
             assert float(fields["L_total"]) <= 1e-8
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tol", [0.0, 1e-16, 1e-14, None])
+    def test_construct_agrees_with_the_report(self, tmp_path, capsys, tol):
+        # construct reaches the bound where analyze reports sufficient_ok and
+        # refuses where it does not, down to tolerances below rounding
+        cfg = write_config(tmp_path, "analyze.json", readme_config("analyze.json"))
+        flag = [] if tol is None else ["--tol", str(tol)]
+        assert main(["analyze", "--config", cfg] + flag) == 0
+        sufficient = json.loads(capsys.readouterr().out)["sufficient_ok"]
+        status = main(["construct", "--config", cfg, "--out", str(tmp_path / "code.json")] + flag)
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        if sufficient:
+            fields = {key: float(value) for key, value in (item.split("=") for item in last.split())}
+            assert status == 0
+            assert fields["L_total"] <= fields["lower_bound"] + 1e-8 * max(1.0, abs(fields["lower_bound"]))
+        else:
+            assert status == 1 and last.startswith("error: sufficient conditions fail"), last
+
     def test_train_with_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
         cfg = write_config(tmp_path, "t.json", {

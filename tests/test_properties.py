@@ -17,6 +17,7 @@ from butterfly_coding import (
     PreconditionNotMet,
     ProblemInstance,
     SyntheticSpec,
+    ToleranceConfig,
     construct_lb_code,
     exact_loss,
     gen_synthetic,
@@ -251,3 +252,34 @@ def test_identity_shortcuts_return_the_general_paths_bits_at_n256():
     # a construct_large cell
     assert_identity_shortcuts_keep_the_bits(gen_synthetic(
         SyntheticSpec(n=256, z=64, a=192, b=192, r_plus_target=128, seed=1)))
+
+
+# at coarse tolerances the construction still misses the bound on some
+# sufficient instances (CHANGES.md, FOUND 44); the example below is one,
+# at n = 32 with sixteen shared directions off the observation overlap
+KNOWN_MISS = pytest.mark.xfail(strict=True, reason="FOUND 44")
+
+
+@pytest.mark.parametrize("rank_tol", [
+    1e-14, 1e-10,
+    pytest.param(1e-6, marks=KNOWN_MISS), pytest.param(1e-3, marks=KNOWN_MISS)])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(source=st.one_of(identity_specs(), SEEDS))
+@example(source=SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=16, keep_sf3=False, seed=1))
+def test_sufficient_instances_are_constructed_at_the_bound(rank_tol, source):
+    # the report's promise: wherever sufficient_ok holds, construct_lb_code
+    # reaches the bound; instances are gen_synthetic specs or, for a seed,
+    # random positive-definite instances
+    tol = ToleranceConfig(rank_tol)
+    if isinstance(source, SyntheticSpec):
+        try:
+            inst = gen_synthetic(source, tol)
+        except InfeasibleSpec:
+            assume(False)
+    else:
+        inst = random_pd_instance(np.random.default_rng(source), n_max=12)
+    spec = spectrum(inst, tol)
+    assume(sufficient_report(spec, tol).sufficient_ok)
+    lb = lower_bound(spec, inst.z)
+    total = exact_loss(construct_lb_code(spec, tol), inst)[2]
+    assert abs(total - lb) <= 1e-8 * max(1.0, abs(lb))

@@ -411,6 +411,11 @@ def assert_same_dimension(a, b, passing, tol):
     assert want == passing
     assert intersect(a, b, tol).dim == want
     assert intersect(b, a, tol).dim == want
+    # containment and join read the same angles: one span lies in the other
+    # exactly when all of its directions pass, whatever the bases' rotation
+    assert is_subspace_of(a, b, tol) == (passing == a.dim)
+    assert is_subspace_of(b, a, tol) == (passing == b.dim)
+    assert join(a, b, tol).dim == a.dim + b.dim - passing
 
 
 @pytest.mark.parametrize("tol", EDGE_TOLS, ids=lambda t: f"{t.rank_tol:g}")
