@@ -21,12 +21,15 @@ the names of those it trains and its colour), on the first of its jobs whose
 start succeeds, and each view brings only its task factors. Each descent's code is one row of a
 preallocated array, in code.py's layout (`_offsets`), so that its matrices
 are views into the encoder maps the products need. The kernel works on each
-task's thin factor C, the R of a QR of K (min(rows, n) x n), and never forms
-the n x n residual R = I - DA: ||K R||^2 = ||C R||^2 = ||C - (C D) A||^2.
-Descents on the identity task keep R dense. One epoch loop steps the whole
-batch: the encoder maps, the relay chain, the descent directions and the
-update run once per descent, and each view keeps its own thin loss pass,
-trace row and divergence check against its own initial loss. The update is
+task's thin factor C, the R of a QR of K (min(rows, n) x n), since
+Tr(K R psi R^T K^T) = Tr(C R psi R^T C^T): a view's loss is one dot product
+(P psi) . P over its thin residual P = C R. Task-aware descents never form
+the n x n residual R = I - DA and take P = C - (C D) A; descents on the
+identity task form R once per pass, for their directions too, and each
+view's P is C R. One epoch loop steps the whole batch: the encoder maps,
+the relay chain, the descent directions and the update run once per
+descent, and each view keeps its own thin loss pass, trace row and
+divergence check against its own initial loss. The update is
 one masked multiply-add over the batch: each descent's step is
 2 * learning_rate on the matrices its mode trains and 0 elsewhere. The batch
 keeps its shape for the whole run: a view that diverges comes back as its
@@ -167,6 +170,8 @@ def greedy_benchmark_code(spec: TaskSpectrum,
     b56 = orthonormal_basis(phi56, tol)
 
     def side(obs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+        # an SVD even of exact axes (psi = I): the signs of its zeros steer
+        # the stack's SVD below (CHANGES.md, FOUND 46)
         pool = orthonormal_basis(obs, tol)
         # one SVD of the stack, not join: the picks below follow this
         # basis's rotation, and the trained loss follows the picks (CHANGES.md,
@@ -319,10 +324,11 @@ class _Batch:
     # the views' thin task factors; d and A, its slices of the maps, and y
     # and dd, their directions, each with a view axis of length 1 that
     # broadcasts over the views; loss (2, Bg, V); psi_step, its batch
-    # estimates of psi for the empirical gradient; the work arrays cd
-    # (2, Bg, V, h, 2Z), p, s and q (2, Bg, V, h, n) and, for descents on the
-    # identity task, r and m (2, Bg, 1, n, n); and transposes (Ct, dt, At,
-    # cdt) and a reshape (s2)
+    # estimates of psi for the empirical gradient; the work arrays p and q
+    # (2, Bg, V, h, n) and, for descents on the identity task, r and m
+    # (2, Bg, 1, n, n), or else cd (2, Bg, V, h, 2Z); transposes (Ct, dt, At,
+    # cdt); and p2 and q2, p and q flattened to (2, Bg, V, h n) for the
+    # loss's dot products
     groups: list[dict]
     relay: np.ndarray              # (B, Z, n) e56 @ into5, then the relay's direction
     losses: np.ndarray             # (2, W) task losses of the last pass
@@ -391,15 +397,18 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
         thin = (2, hi - lo, width, h, n)
         v = dict(agnostic=agnostic, eye=eye, C=c, Ct=_t(c),
                  psi=None if all(map(_is_identity, psis)) else np.stack(psis)[:, None],
-                 cd=np.empty((2, hi - lo, width, h, 2 * z)), p=np.empty(thin),
-                 s=np.empty(thin), q=np.empty(thin),
+                 p=np.empty(thin), q=np.empty(thin),
                  d=maps["d"][:, descents, None], A=maps["amap"][:, descents, None],
                  y=dirs["amap"][:, descents, None], dd=dirs["d"][:, descents, None],
                  loss=losses[:, viewed].reshape(2, hi - lo, width))
-        v.update(dt=_t(v["d"]), At=_t(v["A"]), cdt=_t(v["cd"]),
-                 s2=v["s"].reshape(2, hi - lo, width, -1))
+        flat = (2, hi - lo, width, h * n)
+        v.update(dt=_t(v["d"]), At=_t(v["A"]),
+                 p2=v["p"].reshape(flat), q2=v["q"].reshape(flat))
         if agnostic:
             v["r"], v["m"] = np.empty((2, 2, hi - lo, 1, n, n))
+        else:
+            v["cd"] = np.empty((2, hi - lo, width, h, 2 * z))
+            v["cdt"] = _t(v["cd"])
         if sampled:
             v["psi_step"] = samples[4][descents, None]
         groups.append(v)
@@ -425,21 +434,30 @@ def _evaluate(bt: _Batch, directions: bool = False) -> np.ndarray:
     """One residual pass; returns the true task losses Tr(K_i R_i psi R_i^T
     K_i^T) per view, (2, W). It completes the encoder maps A_i (their relay
     rows are e56 @ into5), then, group by group, forms each view's thin
-    residuals P_i = C_i R_i = C_i - (C_i D_i) A_i of its descent's R_i =
-    I - D_i A_i with their products P_i psi, and sums the losses as
-    (P psi) * P so that they stay accurate, and nonnegative for psi = I,
-    down to zero loss. With `directions` it also writes each descent's
-    directions into bt.grad."""
+    residuals P_i = C_i R_i of its descent's R_i = I - D_i A_i: as
+    C_i - (C_i D_i) A_i for a task-aware descent, and as C_i R_i from the
+    dense R_i that a descent on the identity task forms once, here, for its
+    views and its directions. With the products P_i psi, each loss is one dot
+    product (P psi) . P over the flattened P, so that it stays accurate, and
+    nonnegative for psi = I, down to zero loss. With `directions` it also
+    writes each descent's directions into bt.grad."""
     maps, dirs = bt.maps, bt.dirs
     np.matmul(maps["e56"], maps["into5"], out=bt.relay)
     np.copyto(maps["relay"], bt.relay)
     for v in bt.groups:
-        np.matmul(v["C"], v["d"], out=v["cd"])
-        np.matmul(v["cd"], v["A"], out=v["p"])
-        np.subtract(v["C"], v["p"], out=v["p"])
-        q = v["p"] if v["psi"] is None else np.matmul(v["p"], v["psi"], out=v["q"])
-        np.multiply(q, v["p"], out=v["s"])
-        np.add.reduce(v["s2"], axis=3, out=v["loss"])
+        if v["agnostic"]:
+            np.matmul(v["d"], v["A"], out=v["r"])
+            np.subtract(v["eye"], v["r"], out=v["r"])
+            np.matmul(v["C"], v["r"], out=v["p"])
+        else:
+            np.matmul(v["C"], v["d"], out=v["cd"])
+            np.matmul(v["cd"], v["A"], out=v["p"])
+            np.subtract(v["C"], v["p"], out=v["p"])
+        if v["psi"] is None:
+            q, q2 = v["p"], v["p2"]
+        else:
+            q, q2 = np.matmul(v["p"], v["psi"], out=v["q"]), v["q2"]
+        np.vecdot(q2, v["p2"], out=v["loss"])
         if directions:
             _directions(v, q)
     if directions:
@@ -454,13 +472,11 @@ def _directions(v: dict, q: np.ndarray) -> None:
     """Descent directions X = -grad / 2 of one group's sink maps and decoders
     for the objective sum_i Tr(F_i R_i psi R_i^T F_i^T), with F_i the task
     factor C_i of the descent's one view, or I for descents on the identity
-    task (they keep R_i dense), and psi the batch estimate for the empirical
-    gradient. With M_i = F_i R_i psi, the sink maps get (F_i D_i)^T M_i and
-    the decoders F_i^T (M_i A_i^T)."""
+    task (they read the dense R_i of the loss pass), and psi the batch
+    estimate for the empirical gradient. With M_i = F_i R_i psi, the sink
+    maps get (F_i D_i)^T M_i and the decoders F_i^T (M_i A_i^T)."""
     psi = v.get("psi_step", v["psi"])
     if v["agnostic"]:
-        np.matmul(v["d"], v["A"], out=v["r"])
-        np.subtract(v["eye"], v["r"], out=v["r"])
         m = v["r"] if psi is None else np.matmul(v["r"], psi, out=v["m"])
         np.matmul(m, v["At"], out=v["dd"])
         np.matmul(v["dt"], m, out=v["y"])
@@ -503,11 +519,12 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
             losses = _evaluate(bt, descend)
             if t == 0:
                 bt.initial = losses[0] + losses[1]
+                limit = 10.0 * bt.initial
             else:
                 row = bt.trace[:, t - 1]
                 row[:, :2] = losses.T
                 total = np.add(losses[0], losses[1], out=row[:, 2])
-                failed = live & (~np.isfinite(total) | (total > 10.0 * bt.initial))
+                failed = live & (~np.isfinite(total) | (total > limit))
                 if failed.any():
                     for j in np.flatnonzero(failed):
                         out[bt.ids[j]] = DivergenceDetected(
@@ -532,17 +549,19 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
 
 # Cap on the descents trained at once, counted as 8 n^2 bytes, one n x n
 # float64 matrix, per descent. A descent's working set grows as n^2 and is
-# about twelve such matrices on a synthetic instance (Z = n/4, h = n/2 task
+# about eleven such matrices on a synthetic instance (Z = n/4, h = n/2 task
 # rows): its code row, direction row and step row, 2.6 n^2 floats each, and
-# its task factors and thin residual work arrays, (2, h, n) = n^2 floats each;
-# each further view of a task_agnostic_coding descent adds about four more.
-# Batching pays while per-call overhead dominates an epoch and stops paying
-# once a batch outgrows the cache: measured on one thread of a 2-vCPU Xeon
-# (the four modes in turn, best of 5 runs), the per-member epoch time at
-# n=32 fell from 0.04 ms alone to 0.02-0.03 ms at 8-48 members, lowest at
-# 16-24; at n=64 it was 0.09-0.12 ms alone, 0.07-0.10 ms at 2 members and
-# 0.11-0.17 ms at 3-16; at n=128 0.52-0.56 ms alone and at 2, 1.1 ms at 4-8.
-# 192 KiB gives 24 descents at n=32, 6 at n=64 and 1 from n=128 up.
+# its task factors and its two thin residual work arrays p and q, (2, h, n) =
+# n^2 floats each; each further view of a task_agnostic_coding descent adds
+# about three more. Batching pays while per-call overhead dominates an epoch
+# and stops paying once a batch outgrows the cache: measured on one thread of
+# a 2-vCPU Xeon (the four modes in turn, best of 5 runs), with the kernel as
+# it was before each view's loss became one dot product, the per-member epoch
+# time at n=32 fell from 0.04 ms alone to 0.02-0.03 ms at 8-48 members,
+# lowest at 16-24; at n=64 it was 0.09-0.12 ms alone, 0.07-0.10 ms at 2
+# members and 0.11-0.17 ms at 3-16; at n=128 0.52-0.56 ms alone and at 2,
+# 1.1 ms at 4-8. 192 KiB gives 24 descents at n=32, 6 at n=64 and 1 from
+# n=128 up.
 _LOCKSTEP_BYTES = 192 * 2**10
 
 
@@ -611,29 +630,6 @@ def train(instance: ProblemInstance, config: TrainConfig,
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def _single(mats, k3, k4, psi, dims) -> _Batch:
-    """One code, with the task factors of k3 and k4, as a batch of one."""
-    n, a, b, z = dims
-    job = TrainJob(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4),
-                   TrainConfig(epochs=1))
-    return _stack([job], [((mats, _MATRIX_FIELDS, None), [(0, _factors(k3, k4, n))])])
-
-
-def _true_losses(mats, k3, k4, psi, n, a, b, z) -> tuple[float, float]:
-    """(L3, L4) of one code, as the kernel reads them."""
-    l3, l4 = _evaluate(_single(mats, k3, k4, psi, (n, a, b, z)))
-    return float(l3[0]), float(l4[0])
-
-
-def _gradients(mats, c3, c4, psi, n, a, b, z) -> dict[str, np.ndarray]:
-    """Gradient of Tr(C3 R3 psi R3' C3') + Tr(C4 R4 psi R4' C4') for one
-    code, as the kernel computes it; any C_i with the task's Gram will do,
-    such as the task matrix itself."""
-    bt = _single(mats, c3, c4, psi, (n, a, b, z))
-    _evaluate(bt, directions=True)
-    return {name: -2.0 * bt.dirs[name][0] for name in _MATRIX_FIELDS}
 
 
 def export_trace_csv(trace: np.ndarray, path) -> None:

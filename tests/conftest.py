@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from butterfly_coding import ProblemInstance, validate
+from butterfly_coding import ProblemInstance, TrainConfig, TrainJob, validate
+from butterfly_coding.code import _MATRIX_FIELDS
+from butterfly_coding.train import _evaluate, _factors, _stack
 
 
 def random_pd_instance(rng, n_max=16, z_max=None):
@@ -91,3 +93,27 @@ def readme_config(name: str) -> dict:
         if re.findall(r"`(\w+\.json)`", text[:block.start()])[-1] == name:
             return json.loads(block.group(1))
     raise KeyError(f"README has no {name} block")
+
+
+def single_batch(mats, k3, k4, psi, dims):
+    """One code, with the task factors of k3 and k4, as a lockstep batch of
+    one."""
+    n, a, b, z = dims
+    job = TrainJob(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4),
+                   TrainConfig(epochs=1))
+    return _stack([job], [((mats, _MATRIX_FIELDS, None), [(0, _factors(k3, k4, n))])])
+
+
+def kernel_losses(mats, k3, k4, psi, n, a, b, z) -> tuple[float, float]:
+    """(L3, L4) of one code, as the training kernel reads them."""
+    l3, l4 = _evaluate(single_batch(mats, k3, k4, psi, (n, a, b, z)))
+    return float(l3[0]), float(l4[0])
+
+
+def kernel_gradients(mats, c3, c4, psi, n, a, b, z) -> dict[str, np.ndarray]:
+    """Gradient of Tr(C3 R3 psi R3' C3') + Tr(C4 R4 psi R4' C4') for one
+    code, as the training kernel computes it; any C_i with the task's Gram
+    will do, such as the task matrix itself."""
+    bt = single_batch(mats, c3, c4, psi, (n, a, b, z))
+    _evaluate(bt, directions=True)
+    return {name: -2.0 * bt.dirs[name][0] for name in _MATRIX_FIELDS}

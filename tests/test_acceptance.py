@@ -38,11 +38,12 @@ from butterfly_coding import (
     whiten,
 )
 from butterfly_coding.subspace import Basis
-from butterfly_coding.train import _gradients, _true_losses
 
 from conftest import (
     achievable_dichotomy_instance,
     greedy_trap_instance,
+    kernel_gradients,
+    kernel_losses,
     random_pd_instance,
     random_rank_deficient_instance,
     unachievable_dichotomy_instance,
@@ -362,10 +363,10 @@ def test_08_gradient_correctness():
                 k3_obj = k4_obj = np.eye(n)
             else:
                 k3_obj, k4_obj = inst.k3, inst.k4
-            grads = _gradients(mats, k3_obj, k4_obj, inst.psi, n, a, b, z)
+            grads = kernel_gradients(mats, k3_obj, k4_obj, inst.psi, n, a, b, z)
 
             def objective(m):
-                l3, l4 = _true_losses(m, k3_obj, k4_obj, inst.psi, n, a, b, z)
+                l3, l4 = kernel_losses(m, k3_obj, k4_obj, inst.psi, n, a, b, z)
                 return l3 + l4
 
             for name in trainable:

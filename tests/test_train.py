@@ -1,9 +1,12 @@
+import json
 import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butterfly_coding import (
     BadDimensions,
@@ -21,6 +24,7 @@ from butterfly_coding import (
     gen_synthetic,
     greedy_benchmark_code,
     init_code,
+    instance_from_json,
     lower_bound,
     lower_bound_of,
     realize_spans,
@@ -31,9 +35,10 @@ from butterfly_coding import (
     validate,
 )
 from butterfly_coding.code import _MATRIX_FIELDS as FIELDS, _encoder_maps
-from butterfly_coding.train import _gradients, _selection_e56, _true_losses
+from butterfly_coding.train import _selection_e56
 
-from conftest import calm_instance, greedy_trap_instance, random_pd_instance
+from conftest import (calm_instance, greedy_trap_instance, kernel_gradients, kernel_losses,
+                      random_pd_instance, readme_config)
 from test_model import simple_instance
 from test_properties import block_diagonal
 
@@ -300,11 +305,11 @@ class TestGradients:
         code = init_code(inst, 9, init_scale=0.3)
         names = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
         mats = {k: np.array(getattr(code, k), dtype=float) for k in names}
-        grads = _gradients(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
+        grads = kernel_gradients(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
         h = 1e-5
 
         def total_loss(m):
-            l3, l4 = _true_losses(m, inst.k3, inst.k4, inst.psi, n, a, b, z)
+            l3, l4 = kernel_losses(m, inst.k3, inst.k4, inst.psi, n, a, b, z)
             return l3 + l4
 
         for name in names:
@@ -346,10 +351,10 @@ class TestGradients:
             want.update(e13=link[0][:z, :a], e24=link[1][:z, n - b:],
                         e56=relay @ into5.T, e15=grad_into5[:z, :a],
                         e25=grad_into5[z:, n - b:])
-            got_losses = _true_losses(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
+            got_losses = kernel_losses(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
             for got, ref in zip(got_losses, want_losses):
                 assert abs(got - ref) <= 1e-12 * abs(ref), trial
-            grads = _gradients(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
+            grads = kernel_gradients(mats, inst.k3, inst.k4, inst.psi, n, a, b, z)
             scale = max(np.abs(ref).max() for ref in want.values())
             for name in names:
                 assert np.abs(grads[name] - want[name]).max() <= 1e-12 * scale, (trial, name)
@@ -363,7 +368,7 @@ class TestGradients:
                                           mode="task_agnostic_coding"), init=init)
         names = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
         mats = {k: np.array(getattr(init, k), dtype=float) for k in names}
-        grads = _gradients(mats, np.eye(n), np.eye(n), inst.psi, n, a, b, z)
+        grads = kernel_gradients(mats, np.eye(n), np.eye(n), inst.psi, n, a, b, z)
         for name in names:
             want = mats[name] - lr * grads[name]
             assert np.abs(getattr(code, name) - want).max() <= 1e-15, name
@@ -777,6 +782,102 @@ class TestSharedDescents:
                 for _ in range(30) for mode in ("task_aware_coding", AGNOSTIC)]
         train_lockstep(jobs)
         assert [(len(batch), sum(map(len, batch))) for batch in descents] == [(24, 53), (7, 7)]
+
+
+class TestKernelLoss:
+    """The loss pass reads each view's loss as one dot product of its thin
+    residual P with P psi; the trace must equal exact_loss of the code."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), identity=st.booleans())
+    def test_trace_row_is_exact_loss(self, seed, identity):
+        rng = np.random.default_rng(seed)
+        inst = random_pd_instance(rng, n_max=8)
+        if identity:
+            inst = validate(replace(inst, psi=np.eye(inst.n)))
+        config = TrainConfig(epochs=1, learning_rate=1e-4, seed=seed % 1000)
+        jobs = [TrainJob(inst, replace(config, mode=mode)) for mode in MODES]
+        # three more task_agnostic_coding views of the same descent, each
+        # with its own tasks of the same heights
+        for _ in range(3):
+            jobs.append(TrainJob(validate(replace(
+                inst, k3=rng.normal(size=inst.k3.shape), k4=rng.normal(size=inst.k4.shape))),
+                replace(config, mode=AGNOSTIC)))
+        kernel = sys.modules["butterfly_coding.train"]
+        merged = {kernel._descent_key(i, job) for i, job in enumerate(jobs)
+                  if job.config.mode == AGNOSTIC}
+        assert len(merged) == 1
+        results = train_lockstep(jobs)
+        checked = 0
+        for job, got in zip(jobs, results):
+            if isinstance(got, Exception):
+                # the greedy benchmark start is infeasible on some draws
+                assert job.config.mode == "coding_benchmark", got
+                continue
+            code, trace = got
+            want = exact_loss(code, job.instance)
+            for kernel_loss, exact in zip(trace[0], want):
+                assert abs(kernel_loss - exact) <= 1e-12 * abs(exact), (job.config.mode, trace[0], want)
+            checked += 1
+        assert checked >= len(jobs) - 1
+
+    @pytest.mark.parametrize("source", [16, 20, 24, "analyze.json"])
+    def test_lower_bound_code_reads_near_zero(self, source):
+        # at psi = I each loss is a sum of squares: never negative, and at a
+        # code on a zero bound only rounding is left
+        if source == "analyze.json":
+            inst = instance_from_json(json.dumps(readme_config(source)["instance"]))
+        else:
+            inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=source,
+                                               eig_profile="flat_tail", seed=1))
+        assert lower_bound_of(inst) == 0.0
+        code = construct_lb_code(spectrum(inst))
+        mats = {name: np.asarray(getattr(code, name), dtype=float) for name in FIELDS}
+        for loss in kernel_losses(mats, inst.k3, inst.k4, inst.psi,
+                                  inst.n, inst.a, inst.b, inst.z):
+            assert 0.0 <= loss < 1e-20
+
+
+class TestDivergenceEdges:
+    """Each view is flagged when its total is not finite or exceeds ten
+    times its initial loss; equality is not divergence."""
+
+    # per job: the (L3, L4) of pass 0 (its initial loss) and of passes 1, 2
+    SCRIPT = [
+        ((1.0, 0.0), (np.nan, 0.0), (1.0, 0.0)),
+        ((1.0, 0.0), (np.inf, 0.0), (1.0, 0.0)),
+        ((1.0, 0.0), (np.nextafter(10.0, np.inf), 0.0), (1.0, 0.0)),
+        ((1.0, 0.0), (10.0, 0.0), (5.0, 5.0)),
+        ((np.inf, 0.0), (1e300, 0.0), (1e307, 1e307)),
+        ((np.inf, 0.0), (np.inf, 0.0), (1.0, 0.0)),
+        ((0.5, 0.5), (2.0, 3.0), (np.nan, 1.0)),
+    ]
+    FLAGGED = {0: 0, 1: 0, 2: 0, 5: 0, 6: 1}     # job -> epoch of its error
+
+    def test_flagged_views(self, monkeypatch):
+        kernel = sys.modules["butterfly_coding.train"]
+        passes = []
+
+        def scripted(bt, directions=False):
+            t = len(passes)
+            passes.append(t)
+            for j, i in enumerate(bt.ids):
+                bt.losses[:, j] = self.SCRIPT[i][t]
+            return bt.losses
+
+        monkeypatch.setattr(kernel, "_evaluate", scripted)
+        insts = same_dims_instances(np.random.default_rng(40), len(self.SCRIPT))
+        results = train_lockstep([TrainJob(inst, TrainConfig(epochs=2, seed=s))
+                                  for s, inst in enumerate(insts)])
+        assert passes == [0, 1, 2]
+        for i, got in enumerate(results):
+            if i in self.FLAGGED:
+                assert isinstance(got, DivergenceDetected), i
+                assert str(got).endswith(f"at epoch {self.FLAGGED[i]}; reduce learning_rate"), got
+            else:
+                _, trace = got
+                want = np.array([[*row, row[0] + row[1]] for row in self.SCRIPT[i][1:]])
+                assert np.array_equal(trace, want), i
 
 
 class TestTraceExport:
