@@ -205,10 +205,10 @@ _FIELD_PARSERS = tuple({"str": str, "int": int, "float": float}[f.type]
                        for f in fields(ResultRecord))
 # the "sweep" block's own keys; the rest are the cells' SyntheticSpec fields
 _SWEEP_KEYS = ("param", "values", "approaches", "r_plus")
-_SWEEP_ERRORS = (
-    PreconditionNotMet, DivergenceDetected, InfeasibleSpec,
-    InfeasibleExtension, ValueError, np.linalg.LinAlgError,
-)
+# the domain errors: a sweep records them as a failed cell, and the CLI
+# reports them as `error: ...` (ConfigError, InfeasibleSpec, the model's
+# errors and np.linalg.LinAlgError are all ValueErrors)
+_SWEEP_ERRORS = (ValueError, InfeasibleExtension, PreconditionNotMet, DivergenceDetected)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -320,7 +320,11 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     seeds = [_integer(seed, "seeds", "integers") for seed in
              _typed(config.get("seeds", [0]), (list, tuple), "seeds", "a list")]
     values = [_integer(value, "values", "integers") for value in values]
-    base_cfg = _block(_TrainBlock, config.get("train", {}), "train")
+    train_block = config.get("train", {})
+    base_cfg = _block(_TrainBlock, train_block, "train")
+    for key, source in (("mode", "approaches"), ("seed", "seeds")):
+        if key in train_block:
+            raise ConfigError(f"\"{key}\" in \"train\" is set per cell by \"{source}\" in a sweep")
     # every cell is this spec with its swept value and seed
     spec_fields = {"n": 32, "z": 8, "a": 24, **{key: value for key, value in sweep.items()
                                                 if key not in _SWEEP_KEYS}}
@@ -592,7 +596,6 @@ def main(argv=None) -> int:
         if args.tol is not None:
             tol = ToleranceConfig(rank_tol=args.tol)
         return _COMMANDS[args.command](config, args.out, tol)
-    except (ConfigError, InfeasibleSpec, PreconditionNotMet,
-            DivergenceDetected, MemoryError, OSError, ValueError) as exc:
+    except (*_SWEEP_ERRORS, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

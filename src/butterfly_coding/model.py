@@ -190,8 +190,10 @@ class TaskSpectrum:
 def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> TaskSpectrum:
     """Cholesky factor, Gram matrices and their ordered eigen-systems.
 
-    Requires a positive definite covariance; whiten rank-deficient instances
-    first.
+    Takes a validated instance (`validate`), and requires a positive
+    definite covariance; whiten rank-deficient instances first. A raw
+    instance is not symmetrized here: the Cholesky factor reads only the
+    lower triangle of psi, so an asymmetric psi gives another spectrum.
     """
     inst = instance
     chol = _cholesky(inst.psi, tol)

@@ -6,36 +6,36 @@ rule. Modes restrict which matrices move or which objective drives them
 (task_agnostic_coding descends on the identity task, K = I); the loss trace
 always reports the true task losses.
 
-One batched kernel does all training: every array carries a leading
-descent axis, so many runs step in lockstep, and the two sinks' arrays stack
-on one more leading axis, so each product serves both. `train_lockstep` owns
-the batching: it takes any list of jobs, such as every trained cell of a
-sweep, groups them by shape and schedule, and caps each batch at
-_LOCKSTEP_BYTES; `train` is the batch of one. A descent is one code that
-steps, and a view is one job that reads it. A task_agnostic_coding code
-never reads its tasks, so such jobs whose descents read byte-equal inputs
-(factor height, learning rate, psi, start matrices and, for the empirical
-gradient, the seed) share one descent, with one view each; every other job
-is a descent with one view. A descent starts once (`_start`: its matrices,
-the names of those it trains and its colour), on the first of its jobs whose
-start succeeds, and each view brings only its task factors. Each descent's code is one row of a
-preallocated array, in code.py's layout (`_offsets`), so that its matrices
-are views into the encoder maps the products need. The kernel works on each
-task's thin factor C, the R of a QR of K (min(rows, n) x n), since
+One batched kernel does all training: every array carries a leading descent
+axis, so many runs step in lockstep, and the two sinks' arrays stack on one
+more leading axis, so each product serves both. `train_lockstep` owns the
+batching: it takes any list of jobs, such as every trained cell of a sweep,
+groups them by shape and schedule, and caps each batch at _LOCKSTEP_BYTES;
+`train` is the batch of one. Each job passes one input gate first
+(train_lockstep), so all past it reads `validate`'s arrays. A descent is one
+code that steps, and a view is one job that reads it. A task_agnostic_coding
+code never reads its tasks, so such jobs whose descents read byte-equal
+inputs (factor height, learning rate, psi, start matrices and, for the
+empirical gradient, the seed) share one descent, with one view each; every
+other job is a descent with one view. A descent starts once, on its first
+view (`_start`: its matrices, the names of those it trains and its colour),
+and each view brings only its task factors. Each descent's code is one row
+of a preallocated array, in code.py's layout (`_offsets`), so that its
+matrices are views into the encoder maps the products need. The kernel works
+on each task's thin factor C, the R of a QR of K (min(rows, n) x n), since
 Tr(K R psi R^T K^T) = Tr(C R psi R^T C^T): a view's loss is one dot product
 (P psi) . P over its thin residual P = C R. Task-aware descents never form
 the n x n residual R = I - DA and take P = C - (C D) A; descents on the
 identity task form R once per pass, for their directions too, and each
-view's P is C R. One epoch loop steps the whole batch: the encoder maps,
-the relay chain, the descent directions and the update run once per
-descent, and each view keeps its own thin loss pass, trace row and
-divergence check against its own initial loss. The update is
-one masked multiply-add over the batch: each descent's step is
-2 * learning_rate on the matrices its mode trains and 0 elsewhere. The batch
-keeps its shape for the whole run: a view that diverges comes back as its
-error, and a descent is retired in place once all of its views have.
-Descents never mix, so each job's arithmetic, and result, is the same in
-any batch.
+view's P is C R. One epoch loop steps the whole batch: the encoder maps, the
+relay chain, the descent directions and the update run once per descent, and
+each view keeps its own thin loss pass, trace row and divergence check
+against its own initial loss. The update is one masked multiply-add over the
+batch: each descent's step is 2 * learning_rate on the matrices its mode
+trains and 0 elsewhere. The batch keeps its shape for the whole run: a view
+that diverges comes back as its error, and a descent is retired in place
+once all of its views have. Descents never mix, so each job's arithmetic,
+and result, is the same in any batch.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import csv
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .code import (
     check_code_shapes,
     realize_spans,
 )
-from .model import ProblemInstance, TaskSpectrum, _is_identity, spectrum
+from .model import ProblemInstance, TaskSpectrum, _is_identity, spectrum, validate
 from .subspace import (
     DEFAULT_TOL,
     InfeasibleExtension,
@@ -199,7 +199,7 @@ def greedy_benchmark_code(spec: TaskSpectrum,
 class TrainJob:
     """One run of `train`, as a member of a lockstep batch. `spectrum`, the
     instance's spectrum if the caller holds it, saves the coding_benchmark
-    start (_start) from computing it."""
+    start (_start) from computing it; its `.instance` must be `instance`."""
 
     instance: ProblemInstance
     config: TrainConfig
@@ -207,14 +207,9 @@ class TrainJob:
     spectrum: TaskSpectrum | None = None
 
 
-# errors that fail one member while its start point is built; the rest of
-# its batch trains on
-_MEMBER_ERRORS = (ValueError, InfeasibleExtension, np.linalg.LinAlgError)
-
-
-def _sym(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=float)
-    return 0.5 * (psi + psi.T)
+# errors that fail one job at its input gate or its descent's start; the
+# rest of the call trains on
+_MEMBER_ERRORS = (ValueError, InfeasibleExtension)
 
 
 def _t(x: np.ndarray) -> np.ndarray:
@@ -226,8 +221,7 @@ def _factors(k3, k4, n: int) -> np.ndarray:
     QR of each task matrix, min(rows_i, n) x n, zero-padded to the taller of
     the two. Zero rows change no loss or gradient, and the padding is the
     member's own, so its arithmetic does not depend on its batch."""
-    rs = [np.linalg.qr(np.atleast_2d(np.asarray(k, dtype=float)), mode="r")
-          for k in (k3, k4)]
+    rs = [np.linalg.qr(k, mode="r") for k in (k3, k4)]
     c = np.zeros((2, max(r.shape[0] for r in rs), n))
     for ci, r in zip(c, rs):
         ci[: r.shape[0]] = r
@@ -239,11 +233,7 @@ def _start(job: TrainJob, tol: ToleranceConfig):
     the empirical gradient, the factor F with psi = F F^T that colours its
     sample batches. Its views bring their own task factors (_factors)."""
     instance, config = job.instance, job.config
-    if job.init is None:
-        init = init_code(instance, config.seed, config.init_scale)
-    else:
-        check_code_shapes(job.init, instance)
-        init = job.init
+    init = init_code(instance, config.seed, config.init_scale) if job.init is None else job.init
     mats = {name: np.asarray(getattr(init, name), dtype=float) for name in _MATRIX_FIELDS}
     trained = _MATRIX_FIELDS
     if config.mode == "task_aware_no_coding":
@@ -257,7 +247,7 @@ def _start(job: TrainJob, tol: ToleranceConfig):
         trained = ("d3", "d4")
     colour = None
     if config.gradient == "empirical_batch":
-        w, v = np.linalg.eigh(_sym(instance.psi))
+        w, v = np.linalg.eigh(instance.psi)
         colour = v * np.sqrt(np.clip(w, 0.0, None))
     return mats, trained, colour
 
@@ -273,22 +263,17 @@ def _descent_key(i: int, job: TrainJob):
     task_agnostic_coding jobs that share the task factor height (as _factors
     pads it), the step, psi, the start matrices (the seed and init_scale, or
     an explicit init; arrays by shape and bytes) and, for the empirical
-    gradient, the seed's sample stream. Every other job reads its
-    own task factors and keys alone, by its index, as does a job whose
-    fields do not read as arrays (its start reports the error)."""
+    gradient, the seed's sample stream. Every other job reads its own task
+    factors and keys alone, by its index. The job has passed the input gate
+    of train_lockstep, so its instance holds validated arrays."""
     config, instance = job.config, job.instance
     if config.mode != "task_agnostic_coding":
         return i
-    try:
-        rows = max(len(np.atleast_2d(np.asarray(k, dtype=float)))
-                   for k in (instance.k3, instance.k4))
-        start = ((config.seed, float(config.init_scale)) if job.init is None else
-                 tuple(_bytes(getattr(job.init, name)) for name in _MATRIX_FIELDS))
-        psi = _bytes(_sym(instance.psi))
-    except (TypeError, ValueError):
-        return i
+    rows = min(max(len(instance.k3), len(instance.k4)), instance.n)
+    start = ((config.seed, float(config.init_scale)) if job.init is None else
+             tuple(_bytes(getattr(job.init, name)) for name in _MATRIX_FIELDS))
     sampled = config.seed if config.gradient == "empirical_batch" else None
-    return min(rows, instance.n), float(2.0 * config.learning_rate), psi, start, sampled
+    return rows, float(2.0 * config.learning_rate), _bytes(instance.psi), start, sampled
 
 
 @dataclass
@@ -391,7 +376,7 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
             if sampled:
                 samples[0][j] = colour
                 samples[1].append(_philox(lead.config.seed, _BATCH_STREAM))
-            psis.append(_sym(lead.instance.psi))
+            psis.append(lead.instance.psi)
             for k, (_, factors) in enumerate(views):
                 c[:, j - lo, k] = factors
         thin = (2, hi - lo, width, h, n)
@@ -580,7 +565,11 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     its batch; instances, inits, modes, seeds and learning rates may differ
     within a batch. Returns one entry per job, in job order: the (code,
     trace) pair `train` would return, or the exception that stopped that
-    job alone -- DivergenceDetected, or an error building its start point.
+    job alone. Each job first passes one input gate, before it is grouped:
+    its instance becomes validate(instance, tol), a given init must fit it
+    (check_code_shapes) and a given spectrum must be of that very instance
+    object; a job that fails returns the error. Each descent then starts
+    once, on its first view, and a start that fails is every view's error.
     One epoch loop steps each batch: each pass forms the encoder maps, the
     relay chain, the descent directions and the update once per descent,
     and each view's thin loss pass, trace row and divergence check on its
@@ -593,8 +582,18 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     out: list = [None] * len(jobs)
     groups: dict[tuple, dict] = {}
     for i, job in enumerate(jobs):
+        try:
+            instance = validate(job.instance, tol)
+            if job.init is not None:
+                check_code_shapes(job.init, instance)
+            if job.spectrum is not None and job.spectrum.instance is not job.instance:
+                raise ValueError("TrainJob.spectrum was computed from another instance")
+        except _MEMBER_ERRORS as exc:
+            out[i] = exc
+            continue
+        jobs[i] = job = replace(job, instance=instance)
         c = job.config
-        key = (*_dims(job.instance), c.epochs, c.gradient, c.batch_size)
+        key = (*_dims(instance), c.epochs, c.gradient, c.batch_size)
         groups.setdefault(key, {}).setdefault(_descent_key(i, job), []).append(i)
     for (n, _, _, _, epochs, _, batch_size), descents in groups.items():
         descents = list(descents.values())
@@ -602,17 +601,14 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         for lo in range(0, len(descents), size):
             started = []
             for views in descents[lo:lo + size]:
-                start, begun = None, []
-                for i in views:
-                    instance = jobs[i].instance
-                    try:
-                        if start is None:
-                            start = _start(jobs[i], tol)
-                        begun.append((i, _factors(instance.k3, instance.k4, instance.n)))
-                    except _MEMBER_ERRORS as exc:
+                try:
+                    start = _start(jobs[views[0]], tol)
+                except _MEMBER_ERRORS as exc:
+                    for i in views:
                         out[i] = exc
-                if begun:
-                    started.append((start, begun))
+                    continue
+                factors = [_factors(jobs[i].instance.k3, jobs[i].instance.k4, n) for i in views]
+                started.append((start, list(zip(views, factors))))
             if started:
                 # _stack empties `started`, and the batch is dropped as soon
                 # as it has trained, before the next one is built

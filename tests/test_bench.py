@@ -45,7 +45,7 @@ from butterfly_coding.bench import (
 )
 from butterfly_coding import code_from_json
 
-from conftest import (achievable_dichotomy_instance, readme_config,
+from conftest import (achievable_dichotomy_instance, random_pd_instance, readme_config,
                       unachievable_dichotomy_instance)
 
 # the module, which the package's `train` attribute (the function) shadows
@@ -315,6 +315,15 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_sweep(small_sweep_config(sweep=change))
 
+    @pytest.mark.parametrize("key, value, source", [
+        ("mode", "coding_benchmark", "approaches"), ("seed", 99, "seeds")])
+    def test_train_key_the_sweep_sets_rejected(self, key, value, source):
+        # each cell's mode comes from "approaches" and its seed from "seeds",
+        # so the sweep would overwrite these fields silently
+        config = small_sweep_config(train={key: value})
+        with pytest.raises(ConfigError, match=f'"{key}" in "train" is set per cell by "{source}"'):
+            run_sweep(config)
+
     def test_missing_sweep_section(self):
         with pytest.raises(ConfigError, match="sweep"):
             run_sweep({"train": {}})
@@ -581,6 +590,20 @@ class TestCli:
             assert fields["L_total"] <= fields["lower_bound"] + 1e-8 * max(1.0, abs(fields["lower_bound"]))
         else:
             assert status == 1 and last.startswith("error: sufficient conditions fail"), last
+
+    def test_construction_out_of_pool_vectors_is_an_error(self, tmp_path, capsys):
+        # at rank_tol 1e-15 analyze reports sufficient_ok on this instance
+        # (n=6, a=5, b=4, z=2), but the construction's pool runs out of
+        # extension vectors: InfeasibleExtension, which is no ValueError
+        instance = random_pd_instance(np.random.default_rng(250), n_max=12)
+        cfg = write_config(tmp_path, "pool.json", {"instance": instance_payload(instance)})
+        flag = ["--tol", "1e-15"]
+        assert main(["analyze", "--config", cfg] + flag) == 0
+        assert json.loads(capsys.readouterr().out)["sufficient_ok"] is True
+        assert main(["construct", "--config", cfg, "--out", str(tmp_path / "code.json")] + flag) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
 
     def test_train_with_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"

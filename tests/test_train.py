@@ -734,7 +734,9 @@ class TestSharedDescents:
     @pytest.mark.parametrize("gradient", ["exact_expectation", "empirical_batch"])
     def test_one_start_per_descent(self, starts, descents, gradient):
         # three agnostic jobs of one seed share one start, read on the
-        # descent's first job; each task-aware job beside them starts alone
+        # descent's first job; each task-aware job beside them starts alone.
+        # _start gets each job with its instance validated, so a start is
+        # told by its config, an object of its own per job
         rng = np.random.default_rng(42)
         insts = shared_psi_instances(rng, 3, random_spd(rng))
         jobs = [TrainJob(inst, TrainConfig(epochs=20, learning_rate=0.02, seed=2, mode=mode,
@@ -743,15 +745,17 @@ class TestSharedDescents:
         results = train_lockstep(jobs)
         rows, = descents
         assert sorted(views[0] for views in rows) == [0, 1, 2, 4]
-        assert [id(job) for job in starts] == [id(jobs[i]) for i in (0, 1, 2, 4)]
+        assert len(starts) == len(rows)
+        assert [id(job.config) for job in starts] == [id(jobs[i].config) for i in (0, 1, 2, 4)]
         for job, got in zip(jobs, results):
             assert_same_run(got, train(job.instance, job.config))
 
-    def test_failed_start_is_tried_on_each_view(self, starts):
-        # two agnostic jobs that share an init of the wrong shape key one
-        # descent; its start fails on each of them, so each gets its own
-        # error, while a descent whose start succeeds starts once. An init
-        # of the same bytes in other shapes keys a descent of its own
+    def test_wrong_init_fails_at_the_gate(self, starts, descents):
+        # two agnostic jobs that share an init of the wrong shape would key
+        # one descent, and an init of the same bytes in other shapes keys a
+        # descent of its own; the gate fails all three jobs, each with its
+        # own error, before keying, so none of them reaches _start, and the
+        # one descent left starts once, for both of its views
         rng = np.random.default_rng(43)
         first, second = shared_psi_instances(rng, 2, np.eye(5))
         wrong = init_code(simple_instance(n=3, a=2, b=2, z=1), 0)
@@ -765,7 +769,8 @@ class TestSharedDescents:
         keys = [key(i, job) for i, job in enumerate(jobs)]
         assert keys[0] == keys[1] and keys[2] == keys[3] != keys[4]
         results = train_lockstep(jobs)
-        assert [id(job) for job in starts] == [id(jobs[i]) for i in (0, 1, 2, 4)]
+        assert descents == [[[2, 3]]]
+        assert [job.init for job in starts] == [good]
         assert results[0] is not results[1]
         for i in (0, 1, 4):
             with pytest.raises(BadDimensions) as alone:
@@ -782,6 +787,61 @@ class TestSharedDescents:
                 for _ in range(30) for mode in ("task_aware_coding", AGNOSTIC)]
         train_lockstep(jobs)
         assert [(len(batch), sum(map(len, batch))) for batch in descents] == [(24, 53), (7, 7)]
+
+
+def invalid_instance(kind):
+    """simple_instance (n=3, a=b=2, z=1) broken in one way that validate
+    rejects."""
+    return replace(simple_instance(), **{
+        "nan_task": {"k3": np.array([[np.nan, 0.0, 0.0]])},
+        "negative_psi": {"psi": -np.eye(3)},
+        "small_psi": {"psi": np.eye(2)},
+        "a_plus_b_below_n": {"a": 1, "b": 1},
+        "zero_z": {"z": 0},
+        "huge_task": {"k3": np.array([[1e200, 0.0, 0.0]])},
+        "ragged_task": {"k3": [[1.0, 2.0, 3.0], [1.0, 2.0]]},
+    }[kind])
+
+
+class TestInputGate:
+    """train_lockstep validates each job before it keys or starts it."""
+
+    @pytest.mark.parametrize("kind", ["nan_task", "negative_psi", "small_psi",
+                                      "a_plus_b_below_n", "zero_z", "huge_task",
+                                      "ragged_task"])
+    def test_invalid_instance_fails_as_validate_does(self, kind):
+        # a 2x2 psi for n=3, a + b < n and z = 0 used to train "ok", and a
+        # NaN task, psi = -I or a 1e200 task to diverge; in every mode the
+        # job now fails with validate's error while a valid job trains on
+        bad = invalid_instance(kind)
+        with pytest.raises(ValueError) as want:
+            validate(bad)
+        calm = TrainJob(simple_instance(), TrainConfig(epochs=20, learning_rate=0.02))
+        jobs = [TrainJob(bad, TrainConfig(epochs=20, learning_rate=0.02, mode=mode))
+                for mode in MODES] + [calm]
+        results = train_lockstep(jobs)
+        for got in results[:-1]:
+            assert type(got) is type(want.value)
+            assert str(got) == str(want.value)
+        assert_same_run(results[-1], train(calm.instance, calm.config))
+
+    def test_list_valued_instance_trains_as_its_arrays(self):
+        inst, = same_dims_instances(np.random.default_rng(44), 1)
+        listed = replace(inst, psi=inst.psi.tolist(), k3=inst.k3.tolist(),
+                         k4=inst.k4.tolist())
+        configs = [TrainConfig(epochs=20, learning_rate=0.02, mode=mode) for mode in MODES]
+        results = train_lockstep([TrainJob(listed, config) for config in configs])
+        for config, got in zip(configs, results):
+            assert_same_run(got, train(inst, config))
+
+    def test_spectrum_of_another_instance_rejected(self):
+        first, second = same_dims_instances(np.random.default_rng(45), 2)
+        config = TrainConfig(epochs=20, learning_rate=0.02, mode="coding_benchmark")
+        results = train_lockstep([TrainJob(first, config, spectrum=spectrum(second)),
+                                  TrainJob(first, config, spectrum=spectrum(first))])
+        assert isinstance(results[0], ValueError)
+        assert "another instance" in str(results[0])
+        assert_same_run(results[1], train(first, config))
 
 
 class TestKernelLoss:
