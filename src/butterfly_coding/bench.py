@@ -283,25 +283,27 @@ class _TrainBlock(TrainConfig):
     trace_csv: str | None = None
 
 
-def _ok_record(approach, param, value, seed, lb, code, spec_obj,
-               epochs_run, started, tol, shared_s=0.0) -> ResultRecord:
-    """The record of a finished cell, evaluated now on the cell's spectrum
-    `spec_obj`; its wall time runs from `started`, plus `shared_s`, its
-    share of the training before that."""
-    l3, l4, total = exact_loss(code, spec_obj.instance)
-    u56, u13, u24 = utilities(code, spec_obj, tol)
-    return ResultRecord(
-        approach=approach,
-        sweep_param_name=param,
-        sweep_param_value=float(value),
-        seed=seed,
-        L3=l3, L4=l4, L_total=total,
-        lower_bound=lb,
-        u56=u56, u13=u13, u24=u24,
-        epochs_run=epochs_run,
-        wall_ms=(shared_s + time.perf_counter() - started) * 1e3,
-        status="ok",
-    )
+def _record(cell, result, spec, started, tol, shared_s=0.0) -> ResultRecord:
+    """The record of one cell, (approach, param, value, seed, lower bound).
+    `result` is the cell's (code, epochs run) or the exception that stopped
+    it. A code is evaluated now on the cell's spectrum `spec`, and its wall
+    time runs from `started` plus `shared_s`, its share of the training
+    before that; an error of that evaluation fails the record instead."""
+    approach, param, value, seed, lb = cell
+    if not isinstance(result, Exception):
+        code, epochs_run = result
+        try:
+            l3, l4, total = exact_loss(code, spec.instance)
+            u56, u13, u24 = utilities(code, spec, tol)
+        except _SWEEP_ERRORS as exc:
+            result = exc
+    if isinstance(result, Exception):
+        l3 = l4 = total = u56 = u13 = u24 = math.nan
+        epochs_run, wall_ms, status = 0, 0.0, f"failed: {type(result).__name__}: {result}"
+    else:
+        wall_ms, status = (shared_s + time.perf_counter() - started) * 1e3, "ok"
+    return ResultRecord(approach, param, float(value), seed, l3, l4, total, lb,
+                        u56, u13, u24, epochs_run, wall_ms, status)
 
 
 def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRecord]:
@@ -320,6 +322,10 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     seeds = [_integer(seed, "seeds", "integers") for seed in
              _typed(config.get("seeds", [0]), (list, tuple), "seeds", "a list")]
     values = [_integer(value, "values", "integers") for value in values]
+    for key, entries in (("approaches", approaches), ("values", values), ("seeds", seeds)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise ConfigError(f"\"{key}\" lists {entry!r} twice")
     train_block = config.get("train", {})
     base_cfg = _block(_TrainBlock, train_block, "train")
     for key, source in (("mode", "approaches"), ("seed", "seeds")):
@@ -337,7 +343,7 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
     per_cell = approaches + (["analytic_construction"] if auto_construct else [])
 
     records: list[ResultRecord] = []
-    # (record arguments, job); each job carries its cell's spectrum
+    # (cell, job); each job carries its cell's spectrum
     trained: list[tuple[tuple, TrainJob]] = []
     for value in values:
         swept = ({"r_plus_target": value} if param == "r_plus"
@@ -349,61 +355,38 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
                 spec_obj = spectrum(instance, tol)
                 lb = lower_bound(spec_obj, template.z, tol)
             except _SWEEP_ERRORS as exc:
-                for approach in approaches:
-                    records.append(_failed_record(
-                        approach, param, value, seed, lb, exc))
+                records += [_record((approach, param, value, seed, lb), exc, None, None, tol)
+                            for approach in approaches]
                 continue
             for approach in per_cell:
+                cell = (approach, param, value, seed, lb)
                 if approach != "analytic_construction":
-                    trained.append(((approach, param, value, seed, lb), TrainJob(
+                    trained.append((cell, TrainJob(
                         instance, replace(base_cfg, mode=approach, seed=seed),
                         spectrum=spec_obj)))
                     continue
                 t0 = time.perf_counter()
                 try:
-                    code = construct_lb_code(spec_obj, tol)
-                    records.append(_ok_record(
-                        approach, param, value, seed, lb, code, spec_obj, 0, t0, tol))
+                    result = (construct_lb_code(spec_obj, tol), 0)
                 except _SWEEP_ERRORS as exc:
-                    if not (auto_construct and isinstance(exc, PreconditionNotMet)):
-                        records.append(_failed_record(
-                            approach, param, value, seed, lb, exc))
+                    if auto_construct and isinstance(exc, PreconditionNotMet):
+                        continue
+                    result = exc
+                records.append(_record(cell, result, spec_obj, t0, tol))
 
     t0 = time.perf_counter()
     results = train_lockstep([job for _, job in trained], tol)
     share = (time.perf_counter() - t0) / max(1, len(trained))
-    for (args, job), result in zip(trained, results):
-        if isinstance(result, Exception):
-            records.append(_failed_record(*args, result))
-            continue
-        code, trace = result
-        try:
-            records.append(_ok_record(
-                *args, code, job.spectrum, trace.shape[0], time.perf_counter(), tol,
-                share))
-        except _SWEEP_ERRORS as exc:
-            records.append(_failed_record(*args, exc))
+    for (cell, job), result in zip(trained, results):
+        if not isinstance(result, Exception):
+            result = (result[0], len(result[1]))
+        records.append(_record(cell, result, job.spectrum, time.perf_counter(), tol, share))
     records.sort(key=_record_order)
     return records
 
 
 def _record_order(rec: ResultRecord):
     return (rec.sweep_param_value, _APPROACHES.index(rec.approach), rec.seed)
-
-
-def _failed_record(approach, param, value, seed, lb, exc) -> ResultRecord:
-    return ResultRecord(
-        approach=approach,
-        sweep_param_name=param,
-        sweep_param_value=float(value),
-        seed=int(seed),
-        L3=math.nan, L4=math.nan, L_total=math.nan,
-        lower_bound=lb,
-        u56=math.nan, u13=math.nan, u24=math.nan,
-        epochs_run=0,
-        wall_ms=0.0,
-        status=f"failed: {type(exc).__name__}: {exc}",
-    )
 
 
 def write_csv(records: list[ResultRecord], path) -> None:

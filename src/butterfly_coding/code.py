@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .model import (BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance,
-                    _is_identity, _non_reals)
+                    _is_identity, _non_reals, _real_array)
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
 
 
@@ -84,14 +84,18 @@ def _field_shapes(n: int, a: int, b: int, z: int) -> dict[str, tuple[int, int]]:
     return {name: views[name].shape[1:] for name in _MATRIX_FIELDS}
 
 
-def check_code_shapes(code: ButterflyCode, instance: ProblemInstance):
-    expected = _field_shapes(instance.n, instance.a, instance.b, instance.z)
-    for name, shape in expected.items():
-        got = getattr(code, name).shape
-        if got != shape:
-            raise BadDimensions(f"{name} has shape {got}, expected {shape}")
-        if not np.all(np.isfinite(getattr(code, name))):
+def check_code_shapes(code: ButterflyCode, instance: ProblemInstance) -> ButterflyCode:
+    """The code with each matrix a float array, once each is checked to hold
+    only finite real numbers in its shape for `instance`; BadDimensions
+    otherwise. Float arrays pass through uncopied."""
+    mats = {}
+    for name, shape in _field_shapes(instance.n, instance.a, instance.b, instance.z).items():
+        mats[name] = _real_array(name, getattr(code, name))
+        if mats[name].shape != shape:
+            raise BadDimensions(f"{name} has shape {mats[name].shape}, expected {shape}")
+        if not np.all(np.isfinite(mats[name])):
             raise BadDimensions(f"{name} contains non-finite entries")
+    return ButterflyCode(**mats)
 
 
 def _encoder_maps(code: ButterflyCode, instance: ProblemInstance) -> dict[str, np.ndarray]:

@@ -83,6 +83,17 @@ def _non_reals(value):
         yield value
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """`value` as a float array, once it is checked to hold only real
+    numbers; BadDimensions, naming the field `name`, otherwise."""
+    for entry in _non_reals(value):
+        raise BadDimensions(f"{name} must be an array of real numbers, got the entry {entry!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadDimensions(f"{name} must be an array of real numbers: {exc}") from None
+
+
 def _is_identity(psi) -> bool:
     """True iff psi is exactly the identity matrix, with no tolerance: its
     diagonal is all ones and it has no other nonzero entry (NaN counts as
@@ -99,14 +110,7 @@ def validate(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> P
     for name, value in (("n", n), ("a", a), ("b", b), ("z", z)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise BadDimensions(f"{name} must be an integer, got {value!r}")
-    mats = {}
-    for name in ("psi", "k3", "k4"):
-        for entry in _non_reals(getattr(instance, name)):
-            raise BadDimensions(f"{name} must be an array of real numbers, got the entry {entry!r}")
-        try:
-            mats[name] = np.asarray(getattr(instance, name), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise BadDimensions(f"{name} must be an array of real numbers: {exc}") from None
+    mats = {name: _real_array(name, getattr(instance, name)) for name in ("psi", "k3", "k4")}
     psi = mats["psi"]
     k3, k4 = np.atleast_2d(mats["k3"]), np.atleast_2d(mats["k4"])
     for name, k in (("k3", k3), ("k4", k4)):

@@ -12,30 +12,30 @@ more leading axis, so each product serves both. `train_lockstep` owns the
 batching: it takes any list of jobs, such as every trained cell of a sweep,
 groups them by shape and schedule, and caps each batch at _LOCKSTEP_BYTES;
 `train` is the batch of one. Each job passes one input gate first
-(train_lockstep), so all past it reads `validate`'s arrays. A descent is one
-code that steps, and a view is one job that reads it. A task_agnostic_coding
-code never reads its tasks, so such jobs whose descents read byte-equal
-inputs (factor height, learning rate, psi, start matrices and, for the
-empirical gradient, the seed) share one descent, with one view each; every
-other job is a descent with one view. A descent starts once, on its first
-view (`_start`: its matrices, the names of those it trains and its colour),
-and each view brings only its task factors. Each descent's code is one row
-of a preallocated array, in code.py's layout (`_offsets`), so that its
-matrices are views into the encoder maps the products need. The kernel works
-on each task's thin factor C, the R of a QR of K (min(rows, n) x n), since
-Tr(K R psi R^T K^T) = Tr(C R psi R^T C^T): a view's loss is one dot product
-(P psi) . P over its thin residual P = C R. Task-aware descents never form
-the n x n residual R = I - DA and take P = C - (C D) A; descents on the
-identity task form R once per pass, for their directions too, and each
-view's P is C R. One epoch loop steps the whole batch: the encoder maps, the
-relay chain, the descent directions and the update run once per descent, and
-each view keeps its own thin loss pass, trace row and divergence check
-against its own initial loss. The update is one masked multiply-add over the
-batch: each descent's step is 2 * learning_rate on the matrices its mode
-trains and 0 elsewhere. The batch keeps its shape for the whole run: a view
-that diverges comes back as its error, and a descent is retired in place
-once all of its views have. Descents never mix, so each job's arithmetic,
-and result, is the same in any batch.
+(train_lockstep), so all past it reads the float arrays of `validate` and
+`check_code_shapes`. A descent is one code that steps, and a view is one job
+that reads it. A task_agnostic_coding code never reads its tasks, so such
+jobs whose descents read byte-equal inputs (factor height, learning rate,
+psi, start matrices and, for the empirical gradient, the seed) share one
+descent, with one view each; every other job is a descent with one view. A
+descent starts once, on its first view (`_start`: its matrices, the names of
+those it trains and its colour), and each view brings only its task factors.
+Each descent's code is one row of a preallocated array, in code.py's layout
+(`_offsets`), so that its matrices are views into the encoder maps the
+products need. The kernel works on each task's thin factor C, the R of a QR
+of K (min(rows, n) x n), since Tr(K R psi R^T K^T) = Tr(C R psi R^T C^T): a
+view's loss is one dot product (P psi) . P over its thin residual P = C R.
+Task-aware descents never form the n x n residual R = I - DA and take
+P = C - (C D) A; descents on the identity task form R once per pass, for
+their directions too, and each view's P is C R. One epoch loop steps the
+whole batch: the encoder maps, the relay chain, the descent directions and
+the update run once per descent, and each view keeps its own thin loss pass,
+trace row and divergence check against its own initial loss. The update is
+one masked multiply-add over the batch: each descent's step is
+2 * learning_rate on the matrices its mode trains and 0 elsewhere. The batch
+keeps its shape for the whole run: a view that diverges comes back as its
+error, and its descent steps on unread. Descents never mix, so each job's
+arithmetic, and result, is the same in any batch.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def _start(job: TrainJob, tol: ToleranceConfig):
     sample batches. Its views bring their own task factors (_factors)."""
     instance, config = job.instance, job.config
     init = init_code(instance, config.seed, config.init_scale) if job.init is None else job.init
-    mats = {name: np.asarray(getattr(init, name), dtype=float) for name in _MATRIX_FIELDS}
+    mats = {name: getattr(init, name) for name in _MATRIX_FIELDS}
     trained = _MATRIX_FIELDS
     if config.mode == "task_aware_no_coding":
         mats["e56"] = _selection_e56(instance.z)
@@ -243,7 +243,7 @@ def _start(job: TrainJob, tol: ToleranceConfig):
         spec = spectrum(instance, tol) if job.spectrum is None else job.spectrum
         bench = greedy_benchmark_code(spec, tol)
         for name in ("e13", "e15", "e24", "e25", "e56"):
-            mats[name] = np.asarray(getattr(bench, name), dtype=float)
+            mats[name] = getattr(bench, name)
         trained = ("d3", "d4")
     colour = None
     if config.gradient == "empirical_batch":
@@ -252,8 +252,7 @@ def _start(job: TrainJob, tol: ToleranceConfig):
     return mats, trained, colour
 
 
-def _bytes(x) -> tuple:
-    x = np.asarray(x, dtype=float)
+def _bytes(x: np.ndarray) -> tuple:
     return x.shape, x.tobytes()
 
 
@@ -265,7 +264,7 @@ def _descent_key(i: int, job: TrainJob):
     an explicit init; arrays by shape and bytes) and, for the empirical
     gradient, the seed's sample stream. Every other job reads its own task
     factors and keys alone, by its index. The job has passed the input gate
-    of train_lockstep, so its instance holds validated arrays."""
+    of train_lockstep, so its instance and init hold float arrays."""
     config, instance = job.config, job.instance
     if config.mode != "task_agnostic_coding":
         return i
@@ -283,20 +282,19 @@ class _Batch:
     and divergence check. Only task_agnostic_coding descents have more than
     one view. Axis 0 of the code arrays runs over descents, sorted into
     groups (contiguous slices of one factor height, descent kind and view
-    count), and keeps every descent to the end: one whose views have all
-    diverged is retired in place, as a zero code that no longer moves. The
-    view arrays run over views, descent by descent. Arrays of both sinks
-    carry the sink on a leading axis of 2. A descent's code, step and
-    colour come from its one start, and each view brings its task factors.
-    `_stack` allocates every array a pass writes, once."""
+    count), and keeps every descent to the end, also one whose views have
+    all diverged. The view arrays run over views, descent by descent.
+    Arrays of both sinks carry the sink on a leading axis of 2. A descent's
+    code, step and colour come from its one start, and each view brings its
+    task factors. `_stack` allocates every array a pass writes, once."""
 
     ids: np.ndarray                # (W,) job index of each view
     owner: np.ndarray              # (W,) descent of each view
     rows: np.ndarray               # (B, P) each descent's code, laid out as in _offsets
     grad: np.ndarray               # (B, P) descent directions, same layout
     # (B, P) 2 * learning_rate where a descent's trained matrices sit, 0
-    # elsewhere: outside the link blocks, on A's relay rows, on the
-    # matrices its mode freezes and on a retired descent's row
+    # elsewhere: outside the link blocks, on A's relay rows and on the
+    # matrices its mode freezes
     step: np.ndarray
     maps: dict[str, np.ndarray]    # _views of rows
     dirs: dict[str, np.ndarray]    # _views of grad
@@ -322,7 +320,6 @@ class _Batch:
     # and samples, (B, batch, n); and their psi estimates, (B, n, n)
     samples: tuple
     trace: np.ndarray              # (W, epochs, 3)
-    initial: np.ndarray            # (W,) total loss before the first update
 
 
 def _dims(instance: ProblemInstance) -> tuple[int, int, int, int]:
@@ -411,7 +408,6 @@ def _stack(jobs: list[TrainJob], started: list) -> _Batch:
         losses=losses,
         samples=samples,
         trace=np.zeros((len(ids), config.epochs, 3)),
-        initial=np.zeros(len(ids)),
     )
 
 
@@ -490,11 +486,10 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
     run makes epochs + 1 residual passes. The update is one masked
     multiply-add, rows += step * grad. Each view checks its own total
     against its own initial loss; a view that diverges gets its error in
-    `out`, and its descent steps on for the views left. A descent none of
-    whose views is left is retired in place: its row, directions and step
-    go to zero. Overflow in a diverging descent is expected and only its
-    views' non-finite totals are read, so numpy's floating-point warnings
-    are off for the loop."""
+    `out`, and its descent steps on, also once none of its views is left,
+    since no product mixes descents. Overflow in a diverging descent is
+    expected and only live views are read, so numpy's floating-point
+    warnings are off for the loop."""
     live = np.ones(len(bt.ids), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(epochs + 1):
@@ -503,8 +498,8 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
                 _sample_psi(bt, batch_size)
             losses = _evaluate(bt, descend)
             if t == 0:
-                bt.initial = losses[0] + losses[1]
-                limit = 10.0 * bt.initial
+                initial = losses[0] + losses[1]
+                limit = 10.0 * initial
             else:
                 row = bt.trace[:, t - 1]
                 row[:, :2] = losses.T
@@ -514,14 +509,11 @@ def _descend(bt: _Batch, epochs: int, batch_size: int, out: list) -> None:
                     for j in np.flatnonzero(failed):
                         out[bt.ids[j]] = DivergenceDetected(
                             f"L_total={float(total[j]):.6g} exceeded 10x initial "
-                            f"{float(bt.initial[j]):.6g} at epoch {t - 1}; "
+                            f"{float(initial[j]):.6g} at epoch {t - 1}; "
                             f"reduce learning_rate")
                     live &= ~failed
                     if not live.any():
                         return
-                    retired = np.ones(len(bt.rows), dtype=bool)
-                    retired[bt.owner[live]] = False
-                    bt.rows[retired] = bt.grad[retired] = bt.step[retired] = 0.0
             if not descend:
                 break
             np.multiply(bt.grad, bt.step, out=bt.grad)
@@ -566,10 +558,11 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     within a batch. Returns one entry per job, in job order: the (code,
     trace) pair `train` would return, or the exception that stopped that
     job alone. Each job first passes one input gate, before it is grouped:
-    its instance becomes validate(instance, tol), a given init must fit it
-    (check_code_shapes) and a given spectrum must be of that very instance
-    object; a job that fails returns the error. Each descent then starts
-    once, on its first view, and a start that fails is every view's error.
+    its instance becomes validate(instance, tol), a given init becomes
+    check_code_shapes(init, instance), float arrays that fit it, and a
+    given spectrum must be of that very instance object; a job that fails
+    returns the error. Each descent then starts once, on its first view,
+    and a start that fails is every view's error.
     One epoch loop steps each batch: each pass forms the encoder maps, the
     relay chain, the descent directions and the update once per descent,
     and each view's thin loss pass, trace row and divergence check on its
@@ -584,14 +577,13 @@ def train_lockstep(jobs, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     for i, job in enumerate(jobs):
         try:
             instance = validate(job.instance, tol)
-            if job.init is not None:
-                check_code_shapes(job.init, instance)
+            init = None if job.init is None else check_code_shapes(job.init, instance)
             if job.spectrum is not None and job.spectrum.instance is not job.instance:
                 raise ValueError("TrainJob.spectrum was computed from another instance")
         except _MEMBER_ERRORS as exc:
             out[i] = exc
             continue
-        jobs[i] = job = replace(job, instance=instance)
+        jobs[i] = job = replace(job, instance=instance, init=init)
         c = job.config
         key = (*_dims(instance), c.epochs, c.gradient, c.batch_size)
         groups.setdefault(key, {}).setdefault(_descent_key(i, job), []).append(i)

@@ -15,6 +15,7 @@ from butterfly_coding import (
     ConfigError,
     DivergenceDetected,
     InfeasibleSpec,
+    InvalidSpan,
     ProblemInstance,
     ResultRecord,
     SyntheticSpec,
@@ -327,6 +328,50 @@ class TestRunSweep:
     def test_missing_sweep_section(self):
         with pytest.raises(ConfigError, match="sweep"):
             run_sweep({"train": {}})
+
+    @pytest.mark.parametrize("key, entries, repeated", [
+        ("approaches", ["task_aware_coding", "analytic_construction", "task_aware_coding"],
+         "'task_aware_coding'"),
+        ("values", [4, 6, 6], "6"),
+        ("seeds", [0, 1, 0], "0"),
+    ])
+    def test_repeated_entry_rejected(self, key, entries, repeated):
+        # a repeated entry used to write each of its records twice
+        config = small_sweep_config(**({"seeds": entries} if key == "seeds"
+                                       else {"sweep": {key: entries}}))
+        with pytest.raises(ConfigError, match=re.escape(f'"{key}" lists {repeated} twice')):
+            run_sweep(config)
+
+    def test_failed_evaluation_fails_its_record_alone(self, monkeypatch):
+        # the utilities of the first cell's construction and of the last
+        # cell's trained code raise; each fails its own record, and the
+        # others stay ok
+        built = []
+        construct, evaluate = bench_module.construct_lb_code, bench_module.utilities
+
+        def recorded(spec, tol):
+            built.append((spec, construct(spec, tol)))
+            return built[-1][1]
+
+        def failing(code, spec, tol):
+            constructed = any(code is c for _, c in built)
+            if code is built[0][1] or (not constructed and spec is built[-1][0]):
+                raise InvalidSpan("phi13 leaves node 1's observation span")
+            return evaluate(code, spec, tol)
+
+        monkeypatch.setattr(bench_module, "construct_lb_code", recorded)
+        monkeypatch.setattr(bench_module, "utilities", failing)
+        records = run_sweep(small_sweep_config())
+        assert len(built) == 4 and len(records) == 8
+        failed = {(r.sweep_param_value, r.approach, r.seed): r for r in records
+                  if r.status != "ok"}
+        assert set(failed) == {(4.0, "analytic_construction", 0), (6.0, "task_aware_coding", 1)}
+        for rec in failed.values():
+            assert rec.status == "failed: InvalidSpan: phi13 leaves node 1's observation span"
+            assert all(math.isnan(getattr(rec, name))
+                       for name in ("L3", "L4", "L_total", "u56", "u13", "u24"))
+            assert (rec.epochs_run, rec.wall_ms) == (0, 0.0)
+            assert not math.isnan(rec.lower_bound)
 
     def test_deterministic_modulo_wall_time(self, tmp_path):
         config = small_sweep_config()

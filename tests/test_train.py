@@ -770,7 +770,8 @@ class TestSharedDescents:
         assert keys[0] == keys[1] and keys[2] == keys[3] != keys[4]
         results = train_lockstep(jobs)
         assert descents == [[[2, 3]]]
-        assert [job.init for job in starts] == [good]
+        assert [[getattr(job.init, name).tobytes() for name in FIELDS] for job in starts] == [
+            [getattr(good, name).tobytes() for name in FIELDS]]
         assert results[0] is not results[1]
         for i in (0, 1, 4):
             with pytest.raises(BadDimensions) as alone:
@@ -842,6 +843,31 @@ class TestInputGate:
         assert isinstance(results[0], ValueError)
         assert "another instance" in str(results[0])
         assert_same_run(results[1], train(first, config))
+
+    def test_list_valued_init_trains_as_its_arrays(self):
+        # the gate converts a list-valued init, which once raised
+        # AttributeError out of it and lost every other job of the call
+        inst, = same_dims_instances(np.random.default_rng(46), 1)
+        init = init_code(inst, 3)
+        listed = ButterflyCode(**{name: getattr(init, name).tolist() for name in FIELDS})
+        configs = [TrainConfig(epochs=20, learning_rate=0.02, mode=mode) for mode in MODES]
+        plain = TrainJob(inst, replace(configs[0], seed=1))
+        results = train_lockstep([TrainJob(inst, config, listed) for config in configs] + [plain])
+        for config, got in zip(configs, results):
+            assert_same_run(got, train(inst, config, init))
+        assert_same_run(results[-1], train(inst, plain.config))
+
+    def test_init_with_a_string_entry_fails_alone(self):
+        inst, = same_dims_instances(np.random.default_rng(47), 1)
+        init = init_code(inst, 3)
+        e13 = init.e13.tolist()
+        e13[0][0] = "0.5"
+        config = TrainConfig(epochs=20, learning_rate=0.02)
+        results = train_lockstep([TrainJob(inst, config, replace(init, e13=e13)),
+                                  TrainJob(inst, config, init)])
+        assert isinstance(results[0], BadDimensions)
+        assert str(results[0]) == "e13 must be an array of real numbers, got the entry '0.5'"
+        assert_same_run(results[1], train(inst, config, init))
 
 
 class TestKernelLoss:
