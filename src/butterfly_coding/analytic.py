@@ -56,9 +56,11 @@ class ConditionReport:
 
 def _analyze(spec: TaskSpectrum,
              tol: ToleranceConfig) -> tuple[ConditionReport, tuple[Basis, ...]]:
-    """The condition report and the bases it was decided on:
-    (b3, b4, i13, i24, i34, j13, j24), where j13 = i13 + i34 and
-    j24 = i24 + i34 are the spans the coverage conditions test.
+    """The condition report and the bases the construction reads:
+    (b3, b4, i13, i24, i34). The coverage conditions sf1 and sf2 test
+    b3 against i13 + i34 and b4 against i24 + i34; those joins stay local,
+    since the construction's extend_from_pool calls decide the same
+    coverage by their own picks (see extend_from_pool).
 
     L is lower-triangular, so node 1's observation span is exactly the first
     a whitened axes: it is never factored, and its intersections are
@@ -79,10 +81,8 @@ def _analyze(spec: TaskSpectrum,
     r_plus = b3.dim + b4.dim - i34.dim
     floor = min(z, n - z)
     necessary_ok = (r_plus <= 3 * z) and (i13.dim >= floor) and (i24.dim >= floor)
-    j13 = join(i13, i34, tol)
-    j24 = join(i24, i34, tol)
-    sf1 = is_subspace_of(b3, j13, tol)
-    sf2 = is_subspace_of(b4, j24, tol)
+    sf1 = is_subspace_of(b3, join(i13, i34, tol), tol)
+    sf2 = is_subspace_of(b4, join(i24, i34, tol), tol)
     nc_free = is_subspace_of(i34, _coordinate_cut(b2, a, tol), tol)
     gap_scale = tol.rank_tol * max(1.0, float(spec.mu3[0]), float(spec.mu4[0]))
     report = ConditionReport(
@@ -99,7 +99,7 @@ def _analyze(spec: TaskSpectrum,
         corollary_dim=n <= z + min(instance.a, instance.b),
         sufficient_ok=necessary_ok and sf1 and sf2,
     )
-    return report, (b3, b4, i13, i24, i34, j13, j24)
+    return report, (b3, b4, i13, i24, i34)
 
 
 def sufficient_report(spec: TaskSpectrum,
@@ -125,17 +125,16 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
     sends private directions of the task intersection on its direct link and
     the relay carries their pairwise sums, letting each sink subtract its own
     contribution. The relay's remaining columns complete the task
-    intersection. `bases` are _analyze's; the intersections with node 1's
-    span are coordinate cuts, as there.
+    intersection. `bases` are _analyze's, on a cell where sufficient_ok
+    holds; the intersections with node 1's span are coordinate cuts, as
+    there. b3 and b4 hold 2Z columns each, so r+ <= 3Z leaves
+    r34 = 4Z - r+ >= Z, and sf1/sf2 make both extensions feasible.
     """
     n, a, z = instance.n, instance.a, instance.z
-    b3, b4, i13, i24, i34, j13, j24 = bases
+    b3, b4, i13, i24, i34 = bases
     r34 = i34.dim
-    if r34 < z:
-        # impossible under r+ <= 3Z since r+ + r- = 4Z here
-        raise PreconditionNotMet(f"task intersection dimension {r34} below Z={z}")
-    excl3 = extend_from_pool(i34, i13, b3, tol, cover=j13)
-    excl4 = extend_from_pool(i34, i24, b4, tol, cover=j24)
+    excl3 = extend_from_pool(i34, i13, b3, tol)
+    excl4 = extend_from_pool(i34, i24, b4, tol)
     i234 = intersect(i24, b3, tol)
     i1234 = _coordinate_cut(i234, a, tol)
     k_both = min(i1234.dim, r34 - z)

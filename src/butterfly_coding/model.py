@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,9 +240,15 @@ def _tail(w: np.ndarray, n: int, cut: int, tol: ToleranceConfig) -> float:
     return float(padded[cut:].sum())
 
 
+def _check_capacity(z: int) -> None:
+    if z < 0:
+        raise BadDimensions(f"capacity z must be at least 0, got {z}")
+
+
 def lower_bound(spec: TaskSpectrum, z: int, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Sum of both tasks' eigenvalues past index 2Z, each task's noise floor
-    counted as zero (see _tail). Zero when 2Z >= n."""
+    counted as zero (see _tail). Zero when 2Z >= n; z must be at least 0."""
+    _check_capacity(z)
     return _tail(spec.mu3, spec.n, 2 * z, tol) + _tail(spec.mu4, spec.n, 2 * z, tol)
 
 
@@ -264,8 +271,9 @@ def task_pca(k: np.ndarray, psi: np.ndarray, z: int,
     The encoder projects onto the top-Z eigenvectors of the Gram matrix in
     whitened coordinates; the decoder is the closed-form least-squares inverse.
     The loss is the sum of the trailing eigenvalues, the noise floor
-    counted as zero (see _tail).
+    counted as zero (see _tail). z must be at least 0.
     """
+    _check_capacity(z)
     k = np.atleast_2d(np.asarray(k, dtype=float))
     psi = np.asarray(psi, dtype=float)
     chol = _cholesky(0.5 * (psi + psi.T), tol)
@@ -402,13 +410,17 @@ def instance_from_json(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> Problem
 def covariance_from_samples(samples: np.ndarray) -> np.ndarray:
     """Empirical covariance (1/N) sum x x^T after mean removal. Rows are samples."""
     x = np.atleast_2d(np.asarray(samples, dtype=float))
+    if x.shape[0] == 0:
+        raise BadDimensions("sample matrix has no rows")
     x = x - x.mean(axis=0, keepdims=True)
     return x.T @ x / x.shape[0]
 
 
 def load_samples_csv(path) -> np.ndarray:
-    """Numeric CSV with one sample per row."""
+    """Numeric CSV with one sample per row; an empty file gives no rows."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise OSError(f"cannot read sample matrix from {path}: {exc}") from exc

@@ -290,30 +290,26 @@ def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
 
 
 def extend_from_pool(core: Basis, pool: Basis, target: Basis,
-                     tol: ToleranceConfig = DEFAULT_TOL,
-                     cover: Basis | None = None) -> np.ndarray:
+                     tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The (n, target.dim - core.dim) matrix of pool vectors that extend the
     core to a basis of the target.
 
     The core must lie inside the target; the pool need not, in which case
-    selection happens inside pool intersect target (by modularity this
-    preserves feasibility whenever span(core union pool) covers the target).
-    `cover` is join(core, pool) when the caller has already built it (None
-    builds it).
+    the picks come from pool intersect target. That loses nothing: with the
+    core inside the target, the modular law gives
+    (core + pool) intersect target = core + (pool intersect target), so
+    span(core union pool) covers the target exactly when the pool's part in
+    the target extends the core to it. _greedy_pick's "pool exhausted"
+    InfeasibleExtension is therefore the coverage test, made once.
     """
     _check_same_ambient(core, pool)
     _check_same_ambient(core, target)
     if not is_subspace_of(core, target, tol):
         raise ValueError("core must be a subspace of target")
+    # is_subspace_of passes only with core.dim <= target.dim
     need = target.dim - core.dim
-    if need < 0:
-        raise ValueError("core dimension exceeds target dimension")
     if need == 0:
         return np.zeros((core.ambient_dim, 0))
-    if cover is None:
-        cover = join(core, pool, tol)
-    if not is_subspace_of(target, cover, tol):
-        raise InfeasibleExtension("span(core union pool) does not cover target")
     effective = pool
     if not is_subspace_of(pool, target, tol):
         effective = intersect(pool, target, tol)

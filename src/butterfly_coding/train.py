@@ -182,7 +182,7 @@ def greedy_benchmark_code(spec: TaskSpectrum,
         mw, mv = np.linalg.eigh(comp.vectors.T @ gram @ comp.vectors)
         tilde = comp.vectors @ mv[:, np.argsort(mw)[::-1][:z]]
         target = orthonormal_basis(np.hstack([tilde, phi56[:, :t56]]), tol)
-        picked = extend_from_pool(b56, pool, target, tol, cover=joint)
+        picked = extend_from_pool(b56, pool, target, tol)
         direct = np.zeros((n, z))
         direct[:, :picked.shape[1]] = picked
         return direct

@@ -394,6 +394,15 @@ class TestLowerBound:
         assert lower_bound_of(inst) == 1.0
         assert lower_bound(spectrum(inst), 1) == 1.0
 
+    def test_negative_capacity_rejected(self):
+        # before the check, z = -3 summed the last three eigenvalues, 6 to
+        # rounding, between the bound at z = 0 (20.0) and at z = 2 (0.0)
+        spec = spectrum(gen_synthetic(SyntheticSpec(n=8, z=2, a=6, b=6, r_plus_target=6)))
+        assert lower_bound(spec, 0) == 20.0
+        assert lower_bound(spec, 2) == 0.0
+        with pytest.raises(BadDimensions, match="capacity z must be at least 0, got -3"):
+            lower_bound(spec, -3)
+
     def test_matches_instance_level_helper(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
@@ -403,6 +412,16 @@ class TestLowerBound:
 
 
 class TestTaskPCA:
+    def test_negative_capacity_rejected(self):
+        # before the check, z = -1 gave a 7 x 8 encoder with loss 0.0;
+        # z = 0 stays valid: an empty encoder that loses the whole task
+        inst = gen_synthetic(SyntheticSpec(n=8, z=2, a=6, b=6, r_plus_target=6))
+        enc, dec, loss = task_pca(inst.k3, inst.psi, 0)
+        assert enc.shape == (0, 8) and dec.shape == (8, 0)
+        assert loss == 10.0
+        with pytest.raises(BadDimensions, match="capacity z must be at least 0, got -1"):
+            task_pca(inst.k3, inst.psi, -1)
+
     def test_full_capacity_exact(self):
         enc, dec, loss = task_pca(np.eye(3), np.eye(3), 3)
         assert loss <= 1e-12
@@ -520,3 +539,15 @@ class TestSerialization:
         x = load_samples_csv(path)
         assert x.shape == (3, 2)
         assert np.allclose(x[1], [3.0, 4.0])
+
+    def test_empty_samples_csv_rejected_without_warnings(self, tmp_path):
+        # numpy warns on an empty file and on the mean of no rows; neither
+        # may escape, and the empty sample matrix is a domain error
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = load_samples_csv(path)
+            assert x.shape[0] == 0
+            with pytest.raises(BadDimensions, match="sample matrix has no rows"):
+                covariance_from_samples(x)

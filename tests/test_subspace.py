@@ -237,21 +237,31 @@ def test_property_battery():
             assert grown.dim == target.dim
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_extend_from_pool_with_the_cover_built_equals_without(seed):
-    # a caller that holds join(core, pool) passes it as the cover, and gets
-    # the matrix extend_from_pool returns when it builds the join itself;
-    # the target takes part of the pool, so the picks come from pool ∩ target
+def test_extend_from_pool_fails_exactly_when_the_pool_cannot_cover_the_target(seed):
+    # the core lies in the target, and the pool mixes directions of the
+    # target with random ones; by the modular law the picks run out exactly
+    # when span(core union pool) misses part of the target
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 13))
-    a = orthonormal_basis(rng.normal(size=(n, int(rng.integers(0, n + 1)))))
-    pool = orthonormal_basis(rng.normal(size=(n, int(rng.integers(0, n + 1)))))
-    target = join(a, Basis(pool.vectors[:, :int(rng.integers(0, pool.dim + 1))]))
-    got = extend_from_pool(a, pool, target, cover=join(a, pool))
-    want = extend_from_pool(a, pool, target)
-    assert got.shape == want.shape == (n, target.dim - a.dim)
-    assert got.tobytes() == want.tobytes()
+    target = orthonormal_basis(rng.normal(size=(n, int(rng.integers(0, n + 1)))))
+    t = target.dim
+    core = orthonormal_basis(target.vectors @ rng.normal(size=(t, int(rng.integers(0, t + 1)))))
+    inside = target.vectors @ rng.normal(size=(t, int(rng.integers(0, t + 1))))
+    outside = rng.normal(size=(n, int(rng.integers(0, n + 1))))
+    pool = orthonormal_basis(np.hstack([inside, outside]))
+    covers = is_subspace_of(target, join(core, pool))
+    try:
+        picks = extend_from_pool(core, pool, target)
+    except InfeasibleExtension:
+        assert not covers
+        return
+    assert covers
+    assert picks.shape == (n, t - core.dim)
+    grown = orthonormal_basis(np.hstack([core.vectors, picks]))
+    assert grown.dim == t
+    assert is_subspace_of(grown, target) and is_subspace_of(target, grown)
 
 
 def _greedy_pick_by_loop(current, pool, count, tol):
@@ -625,20 +635,22 @@ def test_analyze_on_a_nested_cell_makes_no_svd_in_join(r_plus, seed, monkeypatch
     inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=r_plus,
                                        seed=seed))
     spec = spectrum(inst)
-    in_join = []
+    in_join, joins = [], []
     real_join = analytic.join
 
     def counted_join(*args, **kwargs):
         before = calls[0]
         result = real_join(*args, **kwargs)
         in_join.append(calls[0] - before)
+        joins.append(result)
         return result
 
     monkeypatch.setattr(analytic, "join", counted_join)
     with counting_svd() as calls:
-        _, (_, _, i13, i24, i34, j13, j24) = analytic._analyze(spec, DEFAULT_TOL)
+        _, (_, _, i13, i24, i34) = analytic._analyze(spec, DEFAULT_TOL)
     assert is_subspace_of(i34, i13) and is_subspace_of(i34, i24)
     assert in_join == [0, 0]
+    j13, j24 = joins
     # the counter sees the analysis's other SVDs
     assert calls[0] > 0
     assert j13.dim == i13.dim and j24.dim == i24.dim

@@ -14,6 +14,7 @@ from butterfly_coding import (
     DivergenceDetected,
     ProblemInstance,
     SyntheticSpec,
+    ToleranceConfig,
     TrainConfig,
     TrainJob,
     construct_lb_code,
@@ -1013,6 +1014,15 @@ class TestGreedyBenchmark:
         lb = lower_bound_of(inst)
         total = exact_loss(code, inst)[2]
         assert total <= lb + 1e-8 * (1 + lb)
+
+    def test_below_rounding_the_pool_decides_feasibility(self):
+        # at rank_tol 1e-15 a separate coverage test refused this cell ("does
+        # not cover target"); the picks themselves find the pool sufficient
+        tol = ToleranceConfig(rank_tol=1e-15)
+        inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=20, seed=0))
+        code = greedy_benchmark_code(spectrum(inst, tol), tol)
+        assert isinstance(code, ButterflyCode) and code.e13.shape == (8, 24)
+        assert np.isfinite(exact_loss(code, inst)[2])
 
     def test_greedy_not_globally_optimal(self):
         inst = greedy_trap_instance()
