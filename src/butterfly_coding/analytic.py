@@ -64,14 +64,14 @@ def _analyze(spec: TaskSpectrum,
 
     L is lower-triangular, so node 1's observation span is exactly the first
     a whitened axes: it is never factored, and its intersections are
-    coordinate cuts. For psi = I, L = I and node 2's span is the last b
-    axes: its basis is spec.obs2 as it stands."""
+    coordinate cuts. Node 2's span is that of the last b rows of L; for
+    psi = I, L = I and those rows, as columns, are its basis as they stand.
+    The eigengap flags read mu_m - mu_{m+1} at m = min{2Z, n} (mu_m itself
+    if m = n)."""
     instance = spec.instance
     n, a, z = instance.n, instance.a, instance.z
-    if _is_identity(instance.psi):
-        b2 = Basis(spec.obs2.copy())
-    else:
-        b2 = orthonormal_basis(spec.obs2, tol)
+    obs2 = spec.cholesky_l[n - instance.b :, :].T.copy()
+    b2 = Basis(obs2) if _is_identity(instance.psi) else orthonormal_basis(obs2, tol)
     b3, b4 = task_bases(spec)
     i34 = intersect(b3, b4, tol)
     i13 = _coordinate_cut(b3, a, tol)
@@ -85,9 +85,11 @@ def _analyze(spec: TaskSpectrum,
     sf2 = is_subspace_of(b4, join(i24, i34, tol), tol)
     nc_free = is_subspace_of(i34, _coordinate_cut(b2, a, tol), tol)
     gap_scale = tol.rank_tol * max(1.0, float(spec.mu3[0]), float(spec.mu4[0]))
+    m = min(2 * z, n)
+    gap3, gap4 = (float(mu[m - 1] - (mu[m] if m < n else 0.0)) for mu in (spec.mu3, spec.mu4))
     report = ConditionReport(
-        eigengap_ok3=spec.eigengap3 > gap_scale,
-        eigengap_ok4=spec.eigengap4 > gap_scale,
+        eigengap_ok3=gap3 > gap_scale,
+        eigengap_ok4=gap4 > gap_scale,
         r_plus_34=r_plus,
         r_minus_34=i34.dim,
         r_minus_13=i13.dim,

@@ -353,7 +353,7 @@ def run_sweep(config: dict, tol: ToleranceConfig | None = None) -> list[ResultRe
             try:
                 instance = gen_synthetic(replace(template, seed=seed, **swept), tol)
                 spec_obj = spectrum(instance, tol)
-                lb = lower_bound(spec_obj, template.z, tol)
+                lb = lower_bound(spec_obj, tol)
             except _SWEEP_ERRORS as exc:
                 records += [_record((approach, param, value, seed, lb), exc, None, None, tol)
                             for approach in approaches]
@@ -492,7 +492,7 @@ def _cmd_construct(config, out, tol) -> int:
     spec = spectrum(instance, tol)
     code = construct_lb_code(spec, tol)
     _, _, total = exact_loss(code, instance)
-    bound = float(lower_bound(spec, instance.z, tol))
+    bound = float(lower_bound(spec, tol))
     losses = f"L_total={float(total)!r} lower_bound={bound!r}"
     if not total <= bound + _BOUND_RTOL * max(1.0, abs(bound)):
         raise ValueError(f"the construction misses the lower bound: {losses}")
@@ -526,16 +526,11 @@ class _PcaBlock:
     """A config's "pca" block: the task matrix the pca command compresses."""
     task: str = "k3"
 
-    def __post_init__(self):
-        if self.task not in ("k3", "k4"):
-            raise ValueError(f"pca task must be \"k3\" or \"k4\", got {self.task!r}")
-
 
 def _cmd_pca(config, out, tol) -> int:
     which = _block(_PcaBlock, config.get("pca", {}), "pca").task
     instance = _instance_from_config(config, tol)
-    k = instance.k3 if which == "k3" else instance.k4
-    encoder, decoder, loss = task_pca(k, instance.psi, instance.z, tol)
+    encoder, decoder, loss = task_pca(spectrum(instance, tol), which, tol)
     _emit(json.dumps({
         "task": which,
         "encoder": encoder.tolist(),

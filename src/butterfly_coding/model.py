@@ -1,5 +1,11 @@
-"""Problem instances, whitening, Gram spectra, the total-loss lower bound,
-and the single-link optimum.
+"""Problem instances, whitening, Gram spectra, and what is read off a
+spectrum at its instance's capacity Z: the total-loss lower bound and the
+single-link optimum.
+
+A TaskSpectrum holds only what `spectrum` factors: the instance, L, the
+whitened task Grams and their eigenpairs. Whatever else is derived from
+them (the top eigenvector blocks, the eigengaps, the observation spans) is
+computed where it is read.
 
 Conventions fixed here and relied on everywhere else:
   - Observation 1 is the first `a` coordinates of x, observation 2 the last `b`.
@@ -176,12 +182,6 @@ class TaskSpectrum:
     mu4: np.ndarray
     u3: np.ndarray           # full eigenvector matrices, column i for mu_i
     u4: np.ndarray
-    top3: np.ndarray         # first min{2Z, n} eigenvector columns
-    top4: np.ndarray
-    obs1: np.ndarray         # observation span of node 1: first a rows of L, as columns
-    obs2: np.ndarray
-    eigengap3: float         # mu_m - mu_{m+1} at m = min{2Z, n} (mu_m itself if m = n)
-    eigengap4: float
 
     @property
     def n(self) -> int:
@@ -211,20 +211,8 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
         s4 = chol.T @ inst.k4.T @ inst.k4 @ chol
     mu3, u3 = _descending_eigh(s3)
     mu4, u4 = _descending_eigh(s4)
-    m = min(2 * inst.z, inst.n)
-    gap3 = float(mu3[m - 1] - (mu3[m] if m < inst.n else 0.0))
-    gap4 = float(mu4[m - 1] - (mu4[m] if m < inst.n else 0.0))
-    return TaskSpectrum(
-        instance=inst,
-        cholesky_l=chol,
-        s3=s3, s4=s4,
-        mu3=mu3, mu4=mu4,
-        u3=u3, u4=u4,
-        top3=u3[:, :m], top4=u4[:, :m],
-        obs1=chol[: inst.a, :].T.copy(),
-        obs2=chol[inst.n - inst.b :, :].T.copy(),
-        eigengap3=gap3, eigengap4=gap4,
-    )
+    return TaskSpectrum(instance=inst, cholesky_l=chol, s3=s3, s4=s4,
+                        mu3=mu3, mu4=mu4, u3=u3, u4=u4)
 
 
 def _tail(w: np.ndarray, n: int, cut: int, tol: ToleranceConfig) -> float:
@@ -240,16 +228,12 @@ def _tail(w: np.ndarray, n: int, cut: int, tol: ToleranceConfig) -> float:
     return float(padded[cut:].sum())
 
 
-def _check_capacity(z: int) -> None:
-    if z < 0:
-        raise BadDimensions(f"capacity z must be at least 0, got {z}")
-
-
-def lower_bound(spec: TaskSpectrum, z: int, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Sum of both tasks' eigenvalues past index 2Z, each task's noise floor
-    counted as zero (see _tail). Zero when 2Z >= n; z must be at least 0."""
-    _check_capacity(z)
-    return _tail(spec.mu3, spec.n, 2 * z, tol) + _tail(spec.mu4, spec.n, 2 * z, tol)
+def lower_bound(spec: TaskSpectrum, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Sum of both tasks' eigenvalues past index 2Z, at the spectrum's
+    capacity Z, each task's noise floor counted as zero (see _tail). Zero
+    when 2Z >= n."""
+    cut = 2 * spec.z
+    return _tail(spec.mu3, spec.n, cut, tol) + _tail(spec.mu4, spec.n, cut, tol)
 
 
 def lower_bound_of(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -264,27 +248,24 @@ def lower_bound_of(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL
                for k in (instance.k3, instance.k4))
 
 
-def task_pca(k: np.ndarray, psi: np.ndarray, z: int,
-             tol: ToleranceConfig = DEFAULT_TOL):
-    """Single-link optimum: (encoder Z x n, decoder n x Z, loss).
+def task_pca(spec: TaskSpectrum, task: str, tol: ToleranceConfig = DEFAULT_TOL):
+    """Single-link optimum of task "k3" or "k4" at the spectrum's capacity Z:
+    (encoder Z x n, decoder n x Z, loss).
 
-    The encoder projects onto the top-Z eigenvectors of the Gram matrix in
-    whitened coordinates; the decoder is the closed-form least-squares inverse.
-    The loss is the sum of the trailing eigenvalues, the noise floor
-    counted as zero (see _tail). z must be at least 0.
+    The encoder projects onto the top-Z eigenvectors of the task's Gram
+    matrix in whitened coordinates; the decoder is the closed-form
+    least-squares inverse. The loss is the sum of the trailing eigenvalues,
+    the noise floor counted as zero (see _tail).
     """
-    _check_capacity(z)
-    k = np.atleast_2d(np.asarray(k, dtype=float))
-    psi = np.asarray(psi, dtype=float)
-    chol = _cholesky(0.5 * (psi + psi.T), tol)
-    s = chol.T @ k.T @ k @ chol
-    mu, u = _descending_eigh(s)
+    if task not in ("k3", "k4"):
+        raise ValueError(f"pca task must be \"k3\" or \"k4\", got {task!r}")
+    mu, u = (spec.mu3, spec.u3) if task == "k3" else (spec.mu4, spec.u4)
+    chol, z = spec.cholesky_l, spec.z
     uz = u[:, :z]
     # encoder = U_Z^T L^{-1}; solve L^T X = U_Z instead of forming the inverse
     enc = solve_triangular(chol, uz, lower=True, trans="T").T
     dec = chol @ uz
-    loss = _tail(mu, mu.size, z, tol)
-    return enc, dec, loss
+    return enc, dec, _tail(mu, spec.n, z, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,8 +359,9 @@ def whiten(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> Whi
 
 
 def task_bases(spec: TaskSpectrum) -> tuple[Basis, Basis]:
-    """The two top eigenvector blocks as Basis values."""
-    return Basis(spec.top3.copy()), Basis(spec.top4.copy())
+    """The two tasks' top m = min{2Z, n} eigenvector columns as Basis values."""
+    m = min(2 * spec.z, spec.n)
+    return Basis(spec.u3[:, :m].copy()), Basis(spec.u4[:, :m].copy())
 
 
 def instance_to_json(instance: ProblemInstance) -> str:

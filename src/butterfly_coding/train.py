@@ -59,6 +59,7 @@ from .code import (
 )
 from .model import ProblemInstance, TaskSpectrum, _is_identity, spectrum, validate
 from .subspace import (
+    Basis,
     DEFAULT_TOL,
     InfeasibleExtension,
     ToleranceConfig,
@@ -178,7 +179,10 @@ def greedy_benchmark_code(spec: TaskSpectrum,
         # FOUND 16)
         joint = orthonormal_basis(np.hstack([b56.vectors, pool.vectors]), tol)
         resid = joint.vectors - b56.vectors @ (b56.vectors.T @ joint.vectors)
-        comp = orthonormal_basis(resid, tol)
+        # a residual of Frobenius norm <= rank_tol holds no direction, as in
+        # subspace._outside; its SVD's relative rule would keep rounding noise
+        comp = (orthonormal_basis(resid, tol) if np.linalg.norm(resid) > tol.rank_tol
+                else Basis.empty(n))
         mw, mv = np.linalg.eigh(comp.vectors.T @ gram @ comp.vectors)
         tilde = comp.vectors @ mv[:, np.argsort(mw)[::-1][:z]]
         target = orthonormal_basis(np.hstack([tilde, phi56[:, :t56]]), tol)
@@ -187,9 +191,10 @@ def greedy_benchmark_code(spec: TaskSpectrum,
         direct[:, :picked.shape[1]] = picked
         return direct
 
+    chol, a, b = spec.cholesky_l, spec.instance.a, spec.instance.b
     spans = CodeSpans(
-        phi13=side(spec.obs1, spec.s3),
-        phi24=side(spec.obs2, spec.s4),
+        phi13=side(chol[:a, :].T.copy(), spec.s3),
+        phi24=side(chol[n - b :, :].T.copy(), spec.s4),
         phi56=phi56,
     )
     return realize_spans(spans, spec, tol)

@@ -65,7 +65,7 @@ def test_01_single_link_optimum():
     for _ in range(200):
         inst = random_pd_instance(rng, n_max=16)
         k, psi, z = inst.k3, inst.psi, inst.z
-        enc, dec, loss = task_pca(k, psi, z)
+        enc, dec, loss = task_pca(spectrum(inst), "k3")
         chol = np.linalg.cholesky(psi)
         mu = np.linalg.eigvalsh(chol.T @ k.T @ k @ chol)[::-1]
         want = float(np.clip(mu[z:], 0.0, None).sum())
@@ -112,7 +112,7 @@ def _construction_gap(inst, tol_scaled):
     if not rep.sufficient_ok:
         return None
     code = construct_lb_code(spec)
-    lb = lower_bound(spec, inst.z)
+    lb = lower_bound(spec)
     total = exact_loss(code, inst)[2]
     return (total - lb) / (1.0 + lb)
 
@@ -189,7 +189,7 @@ def test_04_achievability_dichotomy():
     bad_rep = sufficient_report(bad_spec)
     flags_ok = bad_rep.necessary_ok and not bad_rep.sf1_ok
 
-    lb_bad = lower_bound(bad_spec, bad.z)
+    lb_bad = lower_bound(bad_spec)
     mu_min = min(float(bad_spec.mu3[bad_spec.mu3 > 1e-9].min()),
                  float(bad_spec.mu4[bad_spec.mu4 > 1e-9].min()))
     margin_needed = 0.05 * mu_min
@@ -202,7 +202,7 @@ def test_04_achievability_dichotomy():
     good = achievable_dichotomy_instance()
     good_spec = spectrum(good)
     code = construct_lb_code(good_spec)
-    lb_good = lower_bound(good_spec, good.z)
+    lb_good = lower_bound(good_spec)
     gap = abs(exact_loss(code, good)[2] - lb_good)
 
     ok = flags_ok and min_margin >= margin_needed and gap <= 1e-9
@@ -283,7 +283,7 @@ def test_06_observation_sweep_at_full_scale():
         if not rep.sufficient_ok:
             continue
         code = construct_lb_code(spec)
-        wide_gaps[a] = exact_loss(code, inst)[2] - lower_bound(spec, z)
+        wide_gaps[a] = exact_loss(code, inst)[2] - lower_bound(spec)
     wide_ok = all(a in wide_gaps and wide_gaps[a] <= 1e-6
                   for a in range(24, 33, 2))
 

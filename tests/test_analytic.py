@@ -137,7 +137,7 @@ class TestConstruction:
     def test_achievable_dichotomy_reaches_bound(self):
         inst = achievable_dichotomy_instance()
         spec = spectrum(inst)
-        lb = lower_bound(spec, inst.z)
+        lb = lower_bound(spec)
         code = construct_lb_code(spec)
         total = exact_loss(code, inst)[2]
         assert total <= lb + 1e-9 * (1 + lb)
@@ -181,17 +181,17 @@ class TestConstruction:
         monkeypatch.setattr(analytic_module, "_analyze", counted)
         monkeypatch.setattr(np.linalg, "svd", recorded)
         construct_lb_code(spec)
+        obs1 = spec.cholesky_l[: inst.a, :].T
         assert len(analyses) == 1
         assert factored
-        assert not any(m.shape == spec.obs1.shape and np.allclose(m, spec.obs1)
-                       for m in factored)
+        assert not any(m.shape == obs1.shape and np.allclose(m, obs1) for m in factored)
 
     def test_large_capacity_full_rank_exact(self):
         # 2Z > n with full-rank tasks: every coordinate reaches both sinks
         inst = simple_instance(n=3, a=2, b=3, z=2)
         spec = spectrum(inst)
         code = construct_lb_code(spec)
-        assert lower_bound(spec, inst.z) == 0.0
+        assert lower_bound(spec) == 0.0
         assert exact_loss(code, inst)[2] <= 1e-18
 
     def test_large_capacity_mirror_case(self):
@@ -212,7 +212,7 @@ class TestConstruction:
                 z=max(1, n // 3), k3=k, k4=k.copy()))
             spec = spectrum(inst)
             code = construct_lb_code(spec)
-            lb = lower_bound(spec, inst.z)
+            lb = lower_bound(spec)
             total = exact_loss(code, inst)[2]
             assert total <= lb + 1e-8 * (1 + lb)
 
@@ -227,8 +227,8 @@ class TestConstruction:
             built += 1
             code = construct_lb_code(spec)
             spans = flow_spans(code, spec)
-            u1 = orthonormal_basis(spec.obs1)
-            u2 = orthonormal_basis(spec.obs2)
+            u1 = orthonormal_basis(spec.cholesky_l[: inst.a, :].T)
+            u2 = orthonormal_basis(spec.cholesky_l[inst.n - inst.b :, :].T)
             assert is_subspace_of(
                 orthonormal_basis(spans.phi13), u1)
             assert is_subspace_of(
@@ -244,7 +244,7 @@ class TestConstruction:
                 continue
             built += 1
             code = construct_lb_code(spec)
-            lb = lower_bound(spec, inst.z)
+            lb = lower_bound(spec)
             total = exact_loss(code, inst)[2]
             assert total <= lb + 1e-8 * (1 + lb)
 
@@ -304,7 +304,7 @@ def test_mirror_oracle():
         if not rep["sufficient_ok"]:
             continue
         for case, case_spec in ((inst, spec), (twin, twin_spec)):
-            lb = lower_bound(case_spec, case.z)
+            lb = lower_bound(case_spec)
             total = exact_loss(construct_lb_code(case_spec), case)[2]
             assert total <= lb + 1e-8 * (1 + lb)
         if 2 * inst.z <= inst.n:
@@ -318,8 +318,9 @@ def reference_report(spec, inst, tol=DEFAULT_TOL):
     """The condition report decided with every intersection a null space of
     [A | -B], node 1's span factored like node 2's and r+ a rank of
     [b3 | b4]."""
-    n, z = inst.n, inst.z
-    b1, b2 = orthonormal_basis(spec.obs1, tol), orthonormal_basis(spec.obs2, tol)
+    n, z, chol = inst.n, inst.z, spec.cholesky_l
+    b1 = orthonormal_basis(chol[: inst.a, :].T.copy(), tol)
+    b2 = orthonormal_basis(chol[n - inst.b :, :].T.copy(), tol)
     b3, b4 = task_bases(spec)
     i34 = _intersect_by_null_space(b3, b4, tol)
     i13 = _intersect_by_null_space(b1, b3, tol)
@@ -330,9 +331,11 @@ def reference_report(spec, inst, tol=DEFAULT_TOL):
     sf1 = is_subspace_of(b3, join(i13, i34, tol), tol)
     sf2 = is_subspace_of(b4, join(i24, i34, tol), tol)
     gap_scale = tol.rank_tol * max(1.0, float(spec.mu3[0]), float(spec.mu4[0]))
+    m = min(2 * z, n)
+    gap3, gap4 = (mu[m - 1] - (mu[m] if m < n else 0.0) for mu in (spec.mu3, spec.mu4))
     return ConditionReport(
-        eigengap_ok3=spec.eigengap3 > gap_scale,
-        eigengap_ok4=spec.eigengap4 > gap_scale,
+        eigengap_ok3=gap3 > gap_scale,
+        eigengap_ok4=gap4 > gap_scale,
         r_plus_34=r_plus, r_minus_34=i34.dim,
         r_minus_13=i13.dim, r_minus_24=i24.dim,
         necessary_ok=necessary_ok, sf1_ok=sf1, sf2_ok=sf2,

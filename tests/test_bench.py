@@ -815,7 +815,7 @@ class TestCli:
         assert main(["pca", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["task"] == "k4"
-        _, _, loss = task_pca(inst.k4, inst.psi, inst.z)
+        _, _, loss = task_pca(spectrum(inst), "k4")
         assert abs(doc["loss"] - loss) <= 1e-12 * (1 + loss)
         assert np.asarray(doc["encoder"]).shape == (1, 3)
 

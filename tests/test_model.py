@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from butterfly_coding import (
     ObservationConstraintViolated,
     ProblemInstance,
     SyntheticSpec,
+    TaskSpectrum,
     covariance_from_samples,
     exact_loss,
     gen_synthetic,
@@ -246,11 +247,19 @@ class TestSpectrum:
         assert np.allclose(spec.mu3, [1.0, 0.0], atol=1e-12)
 
     def test_observation_spans_are_cholesky_rows(self):
+        # x = L h, so node 1 observes the first a rows of L applied to the
+        # whitened h and node 2 the last b; L is lower-triangular, so node
+        # 1's rows vanish past column a and span the first a axes
         inst = random_pd_instance(np.random.default_rng(12))
-        spec = spectrum(inst)
-        assert spec.obs1.shape == (inst.n, inst.a)
-        assert np.allclose(spec.obs1.T, spec.cholesky_l[: inst.a, :])
-        assert np.allclose(spec.obs2.T, spec.cholesky_l[inst.n - inst.b :, :])
+        chol = spectrum(inst).cholesky_l
+        assert np.allclose(chol @ chol.T, inst.psi)
+        assert np.all(chol[: inst.a, inst.a :] == 0.0)
+        assert np.linalg.matrix_rank(chol[: inst.a, : inst.a]) == inst.a
+        assert np.linalg.matrix_rank(chol[inst.n - inst.b :, :]) == inst.b
+
+    def test_spectrum_holds_what_it_factors(self):
+        assert [f.name for f in fields(TaskSpectrum)] == [
+            "instance", "cholesky_l", "s3", "s4", "mu3", "mu4", "u3", "u4"]
 
     def test_reconstruction(self):
         rng = np.random.default_rng(13)
@@ -352,26 +361,25 @@ class TestLowerBound:
         inst = simple_instance(n=3, a=2, b=2, z=1,
                                k3=np.diag([2.0, 1.0, 0.0]) ** 0.5,
                                k4=np.diag([2.0, 1.0, 0.0]) ** 0.5)
-        assert lower_bound(spectrum(inst), 1) == 0.0
+        assert lower_bound(spectrum(inst)) == 0.0
 
     def test_direct_sum(self):
         # eigenvalues [3,2,1] and [5,4,3]: trailing entries 1 and 3
         inst = simple_instance(n=3, a=2, b=2, z=1,
                                k3=np.diag([3.0, 2.0, 1.0]) ** 0.5,
                                k4=np.diag([5.0, 4.0, 3.0]) ** 0.5)
-        assert abs(lower_bound(spectrum(inst), 1) - 4.0) < 1e-12
+        assert abs(lower_bound(spectrum(inst)) - 4.0) < 1e-12
 
     def test_zero_when_capacity_covers_dimension(self):
         rng = np.random.default_rng(14)
         inst = random_pd_instance(rng)
-        assert lower_bound(spectrum(inst), inst.n) == 0.0
+        assert lower_bound(spectrum(replace(inst, z=inst.n))) == 0.0
 
     def test_nonincreasing_in_z(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             inst = random_pd_instance(rng)
-            spec = spectrum(inst)
-            vals = [lower_bound(spec, zz) for zz in range(1, inst.n + 1)]
+            vals = [lower_bound(spectrum(replace(inst, z=zz))) for zz in range(1, inst.n + 1)]
             assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("n, z, a", [(32, 8, 24), (64, 8, 48)])
@@ -384,7 +392,7 @@ class TestLowerBound:
                     inst = gen_synthetic(SyntheticSpec(
                         n=n, z=z, a=a, b=a, r_plus_target=r_plus,
                         eig_profile=profile, seed=seed))
-                    assert lower_bound(spectrum(inst), z) == 0.0
+                    assert lower_bound(spectrum(inst)) == 0.0
                     assert lower_bound_of(inst) == 0.0
 
     def test_task_without_rows(self):
@@ -392,43 +400,46 @@ class TestLowerBound:
         # eigenvalues are 1, 1, 1, so the tail past 2Z = 2 is 1
         inst = validate(simple_instance(k3=np.zeros((0, 3))))
         assert lower_bound_of(inst) == 1.0
-        assert lower_bound(spectrum(inst), 1) == 1.0
-
-    def test_negative_capacity_rejected(self):
-        # before the check, z = -3 summed the last three eigenvalues, 6 to
-        # rounding, between the bound at z = 0 (20.0) and at z = 2 (0.0)
-        spec = spectrum(gen_synthetic(SyntheticSpec(n=8, z=2, a=6, b=6, r_plus_target=6)))
-        assert lower_bound(spec, 0) == 20.0
-        assert lower_bound(spec, 2) == 0.0
-        with pytest.raises(BadDimensions, match="capacity z must be at least 0, got -3"):
-            lower_bound(spec, -3)
+        assert lower_bound(spectrum(inst)) == 1.0
 
     def test_matches_instance_level_helper(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             inst = random_pd_instance(rng)
-            lb = lower_bound(spectrum(inst), inst.z)
+            lb = lower_bound(spectrum(inst))
             assert abs(lb - lower_bound_of(inst)) <= 1e-9 * (1 + lb)
 
 
+def single_task_pca(k, psi, z):
+    """task_pca of the task k under covariance psi at capacity z, through a
+    validated instance with k as its task (both nodes observe all of x)."""
+    n = len(psi)
+    inst = validate(ProblemInstance(n=n, psi=psi, a=n, b=n, z=z, k3=k, k4=k))
+    return task_pca(spectrum(inst), "k3")
+
+
 class TestTaskPCA:
-    def test_negative_capacity_rejected(self):
-        # before the check, z = -1 gave a 7 x 8 encoder with loss 0.0;
-        # z = 0 stays valid: an empty encoder that loses the whole task
-        inst = gen_synthetic(SyntheticSpec(n=8, z=2, a=6, b=6, r_plus_target=6))
-        enc, dec, loss = task_pca(inst.k3, inst.psi, 0)
-        assert enc.shape == (0, 8) and dec.shape == (8, 0)
-        assert loss == 10.0
-        with pytest.raises(BadDimensions, match="capacity z must be at least 0, got -1"):
-            task_pca(inst.k3, inst.psi, -1)
+    def test_unknown_task_rejected(self):
+        spec = spectrum(gen_synthetic(SyntheticSpec(n=8, z=2, a=6, b=6, r_plus_target=6)))
+        for task in ("k5", "K3", "", None):
+            with pytest.raises(ValueError, match=f'pca task must be "k3" or "k4", got {task!r}'):
+                task_pca(spec, task)
+
+    def test_reads_the_named_tasks_eigenpairs(self):
+        inst = random_pd_instance(np.random.default_rng(21))
+        spec = spectrum(inst)
+        for task in ("k3", "k4"):
+            k = getattr(inst, task)
+            got, want = task_pca(spec, task), single_task_pca(k, inst.psi, inst.z)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     def test_full_capacity_exact(self):
-        enc, dec, loss = task_pca(np.eye(3), np.eye(3), 3)
+        enc, dec, loss = single_task_pca(np.eye(3), np.eye(3), 3)
         assert loss <= 1e-12
         assert np.allclose(dec @ enc, np.eye(3), atol=1e-9)
 
     def test_diagonal_tail(self):
-        enc, dec, loss = task_pca(np.diag([3.0, 2.0, 1.0]), np.eye(3), 1)
+        enc, dec, loss = single_task_pca(np.diag([3.0, 2.0, 1.0]), np.eye(3), 1)
         assert abs(loss - 5.0) < 1e-10
         row = enc[0] / np.linalg.norm(enc[0])
         assert abs(abs(row[0]) - 1.0) < 1e-10
@@ -441,7 +452,7 @@ class TestTaskPCA:
             f = rng.normal(size=(n, n))
             psi = f @ f.T + 0.1 * np.eye(n)
             z = int(rng.integers(1, n + 1))
-            _, _, loss = task_pca(k, psi, z)
+            _, _, loss = single_task_pca(k, psi, z)
             chol = np.linalg.cholesky(psi)
             mu = np.linalg.eigvalsh(chol.T @ k.T @ k @ chol)[::-1]
             want = float(np.clip(mu[z:], 0.0, None).sum())
@@ -451,7 +462,7 @@ class TestTaskPCA:
         rng = np.random.default_rng(18)
         n, z = 4, 2
         k = rng.normal(size=(3, n))
-        enc, dec, loss = task_pca(k, np.eye(n), z)
+        enc, dec, loss = single_task_pca(k, np.eye(n), z)
         e = 0.1 * rng.normal(size=(z, n))
         d = 0.1 * rng.normal(size=(n, z))
         for _ in range(20000):
@@ -472,12 +483,12 @@ class TestTaskPCA:
         for seed in range(5):
             inst = gen_synthetic(SyntheticSpec(n=64, z=8, a=48, b=48, r_plus_target=24,
                                                seed=seed))
-            assert task_pca(inst.k3, inst.psi, 16)[2] == 0.0
+            assert task_pca(spectrum(replace(inst, z=16)), "k3")[2] == 0.0
 
     def test_task_of_rank_above_z_reports_its_tail(self):
         inst = gen_synthetic(SyntheticSpec(n=64, z=8, a=48, b=48, r_plus_target=24, seed=0))
         want = float(spectrum(inst).mu3[12:16].sum())
-        loss = task_pca(inst.k3, inst.psi, 12)[2]
+        loss = task_pca(spectrum(replace(inst, z=12)), "k3")[2]
         assert want > 0.5 and abs(loss - want) <= 1e-12 * want
 
     def test_reconstruction_residual_matches_loss(self):
@@ -486,7 +497,7 @@ class TestTaskPCA:
         k = rng.normal(size=(2, n))
         f = rng.normal(size=(n, n))
         psi = f @ f.T + 0.5 * np.eye(n)
-        enc, dec, loss = task_pca(k, psi, 2)
+        enc, dec, loss = single_task_pca(k, psi, 2)
         resid = k @ (np.eye(n) - dec @ enc)
         direct = float(np.trace(resid @ psi @ resid.T))
         assert abs(direct - loss) <= 1e-9 * (1 + loss)

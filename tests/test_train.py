@@ -512,8 +512,8 @@ class TestLockstep:
 
     def test_one_epoch_loop_for_all_groups(self, monkeypatch):
         # four modes on two factor heights: four groups, and one residual
-        # pass per epoch for all of them, also in the epochs that retire
-        # members (eight members diverge, two of them in the same epoch)
+        # pass per epoch for all of them, also in the epochs where members
+        # diverge (eight members diverge, two of them in the same epoch)
         kernel = sys.modules["butterfly_coding.train"]
         passes = []
         evaluate = kernel._evaluate
@@ -524,9 +524,9 @@ class TestLockstep:
         jobs = [TrainJob(inst, TrainConfig(epochs=epochs, learning_rate=lr, seed=s, mode=mode))
                 for s, inst in enumerate(insts) for mode in MODES for lr in (0.02, 1.5)]
         results = train_lockstep(jobs)
-        retired = [str(r).split(" at epoch ")[1] for r in results
-                   if isinstance(r, DivergenceDetected)]
-        assert len(retired) == len(jobs) // 2 > len(set(retired)) > 1
+        diverged = [str(r).split(" at epoch ")[1] for r in results
+                    if isinstance(r, DivergenceDetected)]
+        assert len(diverged) == len(jobs) // 2 > len(set(diverged)) > 1
         assert len(passes) == epochs + 1
 
     def test_every_member_diverging(self):
@@ -696,7 +696,7 @@ class TestSharedDescents:
         # variance, so a task's loss rises from its start the more the task
         # leans on v0: two views cross 10x their initial loss at different
         # epochs while the third descends to the end. Beside it, a descent
-        # at a larger rate loses every view and is retired
+        # at a larger rate loses every view and steps on unread
         rng = np.random.default_rng(5)
         psi = random_spd(rng)
         v = np.linalg.eigh(psi)[1]
@@ -1023,6 +1023,24 @@ class TestGreedyBenchmark:
         code = greedy_benchmark_code(spectrum(inst, tol), tol)
         assert isinstance(code, ButterflyCode) and code.e13.shape == (8, 24)
         assert np.isfinite(exact_loss(code, inst)[2])
+
+    @pytest.mark.parametrize("a, b", [(0, 4), (4, 0)])
+    @pytest.mark.parametrize("spd", [False, True])
+    def test_node_that_observes_nothing(self, a, b, spd):
+        # the blind node's side has nothing past the relay: its residual
+        # against the relay is rounding noise, which once grew the target by
+        # a direction the empty pool could not supply ("pool exhausted")
+        psi = random_spd(np.random.default_rng(3), n=4) if spd else np.eye(4)
+        inst = validate(ProblemInstance(
+            n=4, psi=psi, a=a, b=b, z=1,
+            k3=np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0]]),
+            k4=np.array([[0.0, 0.0, 1.0, 0.5], [0.5, 0.0, 0.0, 1.0]])))
+        spec = spectrum(inst)
+        code = greedy_benchmark_code(spec)
+        assert code.e13.shape == (1, a) and code.e24.shape == (1, b)
+        assert exact_loss(code, inst)[2] >= lower_bound(spec) - 1e-12
+        _, trace = train(inst, TrainConfig(epochs=20, mode="coding_benchmark"))
+        assert trace.shape == (20, 3) and np.all(np.isfinite(trace))
 
     def test_greedy_not_globally_optimal(self):
         inst = greedy_trap_instance()
