@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .code import ButterflyCode, CodeSpans, realize_spans
-from .model import ProblemInstance, TaskSpectrum, _is_identity, task_bases
+from .model import ProblemInstance, TaskSpectrum, _node2_on_axes, task_bases
 from .subspace import (
     Basis,
     DEFAULT_TOL,
@@ -64,14 +64,20 @@ def _analyze(spec: TaskSpectrum,
 
     L is lower-triangular, so node 1's observation span is exactly the first
     a whitened axes: it is never factored, and its intersections are
-    coordinate cuts. Node 2's span is that of the last b rows of L; for
-    psi = I, L = I and those rows, as columns, are its basis as they stand.
-    The eigengap flags read mu_m - mu_{m+1} at m = min{2Z, n} (mu_m itself
-    if m = n)."""
+    coordinate cuts. Node 2's span is that of the last b rows of L. When
+    they vanish left of column n - b (_node2_on_axes, e.g. psi = I), it is
+    the last b axes, taken as they stand, and its intersection with node
+    1's span is the mutual axes n - b ... a - 1; otherwise both are
+    factored. The eigengap flags read mu_m - mu_{m+1} at m = min{2Z, n}
+    (mu_m itself if m = n)."""
     instance = spec.instance
-    n, a, z = instance.n, instance.a, instance.z
-    obs2 = spec.cholesky_l[n - instance.b :, :].T.copy()
-    b2 = Basis(obs2) if _is_identity(instance.psi) else orthonormal_basis(obs2, tol)
+    n, a, b, z = instance.n, instance.a, instance.b, instance.z
+    if _node2_on_axes(spec.cholesky_l, b):
+        axes = np.eye(n)
+        b2, i12 = Basis(axes[:, n - b:].copy()), Basis(axes[:, n - b:a].copy())
+    else:
+        b2 = orthonormal_basis(spec.cholesky_l[n - b:, :].T.copy(), tol)
+        i12 = _coordinate_cut(b2, a, tol)
     b3, b4 = task_bases(spec)
     i34 = intersect(b3, b4, tol)
     i13 = _coordinate_cut(b3, a, tol)
@@ -83,7 +89,7 @@ def _analyze(spec: TaskSpectrum,
     necessary_ok = (r_plus <= 3 * z) and (i13.dim >= floor) and (i24.dim >= floor)
     sf1 = is_subspace_of(b3, join(i13, i34, tol), tol)
     sf2 = is_subspace_of(b4, join(i24, i34, tol), tol)
-    nc_free = is_subspace_of(i34, _coordinate_cut(b2, a, tol), tol)
+    nc_free = is_subspace_of(i34, i12, tol)
     gap_scale = tol.rank_tol * max(1.0, float(spec.mu3[0]), float(spec.mu4[0]))
     m = min(2 * z, n)
     gap3, gap4 = (float(mu[m - 1] - (mu[m] if m < n else 0.0)) for mu in (spec.mu3, spec.mu4))
@@ -98,7 +104,7 @@ def _analyze(spec: TaskSpectrum,
         sf1_ok=sf1,
         sf2_ok=sf2,
         corollary_nc_free=nc_free,
-        corollary_dim=n <= z + min(instance.a, instance.b),
+        corollary_dim=n <= z + min(a, b),
         sufficient_ok=necessary_ok and sf1 and sf2,
     )
     return report, (b3, b4, i13, i24, i34)

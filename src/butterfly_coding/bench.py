@@ -30,7 +30,7 @@ from .model import (
     task_pca,
     validate,
 )
-from .subspace import DEFAULT_TOL, Basis, InfeasibleExtension, ToleranceConfig, join
+from .subspace import DEFAULT_TOL, Basis, InfeasibleExtension, ToleranceConfig, _outside
 from .train import (
     DivergenceDetected,
     TrainConfig,
@@ -163,7 +163,10 @@ def gen_synthetic(spec: SyntheticSpec,
                         k3=root[:, None] * u3.T, k4=root[:, None] * u4.T),
         tol,
     )
-    got = join(Basis(u3), Basis(u4), tol).dim
+    # dim join: the larger basis and the directions of the other outside it,
+    # counted without building the join
+    larger, outside = _outside(Basis(u3), Basis(u4), tol)
+    got = larger.shape[1] + outside.shape[1]
     if got != spec.r_plus_target:
         raise InfeasibleSpec(
             f"generated spectrum has joint task rank {got}, "

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .model import (BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance,
-                    _is_identity, _non_reals, _real_array)
+                    _is_identity, _node2_on_axes, _non_reals, _real_array)
 from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
 
 
@@ -174,12 +174,14 @@ def _fit_columns(basis_mat: np.ndarray, targets: np.ndarray, tol: ToleranceConfi
     return coeff, np.linalg.norm(resid, axis=0)
 
 
-def _fit_node1(chol: np.ndarray, a: int, targets: np.ndarray):
-    """_fit_columns onto node 1's span, the columns of L[:a, :]^T. Those are
-    zero past row a (L is lower-triangular), so the fit is a triangular solve
-    against L[:a, :a]^T and the residual is the targets' rows past a."""
-    coeff = solve_triangular(chol[:a, :a], targets[:a], lower=True, trans="T")
-    return coeff, np.linalg.norm(targets[a:], axis=0)
+def _fit_axes(chol: np.ndarray, rows: slice, targets: np.ndarray):
+    """_fit_columns onto the span of the columns of L[rows, :]^T, for rows of
+    L that are zero outside the columns `rows`: node 1's first a rows (L is
+    lower-triangular), and node 2's last b rows when _node2_on_axes. The fit
+    is a triangular solve against L[rows, rows]^T and the residual is the
+    targets' rows outside `rows`."""
+    coeff = solve_triangular(chol[rows, rows], targets[rows], lower=True, trans="T")
+    return coeff, np.linalg.norm(np.delete(targets, rows, axis=0), axis=0)
 
 
 def realize_spans(spans: CodeSpans, spec: TaskSpectrum,
@@ -192,6 +194,9 @@ def realize_spans(spans: CodeSpans, spec: TaskSpectrum,
     observation span that contains it, node 1's when both do; columns in
     neither span alone are split across both by minimum-norm least squares.
     The spans are in the whitened coordinates of the spectrum's instance.
+    Node 1's fits are triangular solves (see _fit_axes), and so are node 2's
+    when its span is the last b axes (_node2_on_axes, e.g. psi = I); else
+    they are least-squares fits.
     """
     instance, chol = spec.instance, spec.cholesky_l
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
@@ -202,22 +207,29 @@ def realize_spans(spans: CodeSpans, spec: TaskSpectrum,
     def thresholds(mat):
         return tol.rank_tol * scale * np.maximum(1.0, np.linalg.norm(mat, axis=0))
 
-    c13, r13 = _fit_node1(chol, a, spans.phi13)
+    on_axes2 = _node2_on_axes(chol, b)
+
+    def fit2(targets):
+        if on_axes2:
+            return _fit_axes(chol, slice(n - b, n), targets)
+        return _fit_columns(u2, targets, tol)
+
+    c13, r13 = _fit_axes(chol, slice(0, a), spans.phi13)
     if np.any(r13 > thresholds(spans.phi13)):
         raise InvalidSpan("phi13 leaves node 1's observation span")
-    c24, r24 = _fit_columns(u2, spans.phi24, tol)
+    c24, r24 = fit2(spans.phi24)
     if np.any(r24 > thresholds(spans.phi24)):
         raise InvalidSpan("phi24 leaves node 2's observation span")
 
     phi56 = spans.phi56
     thr56 = thresholds(phi56)
-    c1, r1 = _fit_node1(chol, a, phi56)
+    c1, r1 = _fit_axes(chol, slice(0, a), phi56)
     on1 = r1 <= thr56
     e15 = np.where(on1[:, None], c1.T, 0.0)
     e25 = np.zeros((z, b))
     rest = np.flatnonzero(~on1)
     if rest.size:
-        c2, r2 = _fit_columns(u2, phi56[:, rest], tol)
+        c2, r2 = fit2(phi56[:, rest])
         on2 = r2 <= thr56[rest]
         e25[rest[on2]] = c2[:, on2].T
         split = rest[~on2]

@@ -13,15 +13,17 @@ Conventions fixed here and relied on everywhere else:
   - Node i's observation span in whitened coordinates is spanned by the first a
     (resp. last b) rows of L, i.e. columns of L^T. L is lower-triangular and
     nonsingular, so node 1's span is exactly the first a axes, span(e_1 ...
-    e_a); node 2's is a general subspace.
+    e_a); node 2's is a general subspace. It is the last b axes exactly when
+    the last b rows of L vanish left of column n - b (_node2_on_axes): for
+    psi = I, and for any psi with no covariance between the first n - b
+    coordinates and the last b. The analysis and realize_spans then take
+    node 2's span as those axes, as they take node 1's.
   - psi = I is decided by _is_identity, exactly, with no tolerance: then L = I,
-    node 2's span is the last b axes, and the closed-form path (validate,
-    spectrum, exact_loss, optimal_decoders, the analysis) neither factors psi
-    nor multiplies by it. It returns the general path's bits, except that the
-    construction's encoders can hold 0.0 where the general path's hold -0.0:
-    node 2's basis is then the axes themselves, not an SVD of them. whiten
-    keeps its tolerance-based identity pass-through, since it returns the
-    instance itself rather than a value computed from psi.
+    and the closed-form path (validate, spectrum, exact_loss,
+    optimal_decoders) neither factors psi nor multiplies by it. It returns the
+    general path's bits. whiten keeps its tolerance-based identity
+    pass-through, since it returns the instance itself rather than a value
+    computed from psi.
   - Eigen-decompositions are returned in descending order with each eigenvector's
     largest-magnitude entry positive.
 """
@@ -160,11 +162,20 @@ def _cholesky(psi: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
-        raise CholeskyFailed(str(exc)) from exc
+        raise CholeskyFailed("covariance is singular or not positive definite, e.g. "
+                             "estimated from fewer samples than coordinates") from exc
     d = np.diag(chol)
     if d.min() <= np.sqrt(tol.rank_tol) * d.max():
         raise CholeskyFailed("covariance numerically rank-deficient; whiten first")
     return chol
+
+
+def _node2_on_axes(chol: np.ndarray, b: int) -> bool:
+    """True iff node 2's observation span is the last b whitened axes: the
+    last b rows of L are zero left of column n - b, so, L being nonsingular,
+    they span exactly those axes."""
+    n = len(chol)
+    return not np.any(chol[n - b:, :n - b])
 
 
 def _descending_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,6 +210,9 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
     definite covariance; whiten rank-deficient instances first. A raw
     instance is not symmetrized here: the Cholesky factor reads only the
     lower triangle of psi, so an asymmetric psi gives another spectrum.
+    When the tasks are the same, S3 = S4 bit for bit (the paper's
+    K3^T K3 = K4^T K4), S3 alone is decomposed and task 4 gets copies of its
+    eigenpairs: the bits _descending_eigh(S4) would give.
     """
     inst = instance
     chol = _cholesky(inst.psi, tol)
@@ -210,7 +224,7 @@ def spectrum(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> T
         s3 = chol.T @ inst.k3.T @ inst.k3 @ chol
         s4 = chol.T @ inst.k4.T @ inst.k4 @ chol
     mu3, u3 = _descending_eigh(s3)
-    mu4, u4 = _descending_eigh(s4)
+    mu4, u4 = (mu3.copy(), u3.copy()) if np.array_equal(s3, s4) else _descending_eigh(s4)
     return TaskSpectrum(instance=inst, cholesky_l=chol, s3=s3, s4=s4,
                         mu3=mu3, mu4=mu4, u3=u3, u4=u4)
 
@@ -255,17 +269,21 @@ def task_pca(spec: TaskSpectrum, task: str, tol: ToleranceConfig = DEFAULT_TOL):
     The encoder projects onto the top-Z eigenvectors of the task's Gram
     matrix in whitened coordinates; the decoder is the closed-form
     least-squares inverse. The loss is the sum of the trailing eigenvalues,
-    the noise floor counted as zero (see _tail).
+    the noise floor counted as zero (see _tail). When Z > n the link has
+    more dimensions than there are eigenvectors: the encoder's rows past n
+    and the decoder's columns past n are zero, which changes no loss.
     """
     if task not in ("k3", "k4"):
         raise ValueError(f"pca task must be \"k3\" or \"k4\", got {task!r}")
     mu, u = (spec.mu3, spec.u3) if task == "k3" else (spec.mu4, spec.u4)
-    chol, z = spec.cholesky_l, spec.z
+    chol, n, z = spec.cholesky_l, spec.n, spec.z
     uz = u[:, :z]
     # encoder = U_Z^T L^{-1}; solve L^T X = U_Z instead of forming the inverse
-    enc = solve_triangular(chol, uz, lower=True, trans="T").T
-    dec = chol @ uz
-    return enc, dec, _tail(mu, spec.n, z, tol)
+    enc = np.zeros((z, n))
+    enc[:uz.shape[1]] = solve_triangular(chol, uz, lower=True, trans="T").T
+    dec = np.zeros((n, z))
+    dec[:, :uz.shape[1]] = chol @ uz
+    return enc, dec, _tail(mu, n, z, tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,23 @@ def random_pd_instance(rng, n_max=16, z_max=None):
     return validate(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z, k3=k3, k4=k4))
 
 
+def decoupled_instance(inst, rng):
+    """`inst`, a psi = I instance, planted behind a block-diagonal Cholesky
+    factor L: one lower-triangular block over coordinates [0, n - b) and one
+    over [n - b, n), psi = L L^T and each task K L^{-1}. Node 2's rows of L
+    vanish left of column n - b, so its span is still the last b whitened
+    axes, and the whitened tasks are inst's up to rounding."""
+    n, b = inst.n, inst.b
+    chol = np.zeros((n, n))
+    for block in (slice(0, n - b), slice(n - b, n)):
+        k = block.stop - block.start
+        chol[block, block] = (np.tril(rng.normal(scale=0.3, size=(k, k)), -1)
+                              + np.diag(rng.uniform(1.0, 2.0, k)))
+    inv = np.linalg.inv(chol)
+    return validate(ProblemInstance(n=n, psi=chol @ chol.T, a=inst.a, b=b, z=inst.z,
+                                    k3=inst.k3 @ inv, k4=inst.k4 @ inv))
+
+
 def random_rank_deficient_instance(rng, n_max=10):
     n = int(rng.integers(2, n_max + 1))
     r = int(rng.integers(1, n + 1))

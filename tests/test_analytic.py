@@ -31,6 +31,7 @@ from butterfly_coding import (
 
 from conftest import (
     achievable_dichotomy_instance,
+    decoupled_instance,
     random_pd_instance,
     rank_one_tasks_instance,
     unachievable_dichotomy_instance,
@@ -185,6 +186,38 @@ class TestConstruction:
         assert len(analyses) == 1
         assert factored
         assert not any(m.shape == obs1.shape and np.allclose(m, obs1) for m in factored)
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_node2_on_its_axes_needs_no_least_squares(self, monkeypatch, decoupled):
+        # psi = I, or psi decoupled between node 2's exclusive coordinates
+        # and the rest: node 2's span is its last b axes, so realize_spans
+        # fits node 2's columns by triangular solves, as node 1's, and the
+        # analysis takes those axes and the mutual ones unfactored
+        inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=20, seed=1))
+        if decoupled:
+            inst = decoupled_instance(inst, np.random.default_rng(1))
+        spec = spectrum(inst)
+        assert sufficient_report(spec).sufficient_ok
+        fits, factored = [], []
+        lstsq, svd = np.linalg.lstsq, np.linalg.svd
+
+        def counted(*args, **kwargs):
+            fits.append(1)
+            return lstsq(*args, **kwargs)
+
+        def recorded(m, *args, **kwargs):
+            factored.append(np.array(m, copy=True))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        code = construct_lb_code(spec)
+        assert fits == []
+        # no SVD of node 2's rows of L, nor of their rows past a
+        n, a, b = inst.n, inst.a, inst.b
+        obs2 = spec.cholesky_l[n - b:, :].T
+        assert not any(m.shape in (obs2.shape, (n - a, b)) for m in factored)
+        assert exact_loss(code, inst)[2] <= 1e-8
 
     def test_large_capacity_full_rank_exact(self):
         # 2Z > n with full-rank tasks: every coordinate reaches both sinks

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from butterfly_coding import (
     ConfigError,
@@ -24,6 +25,7 @@ from butterfly_coding import (
     flat_tail_profile,
     gen_synthetic,
     instance_to_json,
+    join,
     lower_bound_of,
     main,
     orthonormal_basis,
@@ -48,6 +50,7 @@ from butterfly_coding import code_from_json
 
 from conftest import (achievable_dichotomy_instance, random_pd_instance, readme_config,
                       unachievable_dichotomy_instance)
+from test_properties import identity_specs
 
 # the module, which the package's `train` attribute (the function) shadows
 train_module = sys.modules["butterfly_coding.train"]
@@ -149,6 +152,32 @@ class TestGenSynthetic:
             assert np.array_equal(getattr(named, name), getattr(explicit, name))
         with pytest.raises(InfeasibleSpec, match="flat_tail"):
             gen_synthetic(SyntheticSpec(eig_profile="flat", **base))
+
+    @pytest.mark.parametrize("rank_tol", [0.0, 1e-16, ToleranceConfig().rank_tol])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(spec=identity_specs())
+    def test_joint_rank_is_the_joins_dimension(self, rank_tol, spec):
+        # the joint-rank check counts the directions join would add, without
+        # building the join: a cell is accepted exactly when
+        # join(U3, U4).dim is the target, the rank check's only refusal
+        tol = ToleranceConfig(rank_tol)
+        seen, outside = [], bench_module._outside
+
+        def recorded(a, b, tol):
+            seen.append((a, b))
+            return outside(a, b, tol)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench_module, "_outside", recorded)
+            try:
+                gen_synthetic(spec, tol)
+                accepted = True
+            except InfeasibleSpec as exc:
+                accepted = False
+                ranked = "joint task rank" in str(exc)
+        assume(seen)
+        assert accepted or ranked
+        assert accepted == (join(*seen[0], tol).dim == spec.r_plus_target)
 
     def test_deterministic_per_seed(self):
         spec = SyntheticSpec(n=16, z=4, a=12, b=12, r_plus_target=12, seed=5)
@@ -819,6 +848,17 @@ class TestCli:
         assert abs(doc["loss"] - loss) <= 1e-12 * (1 + loss)
         assert np.asarray(doc["encoder"]).shape == (1, 3)
 
+    def test_pca_capacity_past_n(self, tmp_path, capsys):
+        # a capacity-4 link on n = 3 gets a 4-row encoder, its last row zero
+        inst = achievable_dichotomy_instance()
+        cfg = write_config(tmp_path, "p4.json", {
+            "instance": {**instance_payload(inst), "z": 4}})
+        assert main(["pca", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        encoder, decoder = np.asarray(doc["encoder"]), np.asarray(doc["decoder"])
+        assert encoder.shape == (4, 3) and decoder.shape == (3, 4)
+        assert not encoder[3].any() and not decoder[:, 3].any()
+
     def test_pca_bad_task(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "pb.json", {
             "instance": instance_payload(achievable_dichotomy_instance()),
@@ -840,6 +880,28 @@ class TestCli:
         out = tmp_path / "rep.json"
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         assert "r_plus_34" in json.loads(out.read_text())
+
+    @pytest.mark.parametrize("command", ["analyze", "construct", "pca", "train"])
+    def test_samples_csv_with_fewer_rows_than_coordinates(self, tmp_path, capsys, command):
+        # four samples of six coordinates estimate a singular covariance,
+        # which every command that factors it names as the cause
+        samples = np.random.default_rng(1).normal(size=(4, 6))
+        samples_path = tmp_path / "few.csv"
+        samples_path.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                          for row in samples) + "\n")
+        rng = np.random.default_rng(2)
+        cfg = write_config(tmp_path, "few.json", {
+            "instance": {"samples_csv": str(samples_path), "a": 4, "b": 4, "z": 2,
+                         "k3": rng.normal(size=(2, 6)).tolist(),
+                         "k4": rng.normal(size=(2, 6)).tolist()},
+            "train": {"epochs": 5, "mode": "coding_benchmark"}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and (
+            "covariance is singular or not positive definite, e.g. estimated from "
+            "fewer samples than coordinates") in last, last
 
     def test_tol_flag_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "tol.json", {

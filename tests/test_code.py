@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import butterfly_coding.code as code_module
 from butterfly_coding import (
     BadDimensions,
     ButterflyCode,
     CodeSpans,
     DEFAULT_TOL,
     InvalidSpan,
+    ProblemInstance,
     check_code_shapes,
     code_from_json,
     code_to_json,
@@ -21,10 +25,11 @@ from butterfly_coding import (
     realize_spans,
     spectrum,
     utilities,
+    validate,
     with_optimal_decoders,
 )
 
-from conftest import random_pd_instance
+from conftest import decoupled_instance, random_pd_instance
 from test_model import simple_instance
 
 
@@ -298,6 +303,65 @@ class TestRealizeSpans:
         )
         with pytest.raises(InvalidSpan):
             realize_spans(spans, spectrum(inst))
+
+
+def node2_on_axes_instance(rng, identity):
+    """A random instance whose node 2 lies on its last b whitened axes:
+    psi = I, or a block-decoupled psi != I."""
+    n = int(rng.integers(2, 11))
+    a = int(rng.integers(1, n + 1))
+    b = int(rng.integers(max(1, n - a), n + 1))
+    inst = validate(ProblemInstance(n=n, psi=np.eye(n), a=a, b=b, z=int(rng.integers(1, n + 1)),
+                                    k3=rng.normal(size=(2, n)), k4=rng.normal(size=(2, n))))
+    return inst if identity else decoupled_instance(inst, rng)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), identity=st.booleans(), leave=st.booleans())
+def test_node2_axes_fit_matches_least_squares(seed, identity, leave):
+    # where node 2 lies on its axes, its columns are fitted by a triangular
+    # solve: the least-squares fit gives the same coefficients and residuals
+    # to rounding, and realize_spans on the least-squares path makes the same
+    # decisions (whether phi24 leaves node 2's span, as it does when `leave`
+    # moves a column off it, and which relay columns each node sends)
+    rng = np.random.default_rng(seed)
+    inst = node2_on_axes_instance(rng, identity)
+    spec = spectrum(inst)
+    chol, n, a, b, z = spec.cholesky_l, inst.n, inst.a, inst.b, inst.z
+    assert code_module._node2_on_axes(chol, b)
+    u1, u2 = chol[:a, :].T, chol[n - b:, :].T
+    sources = (u1, u2, chol.T)
+    relay = np.column_stack([sources[k] @ rng.normal(size=sources[k].shape[1])
+                             for k in rng.integers(0, 3, size=z)])
+    phi24 = u2 @ rng.normal(size=(b, z))
+    if leave and b < n:
+        phi24[:, 0] += rng.normal(size=n)
+    targets = np.hstack([phi24, relay, rng.normal(size=(n, 2))])
+    got = code_module._fit_axes(chol, slice(n - b, n), targets)
+    want = code_module._fit_columns(u2, targets, DEFAULT_TOL)
+    atol = 1e-11 * max(1.0, float(np.abs(targets).max()))
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=0, atol=atol)
+
+    spans = CodeSpans(phi13=u1 @ rng.normal(size=(a, z)), phi24=phi24, phi56=relay)
+    outcomes = []
+    for on_axes in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(code_module, "_node2_on_axes", lambda chol, b: on_axes)
+            try:
+                outcomes.append(realize_spans(spans, spec))
+            except InvalidSpan as exc:
+                outcomes.append(str(exc))
+    fast, general = outcomes
+    assert isinstance(fast, str) == isinstance(general, str) == (leave and b < n)
+    if isinstance(fast, str):
+        assert fast == general
+        return
+    for name in ("e13", "e15"):
+        assert np.array_equal(getattr(fast, name), getattr(general, name))
+    assert np.array_equal(fast.e25 != 0.0, general.e25 != 0.0)
+    for name in ("e24", "e25"):
+        assert np.allclose(getattr(fast, name), getattr(general, name), rtol=0, atol=atol)
 
 
 class TestUtilities:

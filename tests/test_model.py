@@ -30,7 +30,7 @@ from butterfly_coding import (
     with_optimal_decoders,
 )
 
-from butterfly_coding.model import _is_identity
+from butterfly_coding.model import _descending_eigh, _is_identity
 
 from conftest import random_pd_instance, random_rank_deficient_instance, readme_config
 
@@ -273,9 +273,36 @@ class TestSpectrum:
                 assert np.linalg.norm(back - s) <= 1e-9 * denom
                 assert np.all(np.diff(mu) <= 1e-9)
 
+    def test_same_tasks_decomposed_once(self, monkeypatch):
+        # K3^T K3 = K4^T K4 bit for bit: task 4's eigenpairs are copies of
+        # task 3's, the bits their own decomposition gives, from one eigh
+        inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=16, seed=1))
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        spec = spectrum(inst)
+        assert len(calls) == 1 and np.array_equal(spec.s3, spec.s4)
+        monkeypatch.undo()
+        mu4, u4 = _descending_eigh(spec.s4)
+        assert spec.mu4.tobytes() == mu4.tobytes() and spec.u4.tobytes() == u4.tobytes()
+        assert not np.shares_memory(spec.mu4, spec.mu3)
+        assert not np.shares_memory(spec.u4, spec.u3)
+
     def test_requires_positive_definite(self):
         inst = simple_instance(psi=np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(CholeskyFailed):
+            spectrum(inst)
+
+    def test_singular_covariance_names_the_cause(self):
+        # four samples of six coordinates give a covariance of rank three
+        psi = covariance_from_samples(np.random.default_rng(0).normal(size=(4, 6)))
+        inst = validate(simple_instance(n=6, a=4, b=4, z=2, psi=psi))
+        with pytest.raises(CholeskyFailed, match="singular or not positive definite, "
+                           "e.g. estimated from fewer samples than coordinates"):
             spectrum(inst)
 
     def test_numerically_singular_covariance_rejected(self):
@@ -437,6 +464,17 @@ class TestTaskPCA:
         enc, dec, loss = single_task_pca(np.eye(3), np.eye(3), 3)
         assert loss <= 1e-12
         assert np.allclose(dec @ enc, np.eye(3), atol=1e-9)
+
+    def test_capacity_past_n_pads_with_zeros(self):
+        # Z = 4 > n = 3: the encoder keeps its Z x n shape, its last row
+        # zero, and the decoder's last column is zero; the loss is unchanged
+        k = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 1.0]])
+        enc, dec, loss = single_task_pca(k, np.eye(3), 4)
+        full_enc, full_dec, full_loss = single_task_pca(k, np.eye(3), 3)
+        assert enc.shape == (4, 3) and dec.shape == (3, 4)
+        assert np.array_equal(enc[:3], full_enc) and np.array_equal(dec[:, :3], full_dec)
+        assert not enc[3].any() and not dec[:, 3].any()
+        assert loss == full_loss
 
     def test_diagonal_tail(self):
         enc, dec, loss = single_task_pca(np.diag([3.0, 2.0, 1.0]), np.eye(3), 1)

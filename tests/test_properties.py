@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import butterfly_coding.analytic as analytic_module
 from butterfly_coding import (
     ButterflyCode,
     InfeasibleSpec,
@@ -33,7 +34,7 @@ from butterfly_coding import (
     with_optimal_decoders,
 )
 
-from conftest import random_pd_instance
+from conftest import decoupled_instance, random_pd_instance
 from test_code import random_code
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
@@ -175,7 +176,7 @@ def test_reparameterizing_the_observations_keeps_bound_report_and_loss(spec, see
 # the modules that bind model._is_identity; the package root re-exports a
 # function named train, so the modules are looked up by their full names
 IDENTITY_USERS = [importlib.import_module(f"butterfly_coding.{name}")
-                  for name in ("model", "code", "analytic", "train")]
+                  for name in ("model", "code", "train")]
 SPECTRUM_FIELDS = ("cholesky_l", "s3", "s4", "mu3", "mu4", "u3", "u4")
 CODE_FIELDS = ("e13", "e15", "e24", "e25", "e56", "d3", "d4")
 
@@ -218,12 +219,10 @@ def assert_identity_shortcuts_keep_the_bits(inst: ProblemInstance):
         general, general_matrices = closed_form_outputs(inst)
     assert fast.keys() == general.keys() and fast_matrices.keys() == general_matrices.keys()
     assert [key for key in fast if fast[key] != general[key]] == []
-    # equal values are equal bits but for the sign of a zero: the general
-    # path's basis of node 2's axes, from an SVD, holds -0.0 where the
-    # shortcut's holds 0.0, and intersect's products carry those signs into
-    # the zero rows of the construction's spans (the n=28 example below)
+    # both paths take node 2's span as its axes (L = I either way), so even
+    # the signs of the codes' zeros agree
     assert [key for key in fast_matrices
-            if not np.array_equal(fast_matrices[key], general_matrices[key])] == []
+            if bits(fast_matrices[key]) != bits(general_matrices[key])] == []
 
 
 @st.composite
@@ -248,6 +247,30 @@ def test_identity_shortcuts_return_the_general_paths_bits(spec):
     except InfeasibleSpec:
         assume(False)
     assert_identity_shortcuts_keep_the_bits(inst)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=identity_specs(), seed=SEEDS)
+def test_node2_axes_give_the_factored_spans_report(spec, seed):
+    # on a psi = I cell and on the same cell behind a block-decoupled psi,
+    # node 2 lies on its last b axes and its cut by node 1's span on the
+    # mutual axes n - b ... a - 1; the report must be the one _analyze
+    # gives with node 2's span factored and cut by _coordinate_cut, and the
+    # decoupled cell's the psi = I cell's
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    reports = []
+    for case in (inst, decoupled_instance(inst, np.random.default_rng(seed))):
+        cell = spectrum(case)
+        assert analytic_module._node2_on_axes(cell.cholesky_l, case.b)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytic_module, "_node2_on_axes", lambda chol, b: False)
+            factored = sufficient_report(cell)
+        reports.append(sufficient_report(cell))
+        assert reports[-1] == factored
+    assert reports[0] == reports[1]
 
 
 def test_identity_shortcuts_return_the_general_paths_bits_at_n256():
