@@ -22,8 +22,9 @@ from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
     _coordinate_cut,
+    _extensions,
     _greedy_pick,
-    extend_from_pool,
+    _trailing_cut,
     intersect,
     is_subspace_of,
     join,
@@ -59,29 +60,30 @@ def _analyze(spec: TaskSpectrum,
     """The condition report and the bases the construction reads:
     (b3, b4, i13, i24, i34). The coverage conditions sf1 and sf2 test
     b3 against i13 + i34 and b4 against i24 + i34; those joins stay local,
-    since the construction's extend_from_pool calls decide the same
-    coverage by their own picks (see extend_from_pool).
+    since the construction's extensions decide the same coverage by their
+    own picks (see extend_from_pool).
 
     L is lower-triangular, so node 1's observation span is exactly the first
     a whitened axes: it is never factored, and its intersections are
     coordinate cuts. Node 2's span is that of the last b rows of L. When
     they vanish left of column n - b (_node2_on_axes, e.g. psi = I), it is
-    the last b axes, taken as they stand, and its intersection with node
-    1's span is the mutual axes n - b ... a - 1; otherwise both are
-    factored. The eigengap flags read mu_m - mu_{m+1} at m = min{2Z, n}
-    (mu_m itself if m = n)."""
+    the last b axes: its intersection with node 1's span is the mutual axes
+    n - b ... a - 1, and task 4's span is cut by it on its rows
+    (_trailing_cut); otherwise both are factored. The eigengap flags read
+    mu_m - mu_{m+1} at m = min{2Z, n} (mu_m itself if m = n)."""
     instance = spec.instance
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
+    b3, b4 = task_bases(spec)
     if _node2_on_axes(spec.cholesky_l, b):
-        axes = np.eye(n)
-        b2, i12 = Basis(axes[:, n - b:].copy()), Basis(axes[:, n - b:a].copy())
+        # the mutual axes n - b ... a - 1
+        i12 = Basis(np.eye(n, a + b - n, b - n))
+        i24 = _trailing_cut(b4, b, tol)
     else:
         b2 = orthonormal_basis(spec.cholesky_l[n - b:, :].T.copy(), tol)
         i12 = _coordinate_cut(b2, a, tol)
-    b3, b4 = task_bases(spec)
+        i24 = intersect(b2, b4, tol)
     i34 = intersect(b3, b4, tol)
     i13 = _coordinate_cut(b3, a, tol)
-    i24 = intersect(b2, b4, tol)
     # [b3 | b4] and [b3 | -b4] share their singular values, so the joint
     # rank is the column count less the intersection's dimension
     r_plus = b3.dim + b4.dim - i34.dim
@@ -136,24 +138,28 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
     intersection. `bases` are _analyze's, on a cell where sufficient_ok
     holds; the intersections with node 1's span are coordinate cuts, as
     there. b3 and b4 hold 2Z columns each, so r+ <= 3Z leaves
-    r34 = 4Z - r+ >= Z, and sf1/sf2 make both extensions feasible.
+    r34 = 4Z - r+ >= Z, and sf1/sf2 make both extensions feasible. The two
+    extensions of i34 share one orthonormal basis of it, and the xi and chi
+    picks one of the shared columns.
     """
     n, a, z = instance.n, instance.a, instance.z
     b3, b4, i13, i24, i34 = bases
     r34 = i34.dim
-    excl3 = extend_from_pool(i34, i13, b3, tol)
-    excl4 = extend_from_pool(i34, i24, b4, tol)
+    excl3, excl4 = _extensions(i34, [(i13, b3), (i24, b4)], tol)
     i234 = intersect(i24, b3, tol)
     i1234 = _coordinate_cut(i234, a, tol)
     k_both = min(i1234.dim, r34 - z)
     shared = i1234.vectors[:, :k_both]
     q = r34 - z - k_both
-    xi = chi = np.zeros((n, 0))
+    xi = chi = ext56 = np.zeros((n, 0))
     if q > 0:
         i134 = _coordinate_cut(i34, a, tol)
-        xi = _greedy_pick(shared, i134.vectors, q, tol)
-        chi = _greedy_pick(shared, i234.vectors, q, tol)
-    ext56 = _greedy_pick(np.hstack([shared, xi, chi]), i34.vectors, z - q, tol)
+        span = orthonormal_basis(shared, tol).vectors
+        xi = _greedy_pick(span, i134.vectors, q, tol)
+        chi = _greedy_pick(span, i234.vectors, q, tol)
+    if q < z:
+        span = orthonormal_basis(np.hstack([shared, xi, chi]), tol).vectors
+        ext56 = _greedy_pick(span, i34.vectors, z - q, tol)
     phi13 = np.hstack([excl3, shared, xi])
     phi24 = np.hstack([excl4, shared, chi])
     phi56 = np.hstack([xi + chi, ext56])

@@ -128,21 +128,31 @@ def exact_loss(code: ButterflyCode, instance: ProblemInstance):
     return l3, l4, l3 + l4
 
 
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """True iff x and y hold the same floats bit for bit (0.0 differs from
+    -0.0), so that any function of one gives the other's result."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
                      tol: ToleranceConfig = DEFAULT_TOL):
     """Closed-form least-squares decoders (d3, d4) for the given encoders.
 
     D = psi A^T pinv(A psi A^T) zeroes the loss gradient for every task matrix
-    simultaneously; the pseudo-inverse handles rank-deficient encoders.
+    simultaneously; the pseudo-inverse handles rank-deficient encoders. When
+    the two sinks' Grams A psi A^T are equal bit for bit, as on the
+    constructed codes, one pseudo-inverse serves both.
     """
     psi, out = instance.psi, []
     identity = _is_identity(psi)
+    gram = pinv = None
     for am in _encoder_maps(code, instance)["amap"][:, 0]:
         # for psi = I, A psi and psi A^T are copies of A and A^T: the gram
         # stays a product of two buffers (one buffer and its transpose go to
         # syrk) and each left factor C-ordered, so the bits stay the same
-        gram = (am.copy() if identity else am @ psi) @ am.T
-        pinv = np.linalg.pinv(gram, rcond=tol.rank_tol, hermitian=True)
+        last, gram = gram, (am.copy() if identity else am @ psi) @ am.T
+        if last is None or not _same_bits(gram, last):
+            pinv = np.linalg.pinv(gram, rcond=tol.rank_tol, hermitian=True)
         out.append((am.T.copy() if identity else psi @ am.T) @ pinv)
     return out[0], out[1]
 
@@ -155,10 +165,15 @@ def with_optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
 
 def flow_spans(code: ButterflyCode, spec: TaskSpectrum) -> CodeSpans:
     """Express each link signal as Phi^T L^{-1} x and return the Phi
-    matrices, with L the Cholesky factor of the spectrum's instance."""
+    matrices, with L the Cholesky factor of the spectrum's instance. For
+    psi = I, L = I and the Phi^T are the rows of the encoder maps, where
+    _encoder_maps places each block at its node's columns."""
     instance, chol = spec.instance, spec.cholesky_l
     check_code_shapes(code, instance)
-    a, b, n = instance.a, instance.b, instance.n
+    a, b, n, z = instance.a, instance.b, instance.n, instance.z
+    if _is_identity(instance.psi):
+        a3, a4 = _encoder_maps(code, instance)["amap"][:, 0]
+        return CodeSpans(phi13=a3[:z].T, phi24=a4[:z].T, phi56=a3[z:].T)
     rows1 = chol[:a, :]        # a x n, the observed rows of L
     rows2 = chol[n - b :, :]
     phi13 = (code.e13 @ rows1).T
@@ -198,6 +213,12 @@ def realize_spans(spans: CodeSpans, spec: TaskSpectrum,
     when its span is the last b axes (_node2_on_axes, e.g. psi = I); else
     they are least-squares fits.
     """
+    return with_optimal_decoders(_realize_encoders(spans, spec, tol), spec.instance, tol)
+
+
+def _realize_encoders(spans: CodeSpans, spec: TaskSpectrum,
+                      tol: ToleranceConfig) -> ButterflyCode:
+    """realize_spans' encoders, with zero decoders."""
     instance, chol = spec.instance, spec.cholesky_l
     n, a, b, z = instance.n, instance.a, instance.b, instance.z
     u1 = chol[:a, :].T         # n x a
@@ -240,7 +261,7 @@ def realize_spans(spans: CodeSpans, spec: TaskSpectrum,
             e15[split] = cs[:a].T
             e25[split] = cs[a:].T
 
-    code = ButterflyCode(
+    return ButterflyCode(
         e13=c13.T,
         e15=e15,
         e24=c24.T,
@@ -249,7 +270,6 @@ def realize_spans(spans: CodeSpans, spec: TaskSpectrum,
         d3=np.zeros((n, 2 * z)),
         d4=np.zeros((n, 2 * z)),
     )
-    return with_optimal_decoders(code, instance, tol)
 
 
 def utilities(code: ButterflyCode, spec: TaskSpectrum,
@@ -272,7 +292,9 @@ def utilities(code: ButterflyCode, spec: TaskSpectrum,
     xi = orthonormal_basis(spans.phi56, tol)
     u56 = subspace_trace(s3 + s4, xi)
     b135 = orthonormal_basis(np.hstack([spans.phi13, spans.phi56]), tol)
-    b245 = orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol)
+    # the same direct span, as on a same-task construction, gives the same basis
+    b245 = (b135 if _same_bits(spans.phi24, spans.phi13) else
+            orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol))
     u13 = subspace_trace(s3, b135) - subspace_trace(s3, xi)
     u24 = subspace_trace(s4, b245) - subspace_trace(s4, xi)
     return u56, u13, u24

@@ -42,8 +42,8 @@ from .subspace import (
     Basis,
     DEFAULT_TOL,
     ToleranceConfig,
+    _extensions,
     _fix_signs,
-    extend_from_pool,
     intersect,
     orthonormal_basis,
 )
@@ -342,8 +342,8 @@ def whiten(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> Whi
     b2 = orthonormal_basis(theta2, tol)
     a_t, b_t = b1.dim, b2.dim
     shared = intersect(b1, b2, tol)
-    omega = np.hstack([extend_from_pool(shared, b1, b1, tol), shared.vectors,
-                       extend_from_pool(shared, b2, b2, tol)])
+    ext1, ext2 = _extensions(shared, [(b1, b1), (b2, b2)], tol)
+    omega = np.hstack([ext1, shared.vectors, ext2])
     if omega.shape != (n_t, n_t):
         raise BadDimensions(
             f"whitening basis came out {omega.shape}, expected ({n_t}, {n_t})"

@@ -213,6 +213,26 @@ def _coordinate_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) ->
     return _unit_basis(vecs)
 
 
+def _trailing_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
+    """intersect(span(e_{n-k+1} ... e_n), basis), bit for bit. When the basis
+    is the smaller (dim < k), intersect's residual is the basis with its last
+    k rows zeroed, and its result lies on those rows; both are read off the
+    basis's rows here, with no product by the n x k axes. The residual keeps
+    all n rows although only the first n - k can be nonzero: an SVD of the
+    (n - k) x dim slice, as _coordinate_cut takes, would be cheaper but
+    would give other bits. On a tie intersect takes the axes as the smaller
+    basis, so there and past it intersect runs as it stands."""
+    n = basis.ambient_dim
+    if basis.dim >= k:
+        return intersect(Basis(np.eye(n, k, k - n)), basis, tol)
+    resid = basis.vectors.copy()
+    resid[n - k:] = 0.0
+    v = _principal_vectors(resid, n - k, tol)
+    vecs = np.zeros((n, v.shape[1]))
+    vecs[n - k:] = basis.vectors[n - k:] @ v
+    return _unit_basis(vecs)
+
+
 def _outside(a: Basis, b: Basis, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """(G, U): the larger basis G (B on a tie) and the directions of the
     smaller basis S outside G whose angle fails intersect's test, the left
@@ -262,23 +282,19 @@ def is_subspace_of(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     return a.dim == 0 or (a.dim <= b.dim and _outside(a, b, tol)[1].shape[1] == 0)
 
 
-def _greedy_pick(current: np.ndarray, pool: np.ndarray, count: int,
+def _greedy_pick(span: np.ndarray, pool: np.ndarray, count: int,
                  tol: ToleranceConfig) -> np.ndarray:
     """The (n, count) matrix of pool columns picked each with the largest
-    residual against the running span. Raises if the pool runs out of
-    independent directions first.
+    residual against the running span, given as its orthonormal_basis
+    vectors `span` so that picks against one span share them. Raises if the
+    pool runs out of independent directions first.
 
-    The pool is projected against the current span once. The picks are then
-    the pivots of a QR with column pivoting of that residual (Businger &
-    Golub, Numer. Math. 1965; LAPACK xGEQP3), which takes the column of
-    largest residual norm at each step, and |R_jj| is the j-th pick's
-    residual. Ties fall to xGEQP3's pivot order."""
-    if count == 0:
-        return pool[:, :0]
-    resid = pool
-    if current.shape[1]:
-        q = orthonormal_basis(current, tol).vectors
-        resid = pool - q @ (q.T @ pool)
+    The pool is projected against the span once. The picks are then the
+    pivots of a QR with column pivoting of that residual (Businger & Golub,
+    Numer. Math. 1965; LAPACK xGEQP3), which takes the column of largest
+    residual norm at each step, and |R_jj| is the j-th pick's residual. Ties
+    fall to xGEQP3's pivot order."""
+    resid = pool - span @ (span.T @ pool) if span.shape[1] else pool
     r, order = qr(resid, mode="r", pivoting=True)
     found = np.abs(np.diag(r)[:count]) > tol.rank_tol
     picked = found.size if found.all() else int(np.argmin(found))
@@ -302,15 +318,28 @@ def extend_from_pool(core: Basis, pool: Basis, target: Basis,
     the target extends the core to it. _greedy_pick's "pool exhausted"
     InfeasibleExtension is therefore the coverage test, made once.
     """
-    _check_same_ambient(core, pool)
-    _check_same_ambient(core, target)
-    if not is_subspace_of(core, target, tol):
-        raise ValueError("core must be a subspace of target")
-    # is_subspace_of passes only with core.dim <= target.dim
-    need = target.dim - core.dim
-    if need == 0:
-        return np.zeros((core.ambient_dim, 0))
-    effective = pool
-    if not is_subspace_of(pool, target, tol):
-        effective = intersect(pool, target, tol)
-    return _greedy_pick(core.vectors, effective.vectors, need, tol)
+    return _extensions(core, [(pool, target)], tol)[0]
+
+
+def _extensions(core: Basis, pairs, tol: ToleranceConfig) -> list[np.ndarray]:
+    """extend_from_pool(core, pool, target, tol) for each (pool, target) pair
+    in turn. The first extension that picks anything orthonormalizes the
+    core, and every later one projects against that basis."""
+    span, out = None, []
+    for pool, target in pairs:
+        _check_same_ambient(core, pool)
+        _check_same_ambient(core, target)
+        if not is_subspace_of(core, target, tol):
+            raise ValueError("core must be a subspace of target")
+        # is_subspace_of passes only with core.dim <= target.dim
+        need = target.dim - core.dim
+        if need == 0:
+            out.append(np.zeros((core.ambient_dim, 0)))
+            continue
+        effective = pool
+        if not is_subspace_of(pool, target, tol):
+            effective = intersect(pool, target, tol)
+        if span is None:
+            span = orthonormal_basis(core.vectors, tol).vectors
+        out.append(_greedy_pick(span, effective.vectors, need, tol))
+    return out

@@ -53,6 +53,7 @@ from .code import (
     CodeSpans,
     _field_shapes,
     _offsets,
+    _realize_encoders,
     _views,
     check_code_shapes,
     realize_spans,
@@ -162,6 +163,11 @@ def greedy_benchmark_code(spec: TaskSpectrum,
     """Relay carries the top-Z directions of the summed task Gram matrix;
     each direct link then adds its task's best directions from what its
     source can see beyond the relay's columns."""
+    return realize_spans(_benchmark_spans(spec, tol), spec, tol)
+
+
+def _benchmark_spans(spec: TaskSpectrum, tol: ToleranceConfig) -> CodeSpans:
+    """The link spans greedy_benchmark_code realizes."""
     n, z = spec.n, spec.z
     w, v = np.linalg.eigh(spec.s3 + spec.s4)
     order = np.argsort(w)[::-1]
@@ -192,12 +198,11 @@ def greedy_benchmark_code(spec: TaskSpectrum,
         return direct
 
     chol, a, b = spec.cholesky_l, spec.instance.a, spec.instance.b
-    spans = CodeSpans(
+    return CodeSpans(
         phi13=side(chol[:a, :].T.copy(), spec.s3),
         phi24=side(chol[n - b :, :].T.copy(), spec.s4),
         phi56=phi56,
     )
-    return realize_spans(spans, spec, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +250,9 @@ def _start(job: TrainJob, tol: ToleranceConfig):
         mats["e56"] = _selection_e56(instance.z)
         trained = tuple(name for name in _MATRIX_FIELDS if name != "e56")
     elif config.mode == "coding_benchmark":
+        # the benchmark code's encoders; the descent trains its own decoders
         spec = spectrum(instance, tol) if job.spectrum is None else job.spectrum
-        bench = greedy_benchmark_code(spec, tol)
+        bench = _realize_encoders(_benchmark_spans(spec, tol), spec, tol)
         for name in ("e13", "e15", "e24", "e25", "e56"):
             mats[name] = getattr(bench, name)
         trained = ("d3", "d4")

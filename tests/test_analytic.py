@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import butterfly_coding.analytic as analytic_module
+import butterfly_coding.code as code_module
+import butterfly_coding.subspace as subspace_module
 from butterfly_coding import (
     DEFAULT_TOL,
     Basis,
@@ -22,10 +24,12 @@ from butterfly_coding import (
     lower_bound,
     lower_bound_of,
     necessary_report,
+    optimal_decoders,
     orthonormal_basis,
     spectrum,
     sufficient_report,
     task_bases,
+    utilities,
     validate,
 )
 
@@ -36,6 +40,7 @@ from conftest import (
     rank_one_tasks_instance,
     unachievable_dichotomy_instance,
 )
+from test_code import random_code
 from test_model import simple_instance
 from test_subspace import _intersect_by_null_space, edge_angle
 
@@ -218,6 +223,59 @@ class TestConstruction:
         obs2 = spec.cholesky_l[n - b:, :].T
         assert not any(m.shape in (obs2.shape, (n - a, b)) for m in factored)
         assert exact_loss(code, inst)[2] <= 1e-8
+
+    @staticmethod
+    def construct_large_cell(r_plus):
+        return spectrum(gen_synthetic(
+            SyntheticSpec(n=256, z=64, a=192, b=192, r_plus_target=r_plus, seed=1)))
+
+    @staticmethod
+    def counting(monkeypatch, module, name, calls):
+        # record the first argument of each call of module.name
+        original = getattr(module, name)
+
+        def recorded(m, *args, **kwargs):
+            calls.append(np.array(m, copy=True))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    def test_n256_construction_factors_once(self, monkeypatch):
+        # a construct_large cell whose extensions pick (r34 = 96 < 2Z): both
+        # sinks' Grams are equal, so one pseudo-inverse serves both, and both
+        # extensions project against one orthonormal basis of i34
+        spec = self.construct_large_cell(160)
+        i34 = analytic_module._analyze(spec, DEFAULT_TOL)[1][4]
+        assert i34.dim < 2 * spec.z
+        pinvs, bases = [], []
+        self.counting(monkeypatch, np.linalg, "pinv", pinvs)
+        for module in (subspace_module, analytic_module):
+            self.counting(monkeypatch, module, "orthonormal_basis", bases)
+        code = construct_lb_code(spec)
+        assert len(pinvs) == 1
+        assert sum(m.tobytes() == i34.vectors.tobytes() for m in bases) == 1
+        assert exact_loss(code, spec.instance)[2] <= 1e-8
+
+    def test_n256_same_task_utilities_take_one_stack(self, monkeypatch):
+        # r+ = 2Z: the construction sends the same direct span to both sinks,
+        # so utilities factor the relay's span and one stack of it with them
+        spec = self.construct_large_cell(128)
+        code = construct_lb_code(spec)
+        bases = []
+        self.counting(monkeypatch, code_module, "orthonormal_basis", bases)
+        utilities(code, spec)
+        assert [m.shape for m in bases] == [(256, 64), (256, 128)]
+
+    def test_n256_different_grams_factor_both(self, monkeypatch):
+        # a random code on the same cell: its sinks' Grams differ, and each
+        # gets its own pseudo-inverse
+        spec = self.construct_large_cell(160)
+        code = random_code(spec.instance, np.random.default_rng(0))
+        pinvs = []
+        self.counting(monkeypatch, np.linalg, "pinv", pinvs)
+        d3, d4 = optimal_decoders(code, spec.instance)
+        assert len(pinvs) == 2 and pinvs[0].tobytes() != pinvs[1].tobytes()
+        assert not np.array_equal(d3, d4)
 
     def test_large_capacity_full_rank_exact(self):
         # 2Z > n with full-rank tasks: every coordinate reaches both sinks

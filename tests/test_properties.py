@@ -12,7 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import butterfly_coding.analytic as analytic_module
+import butterfly_coding.subspace as subspace_module
 from butterfly_coding import (
+    DEFAULT_TOL,
+    Basis,
     ButterflyCode,
     InfeasibleSpec,
     PreconditionNotMet,
@@ -23,6 +26,7 @@ from butterfly_coding import (
     exact_loss,
     gen_synthetic,
     greedy_benchmark_code,
+    intersect,
     lower_bound,
     lower_bound_of,
     optimal_decoders,
@@ -273,10 +277,44 @@ def test_node2_axes_give_the_factored_spans_report(spec, seed):
     assert reports[0] == reports[1]
 
 
-def test_identity_shortcuts_return_the_general_paths_bits_at_n256():
-    # a construct_large cell
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spec=identity_specs(), seed=SEEDS)
+# dim b4 = b, where intersect takes node 2's axes as the smaller basis, and
+# dim b4 > b
+@example(spec=SyntheticSpec(n=32, z=8, a=24, b=16, r_plus_target=24), seed=1)
+@example(spec=SyntheticSpec(n=32, z=12, a=24, b=16, r_plus_target=28, keep_sf3=False), seed=1)
+def test_node2_row_cut_returns_intersects_bits(spec, seed):
+    # on a psi = I cell and behind a block-decoupled psi, _analyze cuts task
+    # 4's span by node 2's last b axes with _trailing_cut; its basis must be
+    # intersect's byte for byte, signs of zeros included, and it must run
+    # intersect itself unless dim b4 < b
+    try:
+        inst = gen_synthetic(spec)
+    except InfeasibleSpec:
+        assume(False)
+    for case in (inst, decoupled_instance(inst, np.random.default_rng(seed))):
+        n, b = case.n, case.b
+        b4 = task_bases(spectrum(case))[1]
+        want = intersect(Basis(np.eye(n)[:, n - b:]), b4, DEFAULT_TOL)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return intersect(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subspace_module, "intersect", counted)
+            got = subspace_module._trailing_cut(b4, b, DEFAULT_TOL)
+        assert got.vectors.shape == want.vectors.shape
+        assert bits(got.vectors) == bits(want.vectors)
+        assert len(calls) == (b4.dim >= b)
+
+
+@pytest.mark.parametrize("r_plus", [128, 160, 192])
+def test_identity_shortcuts_return_the_general_paths_bits_at_n256(r_plus):
+    # the construct_large cells
     assert_identity_shortcuts_keep_the_bits(gen_synthetic(
-        SyntheticSpec(n=256, z=64, a=192, b=192, r_plus_target=128, seed=1)))
+        SyntheticSpec(n=256, z=64, a=192, b=192, r_plus_target=r_plus, seed=1)))
 
 
 # at coarse tolerances the construction still misses the bound on some

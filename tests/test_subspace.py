@@ -264,6 +264,11 @@ def test_extend_from_pool_fails_exactly_when_the_pool_cannot_cover_the_target(se
     assert is_subspace_of(grown, target) and is_subspace_of(target, grown)
 
 
+def greedy_pick(current, pool, count, tol):
+    """_greedy_pick against the span of `current`'s columns."""
+    return _greedy_pick(orthonormal_basis(current, tol).vectors, pool, count, tol)
+
+
 def _greedy_pick_by_loop(current, pool, count, tol):
     """Reference greedy rule as a loop: project the pool against the current
     span once, then pick the largest residual and deflate every residual by
@@ -306,10 +311,10 @@ def test_greedy_pick_matches_the_loop(seed, n, data):
     except InfeasibleExtension as exc:
         assert count > outside
         with pytest.raises(InfeasibleExtension) as got:
-            _greedy_pick(core, pool, count, tol)
+            greedy_pick(core, pool, count, tol)
         assert str(got.value) == str(exc)
         return
-    assert np.array_equal(_greedy_pick(core, pool, count, tol), want)
+    assert np.array_equal(greedy_pick(core, pool, count, tol), want)
 
 
 def _greedy_pick_by_refactoring(current, pool, count, tol):
@@ -335,7 +340,7 @@ def _greedy_pick_by_refactoring(current, pool, count, tol):
 
 def test_greedy_pick_ties_go_to_lowest_index():
     tol = ToleranceConfig()
-    got = _greedy_pick(np.zeros((4, 0)), np.eye(4), 3, tol)
+    got = greedy_pick(np.zeros((4, 0)), np.eye(4), 3, tol)
     assert [list(v) for v in got.T] == [list(np.eye(4)[:, j]) for j in range(3)]
 
 
@@ -357,9 +362,9 @@ def test_greedy_pick_matches_refactoring_reference():
         except InfeasibleExtension as exc:
             exhausted += 1
             with pytest.raises(InfeasibleExtension, match=str(exc)):
-                _greedy_pick(core, pool, count, tol)
+                greedy_pick(core, pool, count, tol)
             continue
-        got = _greedy_pick(core, pool, count, tol)
+        got = greedy_pick(core, pool, count, tol)
         assert got.shape[1] == len(want) == count
         for g, w in zip(got.T, want):
             assert np.array_equal(g, w)
