@@ -4,9 +4,9 @@ sufficient_report (alias necessary_report) reports both the rank conditions
 that any bound-achieving code must satisfy (given positive eigen-gaps) and the
 span-coverage conditions under which construct_lb_code emits a code whose
 exact loss equals the lower bound. The report and the construction are decided
-on one set of bases, built once per instance by _analyze. Each capacity regime
-has one construction, 2Z <= n on those bases and 2Z > n on the rows of the
-Cholesky factor, for either order of a and b.
+on one set of bases, built once per instance by _analyze, and one span
+construction on those bases serves every capacity, 2Z <= n and 2Z > n alike,
+for either order of a and b.
 """
 
 from __future__ import annotations
@@ -126,21 +126,32 @@ def sufficient_report(spec: TaskSpectrum,
 necessary_report = sufficient_report
 
 
-def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstance,
-                              tol: ToleranceConfig) -> CodeSpans:
-    """Span construction for 2Z <= n.
+def _construct_spans(bases: tuple[Basis, ...], instance: ProblemInstance,
+                     tol: ToleranceConfig) -> CodeSpans:
+    """The span construction, for every capacity.
 
-    Each task-exclusive direction rides its direct link; directions common to
-    all four spans ride both direct links; when those run short, each sink
-    sends private directions of the task intersection on its direct link and
-    the relay carries their pairwise sums, letting each sink subtract its own
-    contribution. The relay's remaining columns complete the task
-    intersection. `bases` are _analyze's, on a cell where sufficient_ok
-    holds; the intersections with node 1's span are coordinate cuts, as
-    there. b3 and b4 hold 2Z columns each, so r+ <= 3Z leaves
-    r34 = 4Z - r+ >= Z, and sf1/sf2 make both extensions feasible. The two
-    extensions of i34 share one orthonormal basis of it, and the xi and chi
-    picks one of the shared columns.
+    Each task-exclusive direction rides its direct link. Past those, each
+    direct link carries t = max(r34 - Z, 0) directions of the task
+    intersection: k_both = min(dim i1234, t) common to all four spans, sent
+    on both direct links, and, when those run short, q = t - k_both private
+    ones per sink (xi from i134, chi from i234), whose pairwise sums the
+    relay carries, so that each sink subtracts its own contribution. The
+    relay's other r34 - k_both - 2q columns complete the task intersection,
+    and zero columns pad each link to Z. `bases` are _analyze's, on a cell
+    where sufficient_ok holds; the intersections with node 1's span are
+    coordinate cuts, as there. The two extensions of i34 share one
+    orthonormal basis of it, and the xi and chi picks one of the shared
+    columns.
+
+    For 2Z <= n, b3 and b4 hold 2Z columns each, so r+ <= 3Z leaves
+    r34 = 4Z - r+ >= Z, sf1/sf2 make both extensions feasible, and every
+    link is full. For 2Z > n, b3 = b4 = i34 = R^n: the extensions are empty
+    and the common directions are those mutual to both nodes. sufficient_ok
+    there means a >= n - Z and b >= n - Z, which leaves a - k_both >= q
+    picks for xi and b - k_both >= q for chi, and the relay completes R^n
+    with n - k_both - 2q = min(Z, n) - q columns. Each sink then receives
+    the common, xi, chi and relay directions, all of R^n, so its loss is 0,
+    the bound there.
     """
     n, a, z = instance.n, instance.a, instance.z
     b3, b4, i13, i24, i34 = bases
@@ -148,49 +159,23 @@ def _construct_small_capacity(bases: tuple[Basis, ...], instance: ProblemInstanc
     excl3, excl4 = _extensions(i34, [(i13, b3), (i24, b4)], tol)
     i234 = intersect(i24, b3, tol)
     i1234 = _coordinate_cut(i234, a, tol)
-    k_both = min(i1234.dim, r34 - z)
+    t = max(r34 - z, 0)
+    k_both = min(i1234.dim, t)
     shared = i1234.vectors[:, :k_both]
-    q = r34 - z - k_both
+    q = t - k_both
     xi = chi = ext56 = np.zeros((n, 0))
     if q > 0:
         i134 = _coordinate_cut(i34, a, tol)
         span = orthonormal_basis(shared, tol).vectors
         xi = _greedy_pick(span, i134.vectors, q, tol)
         chi = _greedy_pick(span, i234.vectors, q, tol)
-    if q < z:
+    rest = r34 - k_both - 2 * q
+    if rest > 0:
         span = orthonormal_basis(np.hstack([shared, xi, chi]), tol).vectors
-        ext56 = _greedy_pick(span, i34.vectors, z - q, tol)
-    phi13 = np.hstack([excl3, shared, xi])
-    phi24 = np.hstack([excl4, shared, chi])
-    phi56 = np.hstack([xi + chi, ext56])
-    assert phi13.shape[1] == z and phi24.shape[1] == z and phi56.shape[1] == z
-    return CodeSpans(phi13=phi13, phi24=phi24, phi56=phi56)
-
-
-def _construct_large_capacity(spec: TaskSpectrum) -> CodeSpans:
-    """Span construction for 2Z > n.
-
-    Rows of L indexed below n-b are private to node 1, from a on private to
-    node 2, the rest mutual. The relay pairs each of the first p = min(n-a,
-    n-b) private rows of node 1 with a node-2-private partner so both sinks
-    recover both by subtraction; the unpaired private rows of the node that
-    has more of them and the mutual rows fill the remaining columns.
-    """
-    instance = spec.instance
-    n, a, b, z = instance.n, instance.a, instance.b, instance.z
-    cols = spec.cholesky_l.T
-    p = min(n - a, n - b)
-    directs = np.hstack([cols[:, p:n - b], cols[:, a + p:]])
-    mutual = cols[:, n - b:a]
-    slots56 = z - p - directs.shape[1]
-    slots13 = z - p
-    assert slots56 >= 0 and slots13 >= 0
-    # the mutual columns in turn, or zeros when there are none
-    fills = np.resize(mutual.T, (slots56 + slots13, n)).T
-    phi56 = np.hstack([cols[:, :p] + cols[:, a:a + p], directs, fills[:, :slots56]])
-    phi13 = np.hstack([cols[:, :p], fills[:, slots56:]])
-    phi24 = np.hstack([cols[:, a:a + p], fills[:, slots56:]])
-    return CodeSpans(phi13=phi13, phi24=phi24, phi56=phi56)
+        ext56 = _greedy_pick(span, i34.vectors, rest, tol)
+    phis = (np.hstack([excl3, shared, xi]), np.hstack([excl4, shared, chi]),
+            np.hstack([xi + chi, ext56]))
+    return CodeSpans(*(np.hstack([phi, np.zeros((n, z - phi.shape[1]))]) for phi in phis))
 
 
 def construct_lb_code(spec: TaskSpectrum,
@@ -205,8 +190,4 @@ def construct_lb_code(spec: TaskSpectrum,
             f"sufficient conditions fail: necessary_ok={report.necessary_ok}, "
             f"sf1_ok={report.sf1_ok}, sf2_ok={report.sf2_ok}"
         )
-    if 2 * spec.z <= spec.n:
-        spans = _construct_small_capacity(bases, spec.instance, tol)
-    else:
-        spans = _construct_large_capacity(spec)
-    return realize_spans(spans, spec, tol)
+    return realize_spans(_construct_spans(bases, spec.instance, tol), spec, tol)

@@ -165,21 +165,20 @@ def with_optimal_decoders(code: ButterflyCode, instance: ProblemInstance,
 
 def flow_spans(code: ButterflyCode, spec: TaskSpectrum) -> CodeSpans:
     """Express each link signal as Phi^T L^{-1} x and return the Phi
-    matrices, with L the Cholesky factor of the spectrum's instance. For
-    psi = I, L = I and the Phi^T are the rows of the encoder maps, where
-    _encoder_maps places each block at its node's columns."""
-    instance, chol = spec.instance, spec.cholesky_l
+    matrices, with L the Cholesky factor of the spectrum's instance: Phi^T
+    = A L for the encoder maps A of _encoder_maps, which place each block at
+    its node's columns. For psi = I, L = I and the Phi^T are A's rows.
+    Otherwise the relay rows are formed as e56 (into5 L), in the order the
+    signal passes the links; (e56 into5) L agrees only to rounding."""
+    instance = spec.instance
     check_code_shapes(code, instance)
-    a, b, n, z = instance.a, instance.b, instance.n, instance.z
+    z, chol = instance.z, spec.cholesky_l
+    maps = _encoder_maps(code, instance)
+    a3, a4 = maps["amap"][:, 0]
     if _is_identity(instance.psi):
-        a3, a4 = _encoder_maps(code, instance)["amap"][:, 0]
         return CodeSpans(phi13=a3[:z].T, phi24=a4[:z].T, phi56=a3[z:].T)
-    rows1 = chol[:a, :]        # a x n, the observed rows of L
-    rows2 = chol[n - b :, :]
-    phi13 = (code.e13 @ rows1).T
-    phi24 = (code.e24 @ rows2).T
-    relay = code.e56 @ np.vstack([code.e15 @ rows1, code.e25 @ rows2])
-    return CodeSpans(phi13=phi13, phi24=phi24, phi56=relay.T)
+    relay = code.e56 @ (maps["into5"][0] @ chol)
+    return CodeSpans(phi13=(a3[:z] @ chol).T, phi24=(a4[:z] @ chol).T, phi56=relay.T)
 
 
 def _fit_columns(basis_mat: np.ndarray, targets: np.ndarray, tol: ToleranceConfig):

@@ -286,8 +286,9 @@ class TestConstruction:
         assert exact_loss(code, inst)[2] <= 1e-18
 
     def test_large_capacity_mirror_case(self):
-        # a > b: node 1 has more private rows than node 2, so its unpaired
-        # private row rides the relay
+        # 2Z > n with a > b: n - Z = 1 of the two mutual directions rides
+        # both direct links, and the relay completes R^n with the other one
+        # and node 1's private direction
         inst = simple_instance(n=3, a=3, b=2, z=2)
         code = construct_lb_code(spectrum(inst))
         assert exact_loss(code, inst)[2] <= 1e-18
@@ -384,7 +385,8 @@ def _mirror_cases(rng, count):
 
 def test_mirror_oracle():
     rng = np.random.default_rng(21)
-    # 2Z > n with a != b puts one side of each pair through a > b
+    # a 2Z > n instance with a != b and its mirror give the construction
+    # both orders of a and b
     built = {"small": 0, "large_unequal": 0, "large_equal": 0}
     for inst in _mirror_cases(rng, 300):
         twin = mirrored(inst)

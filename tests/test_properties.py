@@ -22,6 +22,7 @@ from butterfly_coding import (
     ProblemInstance,
     SyntheticSpec,
     ToleranceConfig,
+    check_code_shapes,
     construct_lb_code,
     exact_loss,
     gen_synthetic,
@@ -345,4 +346,42 @@ def test_sufficient_instances_are_constructed_at_the_bound(rank_tol, source):
     assume(sufficient_report(spec, tol).sufficient_ok)
     lb = lower_bound(spec)
     total = exact_loss(construct_lb_code(spec, tol), inst)[2]
+    assert abs(total - lb) <= 1e-8 * max(1.0, abs(lb))
+
+
+@st.composite
+def wide_specs(draw):
+    # psi = I cells with Z > n: both task spans are all of R^n, so the only
+    # joint rank gen_synthetic accepts is n
+    n = draw(st.integers(2, 10))
+    a = draw(st.integers(0, n))
+    return SyntheticSpec(
+        n=n, z=draw(st.integers(n + 1, n + 4)), a=a, b=draw(st.integers(n - a, n)),
+        r_plus_target=n, eig_profile=draw(st.sampled_from([None, "flat_tail"])),
+        keep_sf3=False, seed=draw(SEEDS))
+
+
+@pytest.mark.parametrize("rank_tol", [1e-14, 1e-10])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(source=st.one_of(wide_specs(), SEEDS))
+@example(source=SyntheticSpec(n=6, z=8, a=6, b=2, r_plus_target=6, keep_sf3=False, seed=1))
+@example(source=SyntheticSpec(n=5, z=7, a=1, b=5, r_plus_target=5, keep_sf3=False, seed=2))
+def test_capacity_past_the_data_dimension_is_constructed_at_the_bound(rank_tol, source):
+    # Z may exceed n: gen_synthetic cells with Z > n or, for a seed, random
+    # positive-definite instances with Z up to 14 at n <= 12; wherever
+    # sufficient_ok holds the construction has the instance's shapes and
+    # reaches the bound
+    tol = ToleranceConfig(rank_tol)
+    if isinstance(source, SyntheticSpec):
+        try:
+            inst = gen_synthetic(source, tol)
+        except InfeasibleSpec:
+            assume(False)
+    else:
+        inst = random_pd_instance(np.random.default_rng(source), n_max=12, z_max=14)
+    spec = spectrum(inst, tol)
+    assume(sufficient_report(spec, tol).sufficient_ok)
+    code = check_code_shapes(construct_lb_code(spec, tol), inst)
+    lb = lower_bound(spec)
+    total = exact_loss(code, inst)[2]
     assert abs(total - lb) <= 1e-8 * max(1.0, abs(lb))
