@@ -17,7 +17,7 @@ from scipy.linalg import solve_triangular
 
 from .model import (BadDimensions, ProblemInstance, TaskSpectrum, WhitenedInstance,
                     _is_identity, _node2_on_axes, _non_reals, _real_array)
-from .subspace import DEFAULT_TOL, ToleranceConfig, orthonormal_basis
+from .subspace import DEFAULT_TOL, ToleranceConfig, _basis_and_top, _beyond
 
 
 class InvalidSpan(ValueError):
@@ -114,12 +114,13 @@ def exact_loss(code: ButterflyCode, instance: ProblemInstance):
     """(L3, L4, L_total) as exact expectations, no sampling.
 
     L_i = Tr(K_i (I - D_i A_i) psi (I - D_i A_i)^T K_i^T), which only needs the
-    covariance, so singular psi is fine.
+    covariance, so singular psi is fine. Each residual K_i (I - D_i A_i) is
+    formed as K_i - (K_i D_i) A_i, on the thin factors: no n x n product
+    D_i A_i and no identity. It equals the dense form to rounding.
     """
     a3, a4 = _encoder_maps(code, instance)["amap"][:, 0]
-    eye = np.eye(instance.n)
-    m3 = instance.k3 @ (eye - code.d3 @ a3)
-    m4 = instance.k4 @ (eye - code.d4 @ a4)
+    m3 = instance.k3 - (instance.k3 @ code.d3) @ a3
+    m4 = instance.k4 - (instance.k4 @ code.d4) @ a4
     if _is_identity(instance.psi):
         l3, l4 = float(np.sum(m3 * m3)), float(np.sum(m4 * m4))
     else:
@@ -275,28 +276,39 @@ def utilities(code: ButterflyCode, spec: TaskSpectrum,
               tol: ToleranceConfig = DEFAULT_TOL):
     """(u56, u13, u24): captured task energy per link.
 
-    u56 is the trace of S3 + S4 over the relay span. u13 is the trace of S3
-    over the orthogonal complement of the relay span inside sink 3's combined
-    received span (so the three utilities never double-count a direction);
-    u24 is symmetric. S3 and S4 are the spectrum's whitened task Grams.
+    u56 is the trace of S3 + S4 over the relay span, its orthonormal_basis
+    xi. u13 is the trace of S3 over the directions that phi13 adds to xi
+    (subspace._beyond), the orthogonal complement of the relay span inside
+    sink 3's received span, so the three utilities never double-count a
+    direction; u24 is symmetric. S3 and S4 are the spectrum's whitened task
+    Grams. The relay is factored once, and each direct link once more on
+    its residual against xi; when phi24 = phi13 bit for bit, as on a
+    same-task construction, its directions serve both sinks.
+
+    Traces do not depend on the basis of a span, so u13 equals the stacked
+    definition Tr(S3 P_135) - Tr(S3 P_xi) wherever both rank rules count
+    the same directions. On random codes they do at rank_tol 1e-14 through
+    1e-6; at 1e-3 a few counts differ (3 of 1,200), with singular values
+    near the threshold. The stacked difference also loses accuracy when a
+    direct link is small next to the relay: its directions are resolved
+    against the stack's largest singular value, which for phi13 and phi24
+    scaled by 1e-9 costs up to 3e-6 relative, where this form stays at
+    rounding.
+
+    With decoders from optimal_decoders and well-conditioned encoders,
+    u56 + u13 + u24 + L_total = Tr(S3) + Tr(S4).
     """
     spans = flow_spans(code, spec)
     s3, s4 = spec.s3, spec.s4
 
-    def subspace_trace(s, basis):
-        if basis.dim == 0:
-            return 0.0
-        return float(np.sum((s @ basis.vectors) * basis.vectors))
+    def trace(s, vectors):
+        return float(np.sum((s @ vectors) * vectors))
 
-    xi = orthonormal_basis(spans.phi56, tol)
-    u56 = subspace_trace(s3 + s4, xi)
-    b135 = orthonormal_basis(np.hstack([spans.phi13, spans.phi56]), tol)
-    # the same direct span, as on a same-task construction, gives the same basis
-    b245 = (b135 if _same_bits(spans.phi24, spans.phi13) else
-            orthonormal_basis(np.hstack([spans.phi24, spans.phi56]), tol))
-    u13 = subspace_trace(s3, b135) - subspace_trace(s3, xi)
-    u24 = subspace_trace(s4, b245) - subspace_trace(s4, xi)
-    return u56, u13, u24
+    xi, top = _basis_and_top(spans.phi56, tol)
+    new13 = _beyond(xi.vectors, spans.phi13, top, tol)
+    new24 = (new13 if _same_bits(spans.phi24, spans.phi13) else
+             _beyond(xi.vectors, spans.phi24, top, tol))
+    return trace(s3 + s4, xi.vectors), trace(s3, new13), trace(s4, new24)
 
 
 def lift_code(whitened: WhitenedInstance, code: ButterflyCode,

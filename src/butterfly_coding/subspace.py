@@ -103,15 +103,21 @@ def orthonormal_basis(vectors: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -
     count equals the numerical rank. Columns come out ordered by descending
     singular value with a deterministic sign convention.
     """
+    return _basis_and_top(vectors, tol)[0]
+
+
+def _basis_and_top(vectors: np.ndarray, tol: ToleranceConfig) -> tuple[Basis, float]:
+    """orthonormal_basis(vectors, tol) and the largest singular value of
+    the vectors, 0.0 when they are all zero or there are none."""
     m = _as_matrix(vectors)
     n = m.shape[0]
     if m.shape[1] == 0:
-        return Basis.empty(n)
+        return Basis.empty(n), 0.0
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
-        return Basis.empty(n)
+        return Basis.empty(n), 0.0
     rank = int(np.sum(s > tol.rank_tol * s[0]))
-    return Basis(_fix_signs(u[:, :rank]))
+    return Basis(_fix_signs(u[:, :rank])), float(s[0])
 
 
 def _check_same_ambient(a: Basis, b: Basis):
@@ -251,6 +257,34 @@ def _outside(a: Basis, b: Basis, tol: ToleranceConfig) -> tuple[np.ndarray, np.n
         return g, resid[:, :0]
     u, _, keep = _sine_test(resid, rank, tol)
     return g, u[:, :int(np.count_nonzero(~keep))]
+
+
+def _beyond(g: np.ndarray, vectors: np.ndarray, top: float,
+            tol: ToleranceConfig) -> np.ndarray:
+    """The orthonormal directions that the columns of `vectors` add to the
+    span of the orthonormal columns g, where `top` is the largest singular
+    value of the vectors g was cut from (0.0 for none).
+
+    The vectors are projected off g twice, which leaves the residual
+    orthogonal to g to rounding ("twice is enough", Parlett, The Symmetric
+    Eigenvalue Problem, 1980), and the directions are the residual's left
+    singular vectors whose singular value exceeds
+
+        rank_tol * max(top, largest column norm of the vectors),
+
+    a lower estimate of the largest singular value of the stack
+    [vectors | g's source]. The count then agrees with orthonormal_basis's
+    rank of that stack less dim g wherever no singular value lies within a
+    small factor of the threshold. A direction of small norm next to g
+    keeps its accuracy: it is resolved against its own residual, not
+    against the stack's largest singular value.
+    """
+    r = _as_matrix(vectors)
+    cut = tol.rank_tol * max(top, float(np.linalg.norm(r, axis=0).max(initial=0.0)))
+    for _ in range(2):
+        r = r - g @ (g.T @ r)
+    u, s, _ = np.linalg.svd(r, full_matrices=False)
+    return u[:, :int(np.count_nonzero(s > cut))]
 
 
 def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:

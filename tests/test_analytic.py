@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import butterfly_coding.analytic as analytic_module
-import butterfly_coding.code as code_module
 import butterfly_coding.subspace as subspace_module
 from butterfly_coding import (
     DEFAULT_TOL,
@@ -256,15 +255,19 @@ class TestConstruction:
         assert sum(m.tobytes() == i34.vectors.tobytes() for m in bases) == 1
         assert exact_loss(code, spec.instance)[2] <= 1e-8
 
-    def test_n256_same_task_utilities_take_one_stack(self, monkeypatch):
-        # r+ = 2Z: the construction sends the same direct span to both sinks,
-        # so utilities factor the relay's span and one stack of it with them
-        spec = self.construct_large_cell(128)
-        code = construct_lb_code(spec)
-        bases = []
-        self.counting(monkeypatch, code_module, "orthonormal_basis", bases)
-        utilities(code, spec)
-        assert [m.shape for m in bases] == [(256, 64), (256, 128)]
+    def test_n256_utilities_factor_thin_matrices(self, monkeypatch):
+        # utilities factor the relay's span and each direct link's residual
+        # against it, n x Z each, and no n x 2Z stack; at r+ = 2Z the
+        # construction sends the same direct span to both sinks, and one
+        # residual serves both
+        for r_plus, factored in ((128, 2), (160, 3)):
+            spec = self.construct_large_cell(r_plus)
+            code = construct_lb_code(spec)
+            svds = []
+            with monkeypatch.context() as patch:
+                self.counting(patch, np.linalg, "svd", svds)
+                utilities(code, spec)
+            assert [m.shape for m in svds] == [(256, 64)] * factored
 
     def test_n256_different_grams_factor_both(self, monkeypatch):
         # a random code on the same cell: its sinks' Grams differ, and each

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from butterfly_coding import (
     DEFAULT_TOL,
     InvalidSpan,
     ProblemInstance,
+    ToleranceConfig,
     check_code_shapes,
     code_from_json,
     code_to_json,
@@ -108,6 +110,39 @@ class TestExactLoss:
         for exact, sample in ((l3, err3), (l4, err4)):
             stderr = sample.std() / np.sqrt(m)
             assert abs(exact - sample.mean()) <= 3.5 * stderr + 1e-9
+
+    @pytest.mark.parametrize("identity", [True, False])
+    @pytest.mark.parametrize("wide", [False, True], ids=["2z_le_n", "2z_gt_n"])
+    @pytest.mark.parametrize("tall", [False, True], ids=["rows_le_n", "rows_gt_n"])
+    def test_thin_residual_matches_dense_reference(self, identity, wide, tall):
+        # exact_loss forms K - (K D) A; the reference forms K (I - D A) with
+        # the n x n product D A, for random and optimal decoders
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            a = int(rng.integers(1, n + 1))
+            b = int(rng.integers(max(1, n - a), n + 1))
+            z = int(rng.integers(n // 2 + 1, n + 3) if wide else rng.integers(1, n // 2 + 1))
+            f = rng.normal(size=(n, n))
+            psi = np.eye(n) if identity else f @ f.T + 0.1 * np.eye(n)
+            r3, r4 = rng.integers(n + 1, 2 * n + 2, 2) if tall else rng.integers(1, n + 1, 2)
+            inst = validate(ProblemInstance(n=n, psi=psi, a=a, b=b, z=z,
+                                            k3=rng.normal(size=(r3, n)),
+                                            k4=rng.normal(size=(r4, n))))
+            code = random_code(inst, rng)
+            for c in (code, with_optimal_decoders(code, inst)):
+                into5 = np.zeros((2 * z, n))
+                into5[:z, :a], into5[z:, n - b:] = c.e15, c.e25
+                want = []
+                for k, d, direct, cols in ((inst.k3, c.d3, c.e13, slice(0, a)),
+                                           (inst.k4, c.d4, c.e24, slice(n - b, n))):
+                    amap = np.vstack([np.zeros((z, n)), c.e56 @ into5])
+                    amap[:z, cols] = direct
+                    m = k @ (np.eye(n) - d @ amap)
+                    want.append(float(np.sum((m @ psi) * m)))
+                got = exact_loss(c, inst)
+                for g, w in zip(got, [*want, sum(want)]):
+                    assert abs(g - w) <= 1e-12 * max(1.0, w)
 
 
 class TestOptimalDecoders:
@@ -426,6 +461,10 @@ class TestUtilities:
 
 
     def test_matches_spectrum_grams_without_eigendecompositions(self, monkeypatch):
+        # u56 is the trace of S3 + S4 over the relay's basis, and u13 and u24
+        # the traces of S3 and S4 over the directions each direct link adds
+        # to it, from the spectrum's Grams and with no eigendecomposition;
+        # they agree with the stacked definition within the oracle's bound
         rng = np.random.default_rng(12)
         cases = []
         for _ in range(20):
@@ -433,24 +472,84 @@ class TestUtilities:
             code = random_code(inst, rng)
             spec = spectrum(inst)
             spans = flow_spans(code, spec)
+            relay = orthonormal_basis(spans.phi56).vectors
+            top = np.linalg.svd(spans.phi56, full_matrices=False)[1][0]
 
-            def trace(s, cols):
-                basis = orthonormal_basis(cols)
-                return 0.0 if basis.dim == 0 else float(
-                    np.sum((s @ basis.vectors) * basis.vectors))
+            def beyond(phi):
+                resid = phi
+                for _ in range(2):
+                    resid = resid - relay @ (relay.T @ resid)
+                u, s, _ = np.linalg.svd(resid, full_matrices=False)
+                cut = DEFAULT_TOL.rank_tol * max(top, np.linalg.norm(phi, axis=0).max())
+                return u[:, s > cut]
 
-            relay = spans.phi56
+            def trace(s, vectors):
+                return float(np.sum((s @ vectors) * vectors))
+
             want = (trace(spec.s3 + spec.s4, relay),
-                    trace(spec.s3, np.hstack([spans.phi13, relay])) - trace(spec.s3, relay),
-                    trace(spec.s4, np.hstack([spans.phi24, relay])) - trace(spec.s4, relay))
-            cases.append((code, spec, want))
+                    trace(spec.s3, beyond(spans.phi13)),
+                    trace(spec.s4, beyond(spans.phi24)))
+            cases.append((code, spec, want, stacked_utilities(spans, spec)))
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
-        for code, spec, want in cases:
+        for code, spec, want, stacked in cases:
             assert utilities(code, spec) == want
+            cap = max(1.0, float(np.trace(spec.s3 + spec.s4)))
+            assert np.allclose(want, stacked, rtol=0, atol=1e-10 * cap)
         assert not calls
+
+
+def stacked_utilities(spans, spec, tol=DEFAULT_TOL, unit=False):
+    """The stacked definition of the utilities: u56 = Tr((S3 + S4) P_56),
+    u13 = Tr(S3 P_[phi13 | phi56]) - Tr(S3 P_56) and u24 likewise, with
+    each P the projector onto orthonormal_basis of its columns. With `unit`,
+    the zero columns are dropped and the others scaled to unit length
+    first, which keeps a direct link that is small next to the relay from
+    being resolved against the relay's scale."""
+    def cols(m):
+        if not unit:
+            return m
+        norms = np.linalg.norm(m, axis=0)
+        return m[:, norms > 0] / norms[norms > 0]
+
+    def trace(s, m):
+        v = orthonormal_basis(m, tol).vectors
+        return float(np.sum((s @ v) * v))
+
+    relay = cols(spans.phi56)
+    return (trace(spec.s3 + spec.s4, relay),
+            trace(spec.s3, np.hstack([cols(spans.phi13), relay])) - trace(spec.s3, relay),
+            trace(spec.s4, np.hstack([cols(spans.phi24), relay])) - trace(spec.s4, relay))
+
+
+def identity_or_random_instance(rng, identity, n_max=10):
+    """random_pd_instance, with psi replaced by I when `identity`."""
+    inst = random_pd_instance(rng, n_max=n_max)
+    if not identity:
+        return inst
+    return validate(ProblemInstance(n=inst.n, psi=np.eye(inst.n), a=inst.a, b=inst.b,
+                                    z=inst.z, k3=inst.k3, k4=inst.k4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), identity=st.booleans())
+def test_small_direct_links_keep_their_utilities(seed, identity):
+    # direct links 1e-9 the size of the relay: each adds its directions on
+    # its own residual against the relay, so u13 and u24 keep their
+    # accuracy; the stacked difference Tr(S3 P_135) - Tr(S3 P_56) resolved
+    # them against the relay's scale and lost up to 3e-6 relative
+    tol = ToleranceConfig(rank_tol=1e-14)
+    rng = np.random.default_rng(seed)
+    inst = identity_or_random_instance(rng, identity)
+    code = random_code(inst, rng)
+    code = dataclasses.replace(code, e13=1e-9 * code.e13, e24=1e-9 * code.e24)
+    spec = spectrum(inst)
+    got = utilities(code, spec, tol)
+    want = stacked_utilities(flow_spans(code, spec), spec, tol, unit=True)
+    cap = max(1.0, float(np.trace(spec.s3 + spec.s4)))
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * cap)
 
 
 class TestInvariants:

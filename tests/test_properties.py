@@ -4,6 +4,7 @@ Hypothesis draws the seeds and sizes; `derandomize=True` fixes the examples,
 so every run checks the same instances.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -25,12 +26,14 @@ from butterfly_coding import (
     check_code_shapes,
     construct_lb_code,
     exact_loss,
+    flow_spans,
     gen_synthetic,
     greedy_benchmark_code,
     intersect,
     lower_bound,
     lower_bound_of,
     optimal_decoders,
+    orthonormal_basis,
     spectrum,
     sufficient_report,
     task_bases,
@@ -40,7 +43,7 @@ from butterfly_coding import (
 )
 
 from conftest import decoupled_instance, random_pd_instance
-from test_code import random_code
+from test_code import identity_or_random_instance, random_code
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -131,6 +134,63 @@ def test_no_code_with_optimal_decoders_beats_the_bound(seed, scale):
     inst = random_pd_instance(rng, n_max=8)
     lb = lower_bound_of(inst)
     assert optimal_total(inst, random_code(inst, rng, scale)) >= lb - 1e-9 * (1 + lb)
+
+
+@PROPERTY
+@given(source=st.one_of(synthetic_specs(), st.tuples(SEEDS, st.booleans())))
+def test_utilities_and_losses_add_up_to_the_task_energy(source):
+    # with optimal decoders each sink loses what its received span misses of
+    # its task, L3 = Tr(S3) - Tr(S3 P_56) - u13 and L4 likewise, so the
+    # utilities and L_total add up to Tr(S3) + Tr(S4); the codes are random
+    # encoders with optimal decoders and, where sufficient_ok holds, the
+    # construction, on gen_synthetic cells and on random instances with
+    # psi = I or not
+    if isinstance(source, SyntheticSpec):
+        try:
+            inst = gen_synthetic(source)
+        except InfeasibleSpec:
+            assume(False)
+        rng = np.random.default_rng(source.seed)
+    else:
+        rng = np.random.default_rng(source[0])
+        inst = identity_or_random_instance(rng, source[1])
+    spec = spectrum(inst)
+    codes = [with_optimal_decoders(random_code(inst, rng), inst)]
+    if sufficient_report(spec).sufficient_ok:
+        codes.append(construct_lb_code(spec))
+    energy = float(np.trace(spec.s3) + np.trace(spec.s4))
+    for code in codes:
+        total = sum(utilities(code, spec)) + exact_loss(code, inst)[2]
+        assert abs(total - energy) <= 1e-10 * max(1.0, energy)
+
+
+@PROPERTY
+@given(seed=SEEDS, identity=st.booleans(),
+       variant=st.sampled_from(["plain", "zero_rows", "relay_is_direct", "small_direct"]))
+def test_new_direction_counts_match_the_stack(seed, identity, variant):
+    # the directions a direct link adds to the relay's basis number the rank
+    # of the stack [phi | phi56] less the relay's, at rank_tol 1e-14 through
+    # 1e-6: on random codes, with some direct rows zero, with the relay
+    # sending node 1's direct signal (e56 = [I | 0], e15 = e13), and with
+    # direct links 1e-9 the size of the relay
+    rng = np.random.default_rng(seed)
+    inst = identity_or_random_instance(rng, identity)
+    code = random_code(inst, rng)
+    if variant == "zero_rows":
+        code = dataclasses.replace(code, e13=code.e13 * (rng.random((inst.z, 1)) < 0.5),
+                                   e24=code.e24 * (rng.random((inst.z, 1)) < 0.5))
+    elif variant == "relay_is_direct":
+        code = dataclasses.replace(code, e15=code.e13, e56=np.eye(inst.z, 2 * inst.z))
+    elif variant == "small_direct":
+        code = dataclasses.replace(code, e13=1e-9 * code.e13, e24=1e-9 * code.e24)
+    spans = flow_spans(code, spectrum(inst))
+    for rank_tol in (1e-14, 1e-10, 1e-6):
+        tol = ToleranceConfig(rank_tol)
+        relay, top = subspace_module._basis_and_top(spans.phi56, tol)
+        for phi in (spans.phi13, spans.phi24):
+            new = subspace_module._beyond(relay.vectors, phi, top, tol)
+            stack = orthonormal_basis(np.hstack([phi, spans.phi56]), tol)
+            assert new.shape[1] == stack.dim - relay.dim
 
 
 def block_diagonal(rng, sizes) -> np.ndarray:
