@@ -140,8 +140,11 @@ def _construct_spans(bases: tuple[Basis, ...], instance: ProblemInstance,
     and zero columns pad each link to Z. `bases` are _analyze's, on a cell
     where sufficient_ok holds; the intersections with node 1's span are
     coordinate cuts, as there. The two extensions of i34 share one
-    orthonormal basis of it, and the xi and chi picks one of the shared
-    columns.
+    orthonormal basis of it (see extend_from_pool). The xi and chi picks
+    project against the shared columns of i1234 as they stand, which are
+    orthonormal already; the stack [shared | xi | chi] can be
+    rank-deficient, so the relay's fill picks against its
+    orthonormal_basis.
 
     For 2Z <= n, b3 and b4 hold 2Z columns each, so r+ <= 3Z leaves
     r34 = 4Z - r+ >= Z, sf1/sf2 make both extensions feasible, and every
@@ -166,9 +169,8 @@ def _construct_spans(bases: tuple[Basis, ...], instance: ProblemInstance,
     xi = chi = ext56 = np.zeros((n, 0))
     if q > 0:
         i134 = _coordinate_cut(i34, a, tol)
-        span = orthonormal_basis(shared, tol).vectors
-        xi = _greedy_pick(span, i134.vectors, q, tol)
-        chi = _greedy_pick(span, i234.vectors, q, tol)
+        xi = _greedy_pick(shared, i134.vectors, q, tol)
+        chi = _greedy_pick(shared, i234.vectors, q, tol)
     rest = r34 - k_both - 2 * q
     if rest > 0:
         span = orthonormal_basis(np.hstack([shared, xi, chi]), tol).vectors

@@ -30,7 +30,7 @@ from .model import (
     task_pca,
     validate,
 )
-from .subspace import DEFAULT_TOL, Basis, InfeasibleExtension, ToleranceConfig, _outside
+from .subspace import DEFAULT_TOL, Basis, InfeasibleExtension, ToleranceConfig, _join_dim
 from .train import (
     DivergenceDetected,
     TrainConfig,
@@ -165,8 +165,7 @@ def gen_synthetic(spec: SyntheticSpec,
     )
     # dim join: the larger basis and the directions of the other outside it,
     # counted without building the join
-    larger, outside = _outside(Basis(u3), Basis(u4), tol)
-    got = larger.shape[1] + outside.shape[1]
+    got = _join_dim(Basis(u3), Basis(u4), tol)
     if got != spec.r_plus_target:
         raise InfeasibleSpec(
             f"generated spectrum has joint task rank {got}, "

@@ -76,7 +76,8 @@ def _fix_signs(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Basis:
     """Orthonormal column basis of a subspace of R^n: the (n, k) matrix of
-    its k basis vectors. k = 0 is a valid empty basis."""
+    its k basis vectors. k = 0 is a valid empty basis. The vectors are not
+    checked: every function here reads them as orthonormal."""
 
     vectors: np.ndarray
 
@@ -138,6 +139,12 @@ def _sine_test(resid: np.ndarray, rank: int, tol: ToleranceConfig):
     residual's rank (n less the other span's dimension); the sines past it
     are zero by construction and are set so exactly. Sines descend, so the
     angles that fail the test come first.
+
+    np.linalg.svd runs LAPACK's dgesdd, which QR-factors an m x k matrix
+    with m >= floor(11k/6) rows (its MNTHR) first and takes the SVD of the
+    k x k R, so that V^T and the singular values are R's and U is Q times
+    R's left singular vectors. _right_sine_test reads that path's V^T and
+    mask without forming Q or U.
     """
     k = resid.shape[1]
     u, s, vh = np.linalg.svd(resid, full_matrices=resid.shape[0] < k)
@@ -150,12 +157,30 @@ def _sine_test(resid: np.ndarray, rank: int, tol: ToleranceConfig):
     return u, vh, keep
 
 
+def _right_sine_test(resid: np.ndarray, rank: int,
+                     tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """V^T and the mask of _sine_test(resid, rank, tol), bit for bit,
+    without its U.
+
+    From m >= floor(11k/6) rows on (dgesdd's MNTHR, see _sine_test), the
+    residual's R factor, np.linalg.qr(resid, mode="r"), is the k x k matrix
+    whose SVD dgesdd takes, so its SVD gives the same V^T and sines with no
+    m x k Q or U formed and no m k^2 product Q U_R: the R-SVD (Chan, ACM
+    TOMS 1982). Below that height dgesdd bidiagonalizes the residual itself,
+    and the tall SVD runs as it stands.
+    """
+    m, k = resid.shape
+    if m >= 11 * k // 6:
+        resid = np.linalg.qr(resid, mode="r")
+    return _sine_test(resid, rank, tol)[1:]
+
+
 def _principal_vectors(resid: np.ndarray, rank: int, tol: ToleranceConfig) -> np.ndarray:
     """Right singular vectors V of `resid` whose angle passes intersect's
-    test (see _sine_test)."""
+    test (see _sine_test), from _right_sine_test."""
     if resid.shape[1] == 0:
         return np.zeros((0, 0))
-    _, vh, keep = _sine_test(resid, rank, tol)
+    vh, keep = _right_sine_test(resid, rank, tol)
     return vh[keep].T
 
 
@@ -224,10 +249,11 @@ def _trailing_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> B
     is the smaller (dim < k), intersect's residual is the basis with its last
     k rows zeroed, and its result lies on those rows; both are read off the
     basis's rows here, with no product by the n x k axes. The residual keeps
-    all n rows although only the first n - k can be nonzero: an SVD of the
-    (n - k) x dim slice, as _coordinate_cut takes, would be cheaper but
-    would give other bits. On a tie intersect takes the axes as the smaller
-    basis, so there and past it intersect runs as it stands."""
+    all n rows although only the first n - k can be nonzero, and its R
+    factor (see _right_sine_test) gives intersect's bits; an SVD of the
+    (n - k) x dim slice, as _coordinate_cut takes, would give other ones.
+    On a tie intersect takes the axes as the smaller basis, so there and
+    past it intersect runs as it stands."""
     n = basis.ambient_dim
     if basis.dim >= k:
         return intersect(Basis(np.eye(n, k, k - n)), basis, tol)
@@ -239,24 +265,45 @@ def _trailing_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> B
     return _unit_basis(vecs)
 
 
-def _outside(a: Basis, b: Basis, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(G, U): the larger basis G (B on a tie) and the directions of the
-    smaller basis S outside G whose angle fails intersect's test, the left
-    singular vectors of the residual (I - G G^T) S with those sines.
+def _outside_residual(a: Basis, b: Basis, tol: ToleranceConfig):
+    """(G, R, rank): the larger basis G (B on a tie), the residual
+    R = (I - G G^T) S of the smaller basis S and its rank bound, as
+    _residual gives them, with R None when no sine can fail intersect's
+    test.
 
-    No SVD runs when ||(I - G G^T) S||_F <= rank_tol: every sine is a
-    singular value of the residual, so none exceeds its Frobenius norm, and
-    intersect's test passes every sine up to rank_tol, as
+    That is when ||R||_F <= rank_tol: every sine is a singular value of the
+    residual, so none exceeds its Frobenius norm, and intersect's test
+    passes every sine up to rank_tol, as
     rank_tol * sqrt((1 + cos(theta)) * (1 + cos(theta_1))) >= rank_tol.
-    U is then empty, as the SVD would give (at rank_tol = 0, only an
-    exactly zero residual qualifies).
+    No SVD then runs, and none is needed to decide that no direction of S
+    lies outside G (at rank_tol = 0, only an exactly zero residual
+    qualifies).
     """
     _, resid, rank = _residual(a, b)
     g = b.vectors if a.dim <= b.dim else a.vectors
-    if np.linalg.norm(resid) <= tol.rank_tol:
-        return g, resid[:, :0]
+    return g, (None if np.linalg.norm(resid) <= tol.rank_tol else resid), rank
+
+
+def _outside(a: Basis, b: Basis, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(G, U): the larger basis G (B on a tie) and the directions of the
+    smaller basis S outside G whose angle fails intersect's test, the left
+    singular vectors of the residual (I - G G^T) S with those sines; U is
+    empty, with no SVD, under _outside_residual's Frobenius bound."""
+    g, resid, rank = _outside_residual(a, b, tol)
+    if resid is None:
+        return g, np.zeros((g.shape[0], 0))
     u, _, keep = _sine_test(resid, rank, tol)
     return g, u[:, :int(np.count_nonzero(~keep))]
+
+
+def _join_dim(a: Basis, b: Basis, tol: ToleranceConfig) -> int:
+    """join(a, b, tol).dim, without building the join: the larger dimension
+    plus the count of _outside's directions, whose sines _right_sine_test
+    reads with no U formed."""
+    g, resid, rank = _outside_residual(a, b, tol)
+    if resid is None:
+        return g.shape[1]
+    return g.shape[1] + int(np.count_nonzero(~_right_sine_test(resid, rank, tol)[1]))
 
 
 def _beyond(g: np.ndarray, vectors: np.ndarray, top: float,
@@ -311,9 +358,10 @@ def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
 
 def is_subspace_of(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff no direction of A lies outside B by intersect's test, i.e.
-    dim intersect(A, B) = dim A: the decision join makes (see _outside)."""
+    dim intersect(A, B) = dim A: the decision join makes, read as
+    dim join(A, B) = dim B (see _join_dim)."""
     _check_same_ambient(a, b)
-    return a.dim == 0 or (a.dim <= b.dim and _outside(a, b, tol)[1].shape[1] == 0)
+    return a.dim == 0 or (a.dim <= b.dim and _join_dim(a, b, tol) == b.dim)
 
 
 def _greedy_pick(span: np.ndarray, pool: np.ndarray, count: int,
@@ -351,6 +399,12 @@ def extend_from_pool(core: Basis, pool: Basis, target: Basis,
     span(core union pool) covers the target exactly when the pool's part in
     the target extends the core to it. _greedy_pick's "pool exhausted"
     InfeasibleExtension is therefore the coverage test, made once.
+
+    The picks project against orthonormal_basis(core) rather than the
+    core's own vectors, orthonormal as they are: pool columns that tie in
+    residual norm, as those orthogonal to the core do, are ordered by the
+    rounding of the projection, and the picks, the construction's and
+    whiten's among them, follow that order.
     """
     return _extensions(core, [(pool, target)], tol)[0]
 

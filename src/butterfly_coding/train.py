@@ -186,7 +186,8 @@ def _benchmark_spans(spec: TaskSpectrum, tol: ToleranceConfig) -> CodeSpans:
         joint = orthonormal_basis(np.hstack([b56.vectors, pool.vectors]), tol)
         resid = joint.vectors - b56.vectors @ (b56.vectors.T @ joint.vectors)
         # a residual of Frobenius norm <= rank_tol holds no direction, as in
-        # subspace._outside; its SVD's relative rule would keep rounding noise
+        # subspace._outside_residual; its SVD's relative rule would keep
+        # rounding noise
         comp = (orthonormal_basis(resid, tol) if np.linalg.norm(resid) > tol.rank_tol
                 else Basis.empty(n))
         mw, mv = np.linalg.eigh(comp.vectors.T @ gram @ comp.vectors)

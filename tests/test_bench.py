@@ -161,14 +161,14 @@ class TestGenSynthetic:
         # building the join: a cell is accepted exactly when
         # join(U3, U4).dim is the target, the rank check's only refusal
         tol = ToleranceConfig(rank_tol)
-        seen, outside = [], bench_module._outside
+        seen, join_dim = [], bench_module._join_dim
 
         def recorded(a, b, tol):
             seen.append((a, b))
-            return outside(a, b, tol)
+            return join_dim(a, b, tol)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bench_module, "_outside", recorded)
+            patch.setattr(bench_module, "_join_dim", recorded)
             try:
                 gen_synthetic(spec, tol)
                 accepted = True

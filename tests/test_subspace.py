@@ -19,7 +19,13 @@ from butterfly_coding import (
     orthonormal_basis,
 )
 from butterfly_coding import SyntheticSpec, analytic, gen_synthetic, spectrum
-from butterfly_coding.subspace import _greedy_pick, _residual, _sine_test
+from butterfly_coding.subspace import (
+    _greedy_pick,
+    _join_dim,
+    _residual,
+    _right_sine_test,
+    _sine_test,
+)
 
 
 def span(*cols):
@@ -659,3 +665,94 @@ def test_analyze_on_a_nested_cell_makes_no_svd_in_join(r_plus, seed, monkeypatch
     # the counter sees the analysis's other SVDs
     assert calls[0] > 0
     assert j13.dim == i13.dim and j24.dim == i24.dim
+
+
+@contextmanager
+def recording_factorizations():
+    """Two lists, filled in the block: (input shape, singular values) of each
+    np.linalg.svd call, and the input shape of each np.linalg.qr call."""
+    svds, qrs = [], []
+    real_svd, real_qr = np.linalg.svd, np.linalg.qr
+
+    def svd(m, *args, **kwargs):
+        out = real_svd(m, *args, **kwargs)
+        svds.append((m.shape, out[1]))
+        return out
+
+    def qr(m, *args, **kwargs):
+        qrs.append(m.shape)
+        return real_qr(m, *args, **kwargs)
+
+    np.linalg.svd, np.linalg.qr = svd, qr
+    try:
+        yield svds, qrs
+    finally:
+        np.linalg.svd, np.linalg.qr = real_svd, real_qr
+
+
+def assert_r_factor_keeps_the_bits(resid, rank, tol):
+    """_right_sine_test reads the tall SVD's V^T, sines, mask and count byte
+    for byte, factoring R from dgesdd's MNTHR height floor(11k/6) on and the
+    residual itself below it."""
+    m, k = resid.shape
+    _, sines, vh = np.linalg.svd(resid, full_matrices=False)
+    _, want_vh, want_keep = _sine_test(resid, rank, tol)
+    with recording_factorizations() as (svds, qrs):
+        got_vh, got_keep = _right_sine_test(resid, rank, tol)
+    tall = m < 11 * k // 6
+    assert [shape for shape, _ in svds] == [(m, k) if tall else (k, k)]
+    assert qrs == ([] if tall else [(m, k)])
+    assert svds[0][1].tobytes() == sines.tobytes()
+    assert got_vh.tobytes() == vh.tobytes() == want_vh.tobytes()
+    assert got_keep.tobytes() == want_keep.tobytes()
+    assert np.count_nonzero(~got_keep) == np.count_nonzero(~want_keep)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 128), data=st.data(),
+       tol=st.sampled_from(EDGE_TOLS))
+def test_r_factor_gives_the_tall_svds_bits_around_the_threshold(seed, k, data, tol):
+    # the residual of a k-column orthonormal basis against a larger one, in
+    # m >= floor(11k/6) - 1 rows: one below dgesdd's QR threshold and up
+    m = data.draw(st.integers(max(1, 11 * k // 6 - 1), 3 * k))
+    g = data.draw(st.integers(k, m))
+    rng = np.random.default_rng(seed)
+    s, big = (Basis(np.linalg.qr(rng.normal(size=(m, d)))[0]) for d in (k, g))
+    _, resid, rank = _residual(s, big)
+    assert_r_factor_keeps_the_bits(resid, rank, tol)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 256), data=st.data(),
+       tol=st.sampled_from(EDGE_TOLS))
+def test_r_factor_gives_the_tall_svds_bits_on_zero_trailing_rows(seed, n, data, tol):
+    # _trailing_cut's residual: a basis of dim < b with its last b rows
+    # zeroed, factored in all n rows
+    b = data.draw(st.integers(2, n))
+    k = data.draw(st.integers(1, b - 1))
+    resid = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, k)))[0]
+    resid[n - b:] = 0.0
+    assert_r_factor_keeps_the_bits(resid, n - b, tol)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 160), data=st.data(),
+       tol=st.sampled_from(EDGE_TOLS + (ToleranceConfig(0.0),)))
+def test_r_factor_gives_the_tall_svds_bits_on_rounding_level_sines(seed, n, data, tol):
+    # S shares `shared` directions with G up to 1e-15 noise: a cluster of
+    # rounding-level sines at the bottom of the spectrum, next to the
+    # angles of S's other columns; the count join and is_subspace_of read
+    # follows the tall SVD's too
+    g_dim = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(1, g_dim))
+    shared = data.draw(st.integers(0, k))
+    rng = np.random.default_rng(seed)
+    g = Basis(np.linalg.qr(rng.normal(size=(n, g_dim)))[0])
+    cols = np.hstack([g.vectors[:, :shared] + 1e-15 * rng.normal(size=(n, shared)),
+                      rng.normal(size=(n, k - shared))])
+    s = Basis(np.linalg.qr(cols)[0])
+    _, resid, rank = _residual(s, g)
+    assert_r_factor_keeps_the_bits(resid, rank, tol)
+    for x, y in ((s, g), (g, s)):
+        assert _join_dim(x, y, tol) == join(x, y, tol).dim
+    assert is_subspace_of(s, g, tol) == (join(s, g, tol).dim == g_dim)
