@@ -139,8 +139,9 @@ def _construct_spans(bases: tuple[Basis, ...], instance: ProblemInstance,
     relay's other r34 - k_both - 2q columns complete the task intersection,
     and zero columns pad each link to Z. `bases` are _analyze's, on a cell
     where sufficient_ok holds; the intersections with node 1's span are
-    coordinate cuts, as there. The two extensions of i34 share one
-    orthonormal basis of it (see extend_from_pool). The xi and chi picks
+    coordinate cuts, as there. The two extensions of i34 by i13 and i24,
+    built inside b3 and b4, test no containment again and share one
+    orthonormal basis of i34 (see _extensions). The xi and chi picks
     project against the shared columns of i1234 as they stand, which are
     orthonormal already; the stack [shared | xi | chi] can be
     rank-deficient, so the relay's fill picks against its
@@ -159,7 +160,7 @@ def _construct_spans(bases: tuple[Basis, ...], instance: ProblemInstance,
     n, a, z = instance.n, instance.a, instance.z
     b3, b4, i13, i24, i34 = bases
     r34 = i34.dim
-    excl3, excl4 = _extensions(i34, [(i13, b3), (i24, b4)], tol)
+    excl3, excl4 = _extensions(i34, [(i13, b3.dim - r34), (i24, b4.dim - r34)], tol)
     i234 = intersect(i24, b3, tol)
     i1234 = _coordinate_cut(i234, a, tol)
     t = max(r34 - z, 0)

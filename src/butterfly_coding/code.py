@@ -282,8 +282,7 @@ def utilities(code: ButterflyCode, spec: TaskSpectrum,
     sink 3's received span, so the three utilities never double-count a
     direction; u24 is symmetric. S3 and S4 are the spectrum's whitened task
     Grams. The relay is factored once, and each direct link once more on
-    its residual against xi; when phi24 = phi13 bit for bit, as on a
-    same-task construction, its directions serve both sinks.
+    its residual against xi.
 
     Traces do not depend on the basis of a span, so u13 equals the stacked
     definition Tr(S3 P_135) - Tr(S3 P_xi) wherever both rank rules count
@@ -306,8 +305,7 @@ def utilities(code: ButterflyCode, spec: TaskSpectrum,
 
     xi, top = _basis_and_top(spans.phi56, tol)
     new13 = _beyond(xi.vectors, spans.phi13, top, tol)
-    new24 = (new13 if _same_bits(spans.phi24, spans.phi13) else
-             _beyond(xi.vectors, spans.phi24, top, tol))
+    new24 = _beyond(xi.vectors, spans.phi24, top, tol)
     return trace(s3 + s4, xi.vectors), trace(s3, new13), trace(s4, new24)
 
 

@@ -342,7 +342,7 @@ def whiten(instance: ProblemInstance, tol: ToleranceConfig = DEFAULT_TOL) -> Whi
     b2 = orthonormal_basis(theta2, tol)
     a_t, b_t = b1.dim, b2.dim
     shared = intersect(b1, b2, tol)
-    ext1, ext2 = _extensions(shared, [(b1, b1), (b2, b2)], tol)
+    ext1, ext2 = _extensions(shared, [(b1, a_t - shared.dim), (b2, b_t - shared.dim)], tol)
     omega = np.hstack([ext1, shared.vectors, ext2])
     if omega.shape != (n_t, n_t):
         raise BadDimensions(

@@ -13,6 +13,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import qr
 
 
@@ -114,11 +115,29 @@ def _basis_and_top(vectors: np.ndarray, tol: ToleranceConfig) -> tuple[Basis, fl
     n = m.shape[0]
     if m.shape[1] == 0:
         return Basis.empty(n), 0.0
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = _svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return Basis.empty(n), 0.0
     rank = int(np.sum(s > tol.rank_tol * s[0]))
     return Basis(_fix_signs(u[:, :rank])), float(s[0])
+
+
+def _svd(m: np.ndarray, full_matrices: bool):
+    """np.linalg.svd(m, full_matrices): LAPACK's dgesdd, bit for bit when it
+    converges. When it does not, as on some finite matrices depending on the
+    LAPACK build, the SVD is retried with the QR-iteration driver gesvd
+    (scipy.linalg.svd); a second failure is a LinAlgError that names the
+    matrix's shape."""
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return scipy.linalg.svd(m, full_matrices=full_matrices, lapack_driver="gesvd")
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            f"SVD of a {m.shape[0]} x {m.shape[1]} matrix did not converge "
+            f"with dgesdd or gesvd") from None
 
 
 def _check_same_ambient(a: Basis, b: Basis):
@@ -128,9 +147,10 @@ def _check_same_ambient(a: Basis, b: Basis):
         )
 
 
-def _sine_test(resid: np.ndarray, rank: int, tol: ToleranceConfig):
-    """SVD U, V^T of `resid` and the mask of the angles that pass
-    intersect's test, one entry per row of V^T.
+def _sine_test(resid: np.ndarray, rank: int, tol: ToleranceConfig, left: bool = False):
+    """(U, V^T, keep): the SVD factors of `resid` and the mask of the angles
+    that pass intersect's test, one entry per row of V^T. U is formed only
+    when `left` is set, for join, and is None otherwise.
 
     `resid` holds the part of an orthonormal basis S outside another span,
     in any orthonormal coordinates, so its singular values are the sines of
@@ -140,47 +160,34 @@ def _sine_test(resid: np.ndarray, rank: int, tol: ToleranceConfig):
     are zero by construction and are set so exactly. Sines descend, so the
     angles that fail the test come first.
 
-    np.linalg.svd runs LAPACK's dgesdd, which QR-factors an m x k matrix
-    with m >= floor(11k/6) rows (its MNTHR) first and takes the SVD of the
-    k x k R, so that V^T and the singular values are R's and U is Q times
-    R's left singular vectors. _right_sine_test reads that path's V^T and
-    mask without forming Q or U.
+    Without U, a residual of m >= floor(11k/6) rows is factored through
+    its R factor, np.linalg.qr(resid, mode="r"), with the tall SVD's bits:
+    from that height on (its MNTHR) LAPACK's dgesdd, behind np.linalg.svd,
+    QR-factors first and takes the SVD of the k x k R, whose V^T and
+    singular values it returns, and U as Q times R's left singular vectors.
+    No m x k Q or U is formed and no m k^2 product Q U_R runs: the R-SVD
+    (Chan, ACM TOMS 1982). Below that height dgesdd bidiagonalizes the
+    residual itself, and the tall SVD runs as it stands.
     """
-    k = resid.shape[1]
-    u, s, vh = np.linalg.svd(resid, full_matrices=resid.shape[0] < k)
+    m, k = resid.shape
+    if not left and m >= 11 * k // 6:
+        resid = np.linalg.qr(resid, mode="r")
+    u, s, vh = _svd(resid, full_matrices=resid.shape[0] < k)
     sines = np.zeros(k)
     top = min(s.size, rank)
     sines[:top] = np.minimum(s[:top], 1.0)
     cosines = np.sqrt(1.0 - sines**2)
     # the last cosine is cos(theta_1), the smallest angle's
     keep = sines <= tol.rank_tol * np.sqrt((1.0 + cosines) * (1.0 + cosines[-1]))
-    return u, vh, keep
-
-
-def _right_sine_test(resid: np.ndarray, rank: int,
-                     tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """V^T and the mask of _sine_test(resid, rank, tol), bit for bit,
-    without its U.
-
-    From m >= floor(11k/6) rows on (dgesdd's MNTHR, see _sine_test), the
-    residual's R factor, np.linalg.qr(resid, mode="r"), is the k x k matrix
-    whose SVD dgesdd takes, so its SVD gives the same V^T and sines with no
-    m x k Q or U formed and no m k^2 product Q U_R: the R-SVD (Chan, ACM
-    TOMS 1982). Below that height dgesdd bidiagonalizes the residual itself,
-    and the tall SVD runs as it stands.
-    """
-    m, k = resid.shape
-    if m >= 11 * k // 6:
-        resid = np.linalg.qr(resid, mode="r")
-    return _sine_test(resid, rank, tol)[1:]
+    return (u if left else None), vh, keep
 
 
 def _principal_vectors(resid: np.ndarray, rank: int, tol: ToleranceConfig) -> np.ndarray:
     """Right singular vectors V of `resid` whose angle passes intersect's
-    test (see _sine_test), from _right_sine_test."""
+    test (see _sine_test)."""
     if resid.shape[1] == 0:
         return np.zeros((0, 0))
-    vh, keep = _right_sine_test(resid, rank, tol)
+    _, vh, keep = _sine_test(resid, rank, tol)
     return vh[keep].T
 
 
@@ -250,7 +257,7 @@ def _trailing_cut(basis: Basis, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> B
     k rows zeroed, and its result lies on those rows; both are read off the
     basis's rows here, with no product by the n x k axes. The residual keeps
     all n rows although only the first n - k can be nonzero, and its R
-    factor (see _right_sine_test) gives intersect's bits; an SVD of the
+    factor (see _sine_test) gives intersect's bits; an SVD of the
     (n - k) x dim slice, as _coordinate_cut takes, would give other ones.
     On a tie intersect takes the axes as the smaller basis, so there and
     past it intersect runs as it stands."""
@@ -284,26 +291,14 @@ def _outside_residual(a: Basis, b: Basis, tol: ToleranceConfig):
     return g, (None if np.linalg.norm(resid) <= tol.rank_tol else resid), rank
 
 
-def _outside(a: Basis, b: Basis, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(G, U): the larger basis G (B on a tie) and the directions of the
-    smaller basis S outside G whose angle fails intersect's test, the left
-    singular vectors of the residual (I - G G^T) S with those sines; U is
-    empty, with no SVD, under _outside_residual's Frobenius bound."""
-    g, resid, rank = _outside_residual(a, b, tol)
-    if resid is None:
-        return g, np.zeros((g.shape[0], 0))
-    u, _, keep = _sine_test(resid, rank, tol)
-    return g, u[:, :int(np.count_nonzero(~keep))]
-
-
 def _join_dim(a: Basis, b: Basis, tol: ToleranceConfig) -> int:
     """join(a, b, tol).dim, without building the join: the larger dimension
-    plus the count of _outside's directions, whose sines _right_sine_test
-    reads with no U formed."""
+    plus the count of the sines that fail intersect's test, read with no U
+    formed."""
     g, resid, rank = _outside_residual(a, b, tol)
     if resid is None:
         return g.shape[1]
-    return g.shape[1] + int(np.count_nonzero(~_right_sine_test(resid, rank, tol)[1]))
+    return g.shape[1] + int(np.count_nonzero(~_sine_test(resid, rank, tol)[2]))
 
 
 def _beyond(g: np.ndarray, vectors: np.ndarray, top: float,
@@ -330,25 +325,31 @@ def _beyond(g: np.ndarray, vectors: np.ndarray, top: float,
     cut = tol.rank_tol * max(top, float(np.linalg.norm(r, axis=0).max(initial=0.0)))
     for _ in range(2):
         r = r - g @ (g.T @ r)
-    u, s, _ = np.linalg.svd(r, full_matrices=False)
+    u, s, _ = _svd(r, full_matrices=False)
     return u[:, :int(np.count_nonzero(s > cut))]
 
 
 def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:
-    """Basis of the sum A + B: the larger basis G followed by the directions
-    of the smaller basis outside it (see _outside). The count reads the
-    residual and the test that intersect reads, so dim join = dim A + dim B
-    - dim intersect holds in floating point too. A left singular vector of
-    sine s is orthogonal to G only to rounding / s, so the new directions
-    are projected against G and re-orthonormalized by a QR, twice: the
-    second pass restores orthogonality to rounding after the first has
-    normalized what it left (Gram-Schmidt "twice is enough", Parlett, The
-    Symmetric Eigenvalue Problem, 1980).
+    """Basis of the sum A + B: the larger basis G (B on a tie) followed by
+    the directions of the smaller basis S outside it, the left singular
+    vectors of the residual (I - G G^T) S whose sines fail intersect's
+    test; none, with no SVD, under _outside_residual's Frobenius bound.
+    The count reads the residual and the test that intersect reads, so
+    dim join = dim A + dim B - dim intersect holds in floating point too. A
+    left singular vector of sine s is orthogonal to G only to rounding / s,
+    so the new directions are projected against G and re-orthonormalized
+    by a QR, twice: the second pass restores orthogonality to rounding
+    after the first has normalized what it left (Gram-Schmidt "twice is
+    enough", Parlett, The Symmetric Eigenvalue Problem, 1980).
     """
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return b if a.dim == 0 else a
-    g, new = _outside(a, b, tol)
+    g, resid, rank = _outside_residual(a, b, tol)
+    if resid is None:
+        return Basis(g.copy())
+    u, _, keep = _sine_test(resid, rank, tol, left=True)
+    new = u[:, :int(np.count_nonzero(~keep))]
     if new.shape[1] == 0:
         return Basis(g.copy())
     for _ in range(2):
@@ -392,13 +393,16 @@ def extend_from_pool(core: Basis, pool: Basis, target: Basis,
     """The (n, target.dim - core.dim) matrix of pool vectors that extend the
     core to a basis of the target.
 
-    The core must lie inside the target; the pool need not, in which case
-    the picks come from pool intersect target. That loses nothing: with the
-    core inside the target, the modular law gives
+    The core must lie inside the target, else ValueError; the pool need
+    not, in which case the picks come from pool intersect target. That
+    loses nothing: with the core inside the target, the modular law gives
     (core + pool) intersect target = core + (pool intersect target), so
     span(core union pool) covers the target exactly when the pool's part in
     the target extends the core to it. _greedy_pick's "pool exhausted"
     InfeasibleExtension is therefore the coverage test, made once.
+    Containment is tested here only: _extensions, which the construction
+    and whiten call on cores and pools built inside their targets, tests
+    nothing.
 
     The picks project against orthonormal_basis(core) rather than the
     core's own vectors, orthonormal as they are: pool columns that tie in
@@ -406,28 +410,30 @@ def extend_from_pool(core: Basis, pool: Basis, target: Basis,
     rounding of the projection, and the picks, the construction's and
     whiten's among them, follow that order.
     """
-    return _extensions(core, [(pool, target)], tol)[0]
+    _check_same_ambient(core, pool)
+    _check_same_ambient(core, target)
+    if not is_subspace_of(core, target, tol):
+        raise ValueError("core must be a subspace of target")
+    # is_subspace_of passes only with core.dim <= target.dim
+    need = target.dim - core.dim
+    if need and not is_subspace_of(pool, target, tol):
+        pool = intersect(pool, target, tol)
+    return _extensions(core, [(pool, need)], tol)[0]
 
 
 def _extensions(core: Basis, pairs, tol: ToleranceConfig) -> list[np.ndarray]:
-    """extend_from_pool(core, pool, target, tol) for each (pool, target) pair
-    in turn. The first extension that picks anything orthonormalizes the
-    core, and every later one projects against that basis."""
+    """For each (pool, need) pair in turn, the (n, need) matrix of pool
+    vectors that extend the core by `need` directions, as extend_from_pool
+    picks them but with no containment test: the caller built the core and
+    the pool inside the span they extend to. The first pair that picks
+    anything orthonormalizes the core, and every later one projects against
+    that basis."""
     span, out = None, []
-    for pool, target in pairs:
-        _check_same_ambient(core, pool)
-        _check_same_ambient(core, target)
-        if not is_subspace_of(core, target, tol):
-            raise ValueError("core must be a subspace of target")
-        # is_subspace_of passes only with core.dim <= target.dim
-        need = target.dim - core.dim
+    for pool, need in pairs:
         if need == 0:
             out.append(np.zeros((core.ambient_dim, 0)))
             continue
-        effective = pool
-        if not is_subspace_of(pool, target, tol):
-            effective = intersect(pool, target, tol)
         if span is None:
             span = orthonormal_basis(core.vectors, tol).vectors
-        out.append(_greedy_pick(span, effective.vectors, need, tol))
+        out.append(_greedy_pick(span, pool.vectors, need, tol))
     return out

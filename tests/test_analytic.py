@@ -4,18 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import butterfly_coding.analytic as analytic_module
+import butterfly_coding.model as model_module
 import butterfly_coding.subspace as subspace_module
 from butterfly_coding import (
     DEFAULT_TOL,
     Basis,
     ConditionReport,
     InfeasibleSpec,
+    InvalidSpan,
     PreconditionNotMet,
     ProblemInstance,
     SyntheticSpec,
     ToleranceConfig,
     construct_lb_code,
     exact_loss,
+    extend_from_pool,
     flow_spans,
     gen_synthetic,
     is_subspace_of,
@@ -30,6 +33,7 @@ from butterfly_coding import (
     task_bases,
     utilities,
     validate,
+    whiten,
 )
 
 from conftest import (
@@ -257,17 +261,16 @@ class TestConstruction:
 
     def test_n256_utilities_factor_thin_matrices(self, monkeypatch):
         # utilities factor the relay's span and each direct link's residual
-        # against it, n x Z each, and no n x 2Z stack; at r+ = 2Z the
-        # construction sends the same direct span to both sinks, and one
-        # residual serves both
-        for r_plus, factored in ((128, 2), (160, 3)):
+        # against it, n x Z each, and no n x 2Z stack, also at r+ = 2Z, where
+        # the construction sends the same direct span to both sinks
+        for r_plus in (128, 160):
             spec = self.construct_large_cell(r_plus)
             code = construct_lb_code(spec)
             svds = []
             with monkeypatch.context() as patch:
                 self.counting(patch, np.linalg, "svd", svds)
                 utilities(code, spec)
-            assert [m.shape for m in svds] == [(256, 64)] * factored
+            assert [m.shape for m in svds] == [(256, 64)] * 3
 
     def test_n256_different_grams_factor_both(self, monkeypatch):
         # a random code on the same cell: its sinks' Grams differ, and each
@@ -349,6 +352,89 @@ class TestConstruction:
         code = construct_lb_code(spec)
         assert exact_loss(code, inst)[2] >= lower_bound_of(inst) - 1e-9
 
+
+
+
+def projected_n128_instance():
+    """gen_synthetic n=128, Z=32, a=b=96, r+=113, flat_tail, keep_sf3 false,
+    seed 2, each task projected onto the top 96 eigenvectors of S3 + S4:
+    on some LAPACK builds dgesdd does not converge on one of its sine
+    tests' R factors."""
+    inst = gen_synthetic(SyntheticSpec(n=128, z=32, a=96, b=96, r_plus_target=113,
+                                       eig_profile="flat_tail", keep_sf3=False, seed=2))
+    spec = spectrum(inst)
+    w, v = np.linalg.eigh(spec.s3 + spec.s4)
+    top = v[:, np.argsort(w)[::-1][:96]]
+    proj = top @ top.T
+    return validate(ProblemInstance(n=inst.n, psi=inst.psi, a=inst.a, b=inst.b, z=inst.z,
+                                    k3=inst.k3 @ proj, k4=inst.k4 @ proj))
+
+
+def test_projected_n128_instance_is_reported():
+    # a valid instance gets its report, through gesvd where dgesdd fails
+    report = sufficient_report(spectrum(projected_n128_instance()))
+    assert report.r_plus_34 == 112
+    assert not report.sufficient_ok
+
+@pytest.mark.parametrize("rank_tol", [1e-16, 1e-15])
+def test_below_rounding_no_construction_fails_in_an_extension(rank_tol):
+    # the construction extends i34 by i13 and i24, which _analyze cut inside
+    # b3 and b4, and tests no containment again: a construction that a
+    # sufficient report promises below rounding may fail realize_spans'
+    # residual check (InvalidSpan, ROADMAP item 11), but never with
+    # "core must be a subspace of target" or InfeasibleExtension
+    tol = ToleranceConfig(rank_tol)
+    for seed in range(300):
+        spec = spectrum(random_pd_instance(np.random.default_rng(seed), n_max=12), tol)
+        if sufficient_report(spec, tol).sufficient_ok:
+            try:
+                construct_lb_code(spec, tol)
+            except InvalidSpan:
+                pass
+
+
+def _extension_cells():
+    for n, z, a, r_plus, keep_sf3 in ((12, 2, 9, 6, True), (12, 3, 11, 9, False),
+                                      (32, 8, 24, 16, True), (32, 8, 24, 20, False),
+                                      (32, 8, 28, 24, True), (64, 16, 48, 40, False)):
+        inst = gen_synthetic(SyntheticSpec(n=n, z=z, a=a, b=a, r_plus_target=r_plus,
+                                           keep_sf3=keep_sf3, seed=3))
+        yield inst
+        yield decoupled_instance(inst, np.random.default_rng(n + r_plus))
+
+
+@pytest.mark.parametrize("rank_tol", [1e-14, 1e-10, 1e-6])
+def test_untested_extensions_equal_extend_from_pool(monkeypatch, rank_tol):
+    # the construction's and whiten's pools lie in their targets as built,
+    # so the picks of _extensions, which tests nothing, are those of
+    # extend_from_pool, which tests, byte for byte
+    tol = ToleranceConfig(rank_tol)
+    calls = []
+    for module in (analytic_module, model_module):
+        def recorded(core, pairs, tol, original=module._extensions):
+            calls.append((core, pairs, original(core, pairs, tol)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(module, "_extensions", recorded)
+    picked = 0
+    for inst in _extension_cells():
+        spec = spectrum(inst, tol)
+        report, (b3, b4, i13, i24, i34) = analytic_module._analyze(spec, tol)
+        assert report.sufficient_ok
+        calls.clear()
+        construct_lb_code(spec, tol)
+        # whiten's target is its pool, the node's observation span
+        if not model_module._is_identity(inst.psi):
+            whiten(inst, tol)
+        assert len(calls) == (1 if model_module._is_identity(inst.psi) else 2)
+        wants = [[extend_from_pool(i34, i13, b3, tol), extend_from_pool(i34, i24, b4, tol)]]
+        wants += [[extend_from_pool(core, pool, pool, tol) for pool, _ in pairs]
+                  for core, pairs, _ in calls[1:]]
+        for (_, _, got), want in zip(calls, wants):
+            assert [m.shape for m in got] == [m.shape for m in want]
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+            picked += sum(m.shape[1] > 0 for m in want)
+    assert picked
 
 def mirrored(inst):
     """The same problem with the coordinate order reversed and the two

@@ -666,18 +666,28 @@ class TestCli:
             assert status == 1 and last.startswith("error: sufficient conditions fail"), last
 
     def test_construction_out_of_pool_vectors_is_an_error(self, tmp_path, capsys):
-        # at rank_tol 1e-15 analyze reports sufficient_ok on this instance
-        # (n=6, a=5, b=4, z=2), but the construction's pool runs out of
-        # extension vectors: InfeasibleExtension, which is no ValueError
-        instance = random_pd_instance(np.random.default_rng(250), n_max=12)
-        cfg = write_config(tmp_path, "pool.json", {"instance": instance_payload(instance)})
+        # at rank_tol 1e-15 the coding_benchmark start, greedy_benchmark_code,
+        # runs out of pool vectors for one direct link on this cell:
+        # InfeasibleExtension, which is no ValueError, exits 1 cleanly
+        cfg = write_config(tmp_path, "pool.json", {
+            "synthetic": {"n": 32, "z": 8, "a": 24, "b": 24, "r_plus_target": 20, "seed": 7},
+            "train": {"mode": "coding_benchmark"}})
         flag = ["--tol", "1e-15"]
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "code.json")] + flag) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1] == "error: pool exhausted after 7 of 8 extension vectors"
+        assert "Traceback" not in err
+        # the analytic construction builds what analyze promised at 1e-15 on
+        # this instance (n=6, a=5, b=4, z=2), with extensions of bases it
+        # built inside their targets
+        instance = random_pd_instance(np.random.default_rng(250), n_max=12)
+        cfg = write_config(tmp_path, "built.json", {"instance": instance_payload(instance)})
         assert main(["analyze", "--config", cfg] + flag) == 0
         assert json.loads(capsys.readouterr().out)["sufficient_ok"] is True
-        assert main(["construct", "--config", cfg, "--out", str(tmp_path / "code.json")] + flag) == 1
-        err = capsys.readouterr().err
-        assert err.strip().splitlines()[-1].startswith("error: ")
-        assert "Traceback" not in err
+        assert main(["construct", "--config", cfg, "--out", str(tmp_path / "built.out")] + flag) == 0
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        fields = {key: float(value) for key, value in (item.split("=") for item in last.split())}
+        assert fields["L_total"] <= fields["lower_bound"] + 1e-8 * max(1.0, abs(fields["lower_bound"]))
 
     def test_train_with_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"

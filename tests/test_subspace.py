@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import null_space
 
 from butterfly_coding import (
@@ -20,10 +21,11 @@ from butterfly_coding import (
 )
 from butterfly_coding import SyntheticSpec, analytic, gen_synthetic, spectrum
 from butterfly_coding.subspace import (
+    _basis_and_top,
+    _beyond,
     _greedy_pick,
     _join_dim,
     _residual,
-    _right_sine_test,
     _sine_test,
 )
 
@@ -550,7 +552,7 @@ def _join_by_sines(a, b, tol=DEFAULT_TOL):
     if a.dim == 0 or b.dim == 0:
         return b if a.dim == 0 else a
     _, resid, rank = _residual(a, b)
-    u, _, keep = _sine_test(resid, rank, tol)
+    u, _, keep = _sine_test(resid, rank, tol, left=True)
     g = b.vectors if a.dim <= b.dim else a.vectors
     new = u[:, :int(np.count_nonzero(~keep))]
     for _ in range(2):
@@ -691,14 +693,16 @@ def recording_factorizations():
 
 
 def assert_r_factor_keeps_the_bits(resid, rank, tol):
-    """_right_sine_test reads the tall SVD's V^T, sines, mask and count byte
-    for byte, factoring R from dgesdd's MNTHR height floor(11k/6) on and the
-    residual itself below it."""
+    """_sine_test without U reads the tall SVD's V^T, sines, mask and count
+    byte for byte, as _sine_test with U (the tall SVD) gives them,
+    factoring R from dgesdd's MNTHR height floor(11k/6) on and the residual
+    itself below it."""
     m, k = resid.shape
     _, sines, vh = np.linalg.svd(resid, full_matrices=False)
-    _, want_vh, want_keep = _sine_test(resid, rank, tol)
+    _, want_vh, want_keep = _sine_test(resid, rank, tol, left=True)
     with recording_factorizations() as (svds, qrs):
-        got_vh, got_keep = _right_sine_test(resid, rank, tol)
+        u, got_vh, got_keep = _sine_test(resid, rank, tol)
+    assert u is None
     tall = m < 11 * k // 6
     assert [shape for shape, _ in svds] == [(m, k) if tall else (k, k)]
     assert qrs == ([] if tall else [(m, k)])
@@ -756,3 +760,56 @@ def test_r_factor_gives_the_tall_svds_bits_on_rounding_level_sines(seed, n, data
     for x, y in ((s, g), (g, s)):
         assert _join_dim(x, y, tol) == join(x, y, tol).dim
     assert is_subspace_of(s, g, tol) == (join(s, g, tol).dim == g_dim)
+
+
+def _svd_sites():
+    """Each SVD call site of subspace.py on a fixed input, as a function of
+    no arguments returning the arrays it computes."""
+    rng = np.random.default_rng(19)
+    vectors = rng.normal(size=(12, 4)) @ rng.normal(size=(4, 5))
+    g = np.linalg.qr(rng.normal(size=(12, 3)))[0]
+    _, resid, rank = _residual(Basis(np.linalg.qr(rng.normal(size=(12, 4)))[0]), Basis(g))
+    return {
+        "_basis_and_top": lambda: (lambda basis, top: (basis.vectors, np.array(top)))(
+            *_basis_and_top(vectors, DEFAULT_TOL)),
+        "_sine_test, R factor": lambda: _sine_test(resid, rank, DEFAULT_TOL)[1:],
+        "_sine_test, tall": lambda: _sine_test(resid, rank, DEFAULT_TOL, left=True),
+        "_beyond": lambda: (_beyond(g, vectors, 1.0, DEFAULT_TOL),),
+    }
+
+
+def _gesvd(m, full_matrices=True, **kwargs):
+    return scipy.linalg.svd(m, full_matrices=full_matrices, lapack_driver="gesvd")
+
+
+def _not_converging(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("site", sorted(_svd_sites()))
+def test_an_svd_that_dgesdd_cannot_converge_is_retried_with_gesvd(monkeypatch, site):
+    # where np.linalg.svd (dgesdd) raises, each site returns what it
+    # computes from gesvd's factors, bit for bit
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", _gesvd)
+        want = _svd_sites()[site]()
+    drivers, real = [], scipy.linalg.svd
+
+    def recorded(*args, **kwargs):
+        drivers.append(kwargs.get("lapack_driver"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", _not_converging)
+    monkeypatch.setattr(scipy.linalg, "svd", recorded)
+    got = _svd_sites()[site]()
+    assert drivers == ["gesvd"]
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_an_svd_that_gesvd_cannot_converge_either_names_the_shape(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _not_converging)
+    monkeypatch.setattr(scipy.linalg, "svd", _not_converging)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD of a 12 x 5 matrix did not converge"):
+        _svd_sites()["_basis_and_top"]()
