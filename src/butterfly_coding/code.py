@@ -304,8 +304,8 @@ def utilities(code: ButterflyCode, spec: TaskSpectrum,
         return float(np.sum((s @ vectors) * vectors))
 
     xi, top = _basis_and_top(spans.phi56, tol)
-    new13 = _beyond(xi.vectors, spans.phi13, top, tol)
-    new24 = _beyond(xi.vectors, spans.phi24, top, tol)
+    new13 = _beyond(xi.vectors, spans.phi13, top, tol)[0]
+    new24 = _beyond(xi.vectors, spans.phi24, top, tol)[0]
     return trace(s3 + s4, xi.vectors), trace(s3, new13), trace(s4, new24)
 
 

@@ -301,11 +301,13 @@ def _join_dim(a: Basis, b: Basis, tol: ToleranceConfig) -> int:
     return g.shape[1] + int(np.count_nonzero(~_sine_test(resid, rank, tol)[2]))
 
 
-def _beyond(g: np.ndarray, vectors: np.ndarray, top: float,
-            tol: ToleranceConfig) -> np.ndarray:
-    """The orthonormal directions that the columns of `vectors` add to the
-    span of the orthonormal columns g, where `top` is the largest singular
-    value of the vectors g was cut from (0.0 for none).
+def _beyond(g: np.ndarray, vectors: np.ndarray, top: float, tol: ToleranceConfig):
+    """(U, s, V^T): the thin SVD of the residual of the columns of `vectors`
+    against the span of the orthonormal columns g, cut to the directions
+    they add to that span, where `top` is the largest singular value of
+    the vectors g was cut from (0.0 for none). U holds the directions, and
+    V s^-1 maps them back to the combinations of the vectors that leave
+    them past g.
 
     The vectors are projected off g twice, which leaves the residual
     orthogonal to g to rounding ("twice is enough", Parlett, The Symmetric
@@ -325,8 +327,9 @@ def _beyond(g: np.ndarray, vectors: np.ndarray, top: float,
     cut = tol.rank_tol * max(top, float(np.linalg.norm(r, axis=0).max(initial=0.0)))
     for _ in range(2):
         r = r - g @ (g.T @ r)
-    u, s, _ = _svd(r, full_matrices=False)
-    return u[:, :int(np.count_nonzero(s > cut))]
+    u, s, vh = _svd(r, full_matrices=False)
+    k = int(np.count_nonzero(s > cut))
+    return u[:, :k], s[:k], vh[:k]
 
 
 def join(a: Basis, b: Basis, tol: ToleranceConfig = DEFAULT_TOL) -> Basis:

@@ -46,6 +46,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .code import (
     _MATRIX_FIELDS,
@@ -59,14 +60,7 @@ from .code import (
     realize_spans,
 )
 from .model import ProblemInstance, TaskSpectrum, _is_identity, spectrum, validate
-from .subspace import (
-    Basis,
-    DEFAULT_TOL,
-    InfeasibleExtension,
-    ToleranceConfig,
-    extend_from_pool,
-    orthonormal_basis,
-)
+from .subspace import DEFAULT_TOL, ToleranceConfig, _beyond, _fix_signs
 
 
 class DivergenceDetected(RuntimeError):
@@ -160,9 +154,15 @@ def _selection_e56(z: int) -> np.ndarray:
 
 def greedy_benchmark_code(spec: TaskSpectrum,
                           tol: ToleranceConfig = DEFAULT_TOL) -> ButterflyCode:
-    """Relay carries the top-Z directions of the summed task Gram matrix;
-    each direct link then adds its task's best directions from what its
-    source can see beyond the relay's columns."""
+    """Relay carries the top-Z eigenvectors of S3 + S4. Each direct link
+    then carries its task's best directions past the relay, the top-Z
+    eigenvectors of its task Gram (S3 or S4) compressed to the directions
+    its node's observations add to the relay span; it sends their
+    least-norm lift into the node's span (for psi = I, the lift with the
+    least relay component), orthonormalized in eigenvalue order. Each sink
+    so receives the relay plus those best directions, and the code is a
+    function of the instance up to tied eigenvalues: no step reads the
+    rotation of a basis."""
     return realize_spans(_benchmark_spans(spec, tol), spec, tol)
 
 
@@ -174,34 +174,25 @@ def _benchmark_spans(spec: TaskSpectrum, tol: ToleranceConfig) -> CodeSpans:
     t56 = min(z, n)
     phi56 = np.zeros((n, z))
     phi56[:, :t56] = v[:, order[:t56]]
-    b56 = orthonormal_basis(phi56, tol)
 
     def side(obs: np.ndarray, gram: np.ndarray) -> np.ndarray:
-        # an SVD even of exact axes (psi = I): the signs of its zeros steer
-        # the stack's SVD below (CHANGES.md, FOUND 46)
-        pool = orthonormal_basis(obs, tol)
-        # one SVD of the stack, not join: the picks below follow this
-        # basis's rotation, and the trained loss follows the picks (CHANGES.md,
-        # FOUND 16)
-        joint = orthonormal_basis(np.hstack([b56.vectors, pool.vectors]), tol)
-        resid = joint.vectors - b56.vectors @ (b56.vectors.T @ joint.vectors)
-        # a residual of Frobenius norm <= rank_tol holds no direction, as in
-        # subspace._outside_residual; its SVD's relative rule would keep
-        # rounding noise
-        comp = (orthonormal_basis(resid, tol) if np.linalg.norm(resid) > tol.rank_tol
-                else Basis.empty(n))
-        mw, mv = np.linalg.eigh(comp.vectors.T @ gram @ comp.vectors)
-        tilde = comp.vectors @ mv[:, np.argsort(mw)[::-1][:z]]
-        target = orthonormal_basis(np.hstack([tilde, phi56[:, :t56]]), tol)
-        picked = extend_from_pool(b56, pool, target, tol)
+        # (I - P_relay) obs = U s V^T; the best directions past the relay are
+        # U Y, Y the top eigenvectors of U^T S U, and their least-norm lift is
+        # obs X, X = V s^-1 Y. With obs X = Q R, Q = obs (X R^-1) is one
+        # product with obs, so the link stays in the node's span (on axes, exactly)
+        u, s, vh = _beyond(phi56[:, :t56], obs, 1.0, tol)
+        mw, mv = np.linalg.eigh(u.T @ gram @ u)
+        y = mv[:, np.argsort(mw)[::-1][:z]]
+        x = vh.T @ (y / s[:, None])
+        r = np.linalg.qr(obs @ x, mode="r")
         direct = np.zeros((n, z))
-        direct[:, :picked.shape[1]] = picked
+        direct[:, :y.shape[1]] = _fix_signs(obs @ solve_triangular(r, x.T, trans="T").T)
         return direct
 
     chol, a, b = spec.cholesky_l, spec.instance.a, spec.instance.b
     return CodeSpans(
-        phi13=side(chol[:a, :].T.copy(), spec.s3),
-        phi24=side(chol[n - b :, :].T.copy(), spec.s4),
+        phi13=side(chol[:a, :].T, spec.s3),
+        phi24=side(chol[n - b :, :].T, spec.s4),
         phi56=phi56,
     )
 
@@ -220,7 +211,7 @@ class TrainJob:
 
 # errors that fail one job at its input gate or its descent's start; the
 # rest of the call trains on
-_MEMBER_ERRORS = (ValueError, InfeasibleExtension)
+_MEMBER_ERRORS = (ValueError,)
 
 
 def _t(x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from butterfly_coding import (
     ConfigError,
     DivergenceDetected,
+    InfeasibleExtension,
     InfeasibleSpec,
     InvalidSpan,
     ProblemInstance,
@@ -665,18 +666,28 @@ class TestCli:
         else:
             assert status == 1 and last.startswith("error: sufficient conditions fail"), last
 
-    def test_construction_out_of_pool_vectors_is_an_error(self, tmp_path, capsys):
-        # at rank_tol 1e-15 the coding_benchmark start, greedy_benchmark_code,
-        # runs out of pool vectors for one direct link on this cell:
-        # InfeasibleExtension, which is no ValueError, exits 1 cleanly
+    @pytest.mark.filterwarnings("error")
+    def test_construction_out_of_pool_vectors_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # an InfeasibleExtension, which is no ValueError, reaching the CLI
+        # exits 1 cleanly
         cfg = write_config(tmp_path, "pool.json", {
             "synthetic": {"n": 32, "z": 8, "a": 24, "b": 24, "r_plus_target": 20, "seed": 7},
             "train": {"mode": "coding_benchmark"}})
         flag = ["--tol", "1e-15"]
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "code.json")] + flag) == 1
+        with monkeypatch.context() as patch:
+            def exhausted(spec, tol):
+                raise InfeasibleExtension("pool exhausted after 7 of 8 extension vectors")
+            patch.setattr(bench_module, "construct_lb_code", exhausted)
+            assert main(["construct", "--config", cfg, "--out", str(tmp_path / "pool.out")]) == 1
         err = capsys.readouterr().err
         assert err.strip().splitlines()[-1] == "error: pool exhausted after 7 of 8 extension vectors"
         assert "Traceback" not in err
+        # the coding_benchmark start extends from no pool, so this cell,
+        # whose pool once ran out at rank_tol 1e-15, trains
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "code.json")] + flag) == 0
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("final L_total=")
+        assert math.isfinite(float(last.split()[1].removeprefix("L_total=")))
         # the analytic construction builds what analyze promised at 1e-15 on
         # this instance (n=6, a=5, b=4, z=2), with extensions of bases it
         # built inside their targets

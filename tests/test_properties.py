@@ -188,7 +188,7 @@ def test_new_direction_counts_match_the_stack(seed, identity, variant):
         tol = ToleranceConfig(rank_tol)
         relay, top = subspace_module._basis_and_top(spans.phi56, tol)
         for phi in (spans.phi13, spans.phi24):
-            new = subspace_module._beyond(relay.vectors, phi, top, tol)
+            new = subspace_module._beyond(relay.vectors, phi, top, tol)[0]
             stack = orthonormal_basis(np.hstack([phi, spans.phi56]), tol)
             assert new.shape[1] == stack.dim - relay.dim
 

@@ -774,7 +774,7 @@ def _svd_sites():
             *_basis_and_top(vectors, DEFAULT_TOL)),
         "_sine_test, R factor": lambda: _sine_test(resid, rank, DEFAULT_TOL)[1:],
         "_sine_test, tall": lambda: _sine_test(resid, rank, DEFAULT_TOL, left=True),
-        "_beyond": lambda: (_beyond(g, vectors, 1.0, DEFAULT_TOL),),
+        "_beyond": lambda: _beyond(g, vectors, 1.0, DEFAULT_TOL),
     }
 
 

@@ -36,7 +36,8 @@ from butterfly_coding import (
     validate,
 )
 from butterfly_coding.code import _MATRIX_FIELDS as FIELDS, _encoder_maps
-from butterfly_coding.train import _selection_e56
+from butterfly_coding.subspace import DEFAULT_TOL
+from butterfly_coding.train import _benchmark_spans, _selection_e56
 
 from conftest import (calm_instance, greedy_trap_instance, kernel_gradients, kernel_losses,
                       random_pd_instance, readme_config)
@@ -1015,14 +1016,64 @@ class TestGreedyBenchmark:
         total = exact_loss(code, inst)[2]
         assert total <= lb + 1e-8 * (1 + lb)
 
-    def test_below_rounding_the_pool_decides_feasibility(self):
-        # at rank_tol 1e-15 a separate coverage test refused this cell ("does
-        # not cover target"); the picks themselves find the pool sufficient
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_below_rounding_the_benchmark_builds(self, seed):
+        # at rank_tol 1e-15 a coverage test once refused seed 0 ("does not
+        # cover target") and a pool of extension vectors once ran out on
+        # seed 7 ("pool exhausted"); the direct links now pick from no pool
         tol = ToleranceConfig(rank_tol=1e-15)
-        inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=20, seed=0))
+        inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=20, seed=seed))
         code = greedy_benchmark_code(spectrum(inst, tol), tol)
         assert isinstance(code, ButterflyCode) and code.e13.shape == (8, 24)
         assert np.isfinite(exact_loss(code, inst)[2])
+
+    @pytest.mark.parametrize("case", ["random", "synthetic", "synthetic_coloured"])
+    def test_direct_links_are_functions_of_the_instance(self, monkeypatch, case):
+        # np.linalg.eigh returning its eigenvectors with random signs moves
+        # no direct-link entry past rounding: no step reads the rotation of
+        # a basis
+        rng = np.random.default_rng(31)
+        if case == "random":
+            instances = [random_pd_instance(rng) for _ in range(20)]
+        else:
+            instances = [gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=r,
+                                                     keep_sf3=keep, seed=3))
+                         for r in (16, 20, 24) for keep in (True, False)]
+        if case == "synthetic_coloured":
+            # x' = T x with T block-diagonal over the coordinates private to
+            # node 1, shared and private to node 2: psi' = T T^T
+            n, a, b = 32, 24, 24
+            t = block_diagonal(rng, (n - b, a + b - n, n - a))
+            t_inv = np.linalg.inv(t)
+            instances = [validate(ProblemInstance(n=n, psi=t @ inst.psi @ t.T, a=a, b=b, z=8,
+                                                  k3=inst.k3 @ t_inv, k4=inst.k4 @ t_inv))
+                         for inst in instances]
+        specs = [spectrum(inst) for inst in instances]
+        wants = [_benchmark_spans(spec, DEFAULT_TOL) for spec in specs]
+        eigh = np.linalg.eigh
+
+        def flipped(m, *args, **kwargs):
+            w, v = eigh(m, *args, **kwargs)
+            return w, v * rng.choice([-1.0, 1.0], size=v.shape[-1])
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        for spec, want in zip(specs, wants):
+            got = _benchmark_spans(spec, DEFAULT_TOL)
+            for name in ("phi13", "phi24"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_decoders_train_to_zero_on_a_same_task_cell(self, seed):
+        # sweep_paper's first cell: both sinks want the same task, and the
+        # benchmark code with optimal decoders reaches the bound of 0; 500
+        # epochs of decoder training on its encoders get there too
+        inst = gen_synthetic(SyntheticSpec(n=32, z=8, a=24, b=24, r_plus_target=16,
+                                           eig_profile="flat_tail", seed=seed))
+        assert np.array_equal(inst.k3, inst.k4) and lower_bound_of(inst) == 0.0
+        _, trace = train(inst, TrainConfig(epochs=500, learning_rate=0.05,
+                                           mode="coding_benchmark", seed=seed))
+        assert trace[-1, 2] <= 1e-20
 
     @pytest.mark.parametrize("a, b", [(0, 4), (4, 0)])
     @pytest.mark.parametrize("spd", [False, True])
